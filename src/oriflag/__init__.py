@@ -134,5 +134,4 @@ __all__ = [
     "sphere_point",
     "sphere_volume",
     "sphere_volume_exact",
-    "conjugate_partition",
 ]

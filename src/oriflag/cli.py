@@ -1,15 +1,18 @@
 """Command-line interface: volumes, expected distances, samples, convergence.
 
 Data goes to stdout, diagnostics to stderr. JSON reports carry a schema number
-and the run manifest (command, space, N, seed, workers, version, wall time),
-and floats are printed with 17 significant digits so a report can be parsed
-back without loss. Exit codes: 0 success, 2 parse or usage failure, 3 space
-unsupported for the requested computation.
+and the run manifest (command, space, N, seed, workers, version, wall time).
+JSON floats are printed in Python's shortest round-trip form and CSV floats
+with 17 significant digits, so output parses back without loss; a non-finite
+value is refused rather than printed as invalid JSON. Exit codes: 0 success,
+2 parse or usage failure, 3 space unsupported for the requested computation.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 import time
@@ -65,37 +68,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _escape(s: str) -> str:
-    return '"' + str(s).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _json_compact(obj) -> str:
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_compact(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{_escape(k)}: {_json_compact(v)}" for k, v in obj.items()) + "}"
-    return _escape(obj)
-
-
-def _json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict) and obj:
-        inner = ",\n".join(f'{pad}  {_escape(k)}: {_json(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj and any(isinstance(v, (dict, list, tuple)) for v in obj):
-        inner = ",\n".join(f"{pad}  {_json(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    return _json_compact(obj)
-
-
 def _default_seed(value) -> int:
     if value is not None:
         return value
@@ -120,7 +92,7 @@ def _report(command: str, space, result: dict, *, n=None, seed=None, workers=Non
         "wall_time_s": time.perf_counter() - t0,
         "result": result,
     }
-    print(_json(manifest))
+    print(json.dumps(manifest, indent=2, allow_nan=False))
     return 0
 
 
@@ -301,8 +273,9 @@ def cmd_sample(args) -> int:
             flat = [x for cell in row for x in (cell if isinstance(cell, list) else [cell])]
             out.write(",".join(_fmt(x) for x in flat) + "\n")
     else:
+        encode = json.JSONEncoder(allow_nan=False).encode
         for row in rows:
-            out.write(_json_compact(row) + "\n")
+            out.write(encode(row) + "\n")
     return 0
 
 
@@ -327,6 +300,13 @@ def cmd_convergence(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return tol
+
+
 def _add_seed_workers(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                    help="random seed (default: ORIFLAG_SEED env var, else 0)")
@@ -348,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", dest="blocks",
                    help="set partition blocks, e.g. {1}{2,3} (default: one block)")
     p.add_argument("--numeric", action="store_true", help="also evaluate the defining integral numerically")
-    p.add_argument("--tol", type=float, default=1e-7, help="numeric integration tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-7, help="numeric integration tolerance")
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("expected", help="expected distance between two random points")
@@ -357,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", dest="blocks", help="set partition blocks")
     p.add_argument("--mode", choices=["analytic", "quadrature", "montecarlo"], default="analytic")
     p.add_argument("--n", type=int, default=1_000_000, help="Monte Carlo sample count")
-    p.add_argument("--tol", type=float, default=1e-12, help="quadrature tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="quadrature tolerance")
     p.add_argument("--two-point", action="store_true", help="draw both points instead of using the base point")
     p.add_argument("--all", action="store_true", help="comparison table over every SO(3)-derived space")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -380,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quadrature", help="expected distance by adaptive quadrature")
     p.add_argument("--space", default="full-flag")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.set_defaults(func=cmd_quadrature)
 
     p = sub.add_parser("sample", help="emit random samples as JSON lines or CSV")

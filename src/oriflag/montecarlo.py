@@ -14,6 +14,7 @@ reproduces the estimate bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,9 +24,8 @@ from .flagspec import FiniteIsotropy
 from .orthogonal import (
     RngStream,
     _as_generator,
+    _distances_to_identity,
     _matrix_of,
-    geodesic_distance,
-    rotation_angles_matrix,
     sample_rotation_matrices,
 )
 from .spaces import Kernel, Space, classify
@@ -62,7 +62,8 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
         raise ValueError(
             f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={h.n}"
         )
-    return min(geodesic_distance(ma @ e.matrix, mb) for e in h.elements)
+    orbit = ma @ np.stack([e.matrix for e in h.elements]) @ mb.T
+    return float(_distances_to_identity(orbit).min())
 
 
 def sphere_point(rng) -> np.ndarray:
@@ -125,16 +126,14 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
         else:
             diag = np.einsum("mik,mik->mk", a, b)
         return _principal_angle_from_traces(diag @ signs.T, n).min(axis=1)
-    # General n: per-sample Schur decompositions (slow, small-N use only).
-    out = np.empty(count)
-    for i in range(count):
-        target = np.eye(n) if b is None else b[i]
-        best = math.inf
-        for s in signs:
-            angles = rotation_angles_matrix((a[i] * s) @ target.T)
-            best = min(best, math.sqrt(float(np.sum(angles * angles))))
-        out[i] = best
-    return out
+    # General n: one batched eigenvalue call per isotropy element. A diag(s) B^T
+    # is similar to B^T A diag(s), so the product with B is taken once; only
+    # one (count, n, n) stack is alive at a time.
+    rel = a if b is None else np.swapaxes(b, 1, 2) @ a
+    best = np.inf
+    for s in signs:
+        best = np.minimum(best, _distances_to_identity(rel * s))
+    return best
 
 
 def sample_distances(space: Space, count: int, rng, *, two_point: bool = False) -> np.ndarray:
@@ -201,6 +200,7 @@ def estimate_expected_distance(
     work, same mean). ``n_samples`` is split into ``workers`` contiguous
     chunks, each on its own substream of ``seed``, and merged in chunk order,
     so the result is a pure function of (space, n_samples, seed, workers).
+    The chunks run on at most ``os.cpu_count()`` threads.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -208,10 +208,12 @@ def estimate_expected_distance(
         raise ValueError("workers must be >= 1")
     kern = classify(space)
     sizes = _chunk_sizes(n_samples, workers)
-    if workers == 1:
-        parts = [_chunk_stats(kern, seed, 0, n_samples, two_point)]
+    # Chunks fix the result; threads only run them, so never more than cores.
+    threads = min(workers, os.cpu_count() or 1)
+    if threads == 1:
+        parts = [_chunk_stats(kern, seed, i, size, two_point) for i, size in enumerate(sizes)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
                 pool.submit(_chunk_stats, kern, seed, i, size, two_point)
                 for i, size in enumerate(sizes)

@@ -1,27 +1,21 @@
 """Haar-distributed sampling of SO(n) and the bi-invariant geodesic distance.
 
 A random Gaussian matrix is orthogonalized (Householder QR with the sign of
-the R diagonal folded into Q, or literal modified Gram-Schmidt on request) and
-the determinant is fixed to +1 by swapping the first two rows. The geodesic
-distance between rotations A and B is ``sqrt(0.5 * sum |log mu_k|^2)`` over
-the eigenvalues ``mu_k`` of ``A B^T``, equivalently the root-sum-square of the
-principal rotation angles of ``A B^T``.
+the R diagonal folded into Q) and the determinant is fixed to +1 by swapping
+the first two rows. The geodesic distance between rotations A and B is
+``sqrt(0.5 * sum |log mu_k|^2)`` over the eigenvalues ``mu_k`` of ``A B^T``,
+equivalently the root-sum-square of the principal rotation angles of
+``A B^T``; both come from one batched eigenvalue computation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 ORTHOGONALITY_TOL = 1e-12
 DETERMINANT_TOL = 1e-10
-
-# Subdiagonal entries of the real Schur form below this are treated as zero
-# (the corresponding rotation angle is indistinguishable from 0 or pi).
-_SCHUR_BLOCK_TOL = 1e-12
 
 # Householder QR on an n x n standard Gaussian is rank deficient only if the
 # draw is degenerate; diagonal entries of R below this trigger a resample.
@@ -104,56 +98,21 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
 
 
-def _modified_gram_schmidt(a: np.ndarray) -> np.ndarray | None:
-    """Orthonormalize the columns of ``a`` in place order; None if degenerate."""
-    q = a.astype(float).copy()
-    for j in range(q.shape[1]):
-        for i in range(j):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        norm = np.linalg.norm(q[:, j])
-        if norm < _RANK_TOL:
-            return None
-        q[:, j] /= norm
-    return q
-
-
-def random_special_orthogonal(n: int, rng, *, gram_schmidt: bool = False) -> Rotation:
+def random_special_orthogonal(n: int, rng) -> Rotation:
     """Draw a Haar-distributed rotation in SO(n).
 
     Orthogonalizes a standard Gaussian n x n matrix; if the result has
     determinant -1 its first two rows are swapped, which preserves the Haar
-    property. ``gram_schmidt=True`` uses literal modified Gram-Schmidt instead
-    of Householder QR (same distribution, less orthogonal at large n).
-    Degenerate Gaussian draws are resampled, never silently accepted.
+    property. A batch of one from :func:`sample_rotation_matrices`, so it
+    consumes ``rng`` exactly as that function does.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if n == 1:
-        return Rotation([[1.0]])
-    gen = _as_generator(rng)
-    for _ in range(_MAX_RESAMPLE):
-        a = gen.standard_normal((n, n))
-        if gram_schmidt:
-            q = _modified_gram_schmidt(a)
-            if q is None:
-                continue
-        else:
-            q, r = np.linalg.qr(a)
-            d = np.diagonal(r)
-            if np.abs(d).min() < _RANK_TOL:
-                continue
-            q = q * np.sign(d)
-        if np.linalg.det(q) < 0:
-            q[[0, 1]] = q[[1, 0]]
-        return Rotation(q)
-    raise RuntimeError("persistent rank-deficient Gaussian draws; rng is broken")
+    return Rotation(sample_rotation_matrices(n, 1, rng)[0])
 
 
 def sample_rotation_matrices(n: int, count: int, rng) -> np.ndarray:
     """Vectorized Haar sampling: a (count, n, n) stack of SO(n) matrices.
 
-    Same construction as :func:`random_special_orthogonal` (QR route), batched
-    for Monte Carlo use.
+    Degenerate Gaussian draws are resampled, never silently accepted.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -202,50 +161,45 @@ def _matrix_of(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def rotation_angles_matrix(m: np.ndarray) -> np.ndarray:
-    """Principal rotation angles of a special orthogonal matrix.
+def _eigen_angles(m: np.ndarray) -> np.ndarray:
+    """Arguments of the eigenvalues of a (k, n, n) stack of SO(n) matrices.
 
-    Returns the floor(n/2) angles in [0, pi], sorted descending, extracted
-    from the 2x2 blocks of the real Schur form. Eigenvalue -1 pairs contribute
-    an angle of pi; the remaining +1 eigenvalues contribute zeros.
+    Raises ArithmeticError when a determinant (the product of the
+    eigenvalues) is not +1, i.e. the input is not in SO(n).
     """
-    n = m.shape[0]
-    if n == 1:
-        return np.zeros(0)
-    t, _ = schur(m, output="real")
-    angles = []
-    minus_ones = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > _SCHUR_BLOCK_TOL:
-            angles.append(math.atan2(abs(t[i, i + 1]), t[i, i]))
-            i += 2
-        else:
-            if t[i, i] < 0.0:
-                minus_ones += 1
-            i += 1
-    if minus_ones % 2:
-        raise ArithmeticError("odd multiplicity of eigenvalue -1; input is not in SO(n)")
-    angles.extend([math.pi] * (minus_ones // 2))
-    angles.extend([0.0] * (n // 2 - len(angles)))
-    out = np.array(angles)
-    out[::-1].sort()
-    return out
+    mu = np.linalg.eigvals(m)
+    det = np.prod(mu, axis=-1).real
+    if np.abs(det - 1.0).max() > DETERMINANT_TOL:
+        raise ArithmeticError("determinant is not +1; input is not in SO(n)")
+    return np.angle(mu)
+
+
+def _distances_to_identity(m: np.ndarray) -> np.ndarray:
+    """Geodesic distances to the identity of a (k, n, n) stack of SO(n) matrices."""
+    theta = _eigen_angles(m)
+    return np.sqrt(0.5 * (theta * theta).sum(axis=-1))
 
 
 def rotation_angles(a) -> np.ndarray:
-    """Principal rotation angles of ``a`` (Rotation or matrix), see above."""
-    return rotation_angles_matrix(_matrix_of(a))
+    """Principal rotation angles of ``a`` (Rotation or matrix).
+
+    Returns the floor(n/2) angles in [0, pi], sorted descending. The
+    eigenvalues come in conjugate pairs exp(+-i psi), plus a lone +1 when n is
+    odd, so every other entry of the sorted |arguments| is one angle per pair.
+    """
+    m = _matrix_of(a)
+    theta = np.sort(np.abs(_eigen_angles(m[None])[0]))[::-1]
+    return theta[: 2 * (m.shape[0] // 2) : 2]
 
 
 def geodesic_distance(a, b) -> float:
     """Riemannian geodesic distance on SO(n) between rotations ``a`` and ``b``.
 
-    Depends only on the eigenvalues of ``A B^T``: with principal angles psi_j
-    of that product, the distance is sqrt(sum psi_j^2).
+    Depends only on the eigenvalues mu_k of ``A B^T``: the distance is
+    sqrt(0.5 * sum |log mu_k|^2), i.e. sqrt(sum psi_j^2) over its principal
+    angles psi_j.
     """
     ma, mb = _matrix_of(a), _matrix_of(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    angles = rotation_angles_matrix(ma @ mb.T)
-    return float(math.sqrt(np.sum(angles * angles)))
+    return float(_distances_to_identity((ma @ mb.T)[None])[0])

@@ -15,10 +15,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that rejects the NaN/Infinity extensions Python accepts."""
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return strict_json(out)
 
 
 # -------------------------------------------------------------------- volume
@@ -96,6 +103,15 @@ def test_quadrature_subcommand_defaults_to_full_flag(capsys):
     assert "1.3117250347224445" in out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+def test_bad_tolerance_is_a_usage_error(capsys, tol):
+    for argv in (("quadrature", "--tol", tol),
+                 ("expected", "--space", "full-flag", "--mode", "quadrature", "--tol", tol),
+                 ("volume", "--space", "full-flag", "--numeric", "--tol", tol)):
+        code, out, _err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+
+
 def test_quadrature_on_partial_flag_uses_double_integral(capsys):
     report = run_json(capsys, "quadrature", "--space", "partial-flag-2", "--tol", "1e-10")
     assert report["result"]["value"] == pytest.approx(1 + math.pi / 4, abs=1e-9)
@@ -168,7 +184,7 @@ def test_sample_rotations_are_valid_and_deterministic(capsys):
     code2, out2, _ = run(capsys, "sample", "--space", "so3", "--n", "2", "--seed", "1")
     assert code1 == code2 == 0
     assert out1 == out2  # byte identical
-    rows = [json.loads(line) for line in out1.strip().splitlines()]
+    rows = [strict_json(line) for line in out1.strip().splitlines()]
     assert len(rows) == 2
     for row in rows:
         q = np.array(row)
@@ -178,7 +194,7 @@ def test_sample_rotations_are_valid_and_deterministic(capsys):
 
 def test_sample_sphere_unit_norm(capsys):
     _code, out, _ = run(capsys, "sample", "--space", "s2", "--n", "50", "--seed", "4")
-    rows = np.array([json.loads(line) for line in out.strip().splitlines()])
+    rows = np.array([strict_json(line) for line in out.strip().splitlines()])
     assert rows.shape == (50, 3)
     assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
 
@@ -191,7 +207,7 @@ def test_sample_csv_and_lift(capsys):
     assert len(lines) == 4
     _code, out, _ = run(capsys, "sample", "--space", "full-flag", "--n", "3", "--seed", "2",
                         "--lift")
-    quats = np.array([json.loads(line) for line in out.strip().splitlines()])
+    quats = np.array([strict_json(line) for line in out.strip().splitlines()])
     assert quats.shape == (3, 4)
     assert np.abs(np.linalg.norm(quats, axis=1) - 1.0).max() <= 1e-12
     assert np.all(quats[:, 0] >= 0.0)

@@ -1,4 +1,6 @@
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -157,6 +159,27 @@ def test_bit_for_bit_determinism():
     assert np.array_equal(arr1, arr2)
 
 
+def test_threads_capped_at_cpu_count(monkeypatch):
+    import oriflag.montecarlo as mc
+
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    space = SPACE_ALIASES["full-flag"]
+    results = []
+    for cpus, threads in ((8, [4]), (2, [2]), (None, [])):
+        pools.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        results.append(estimate_expected_distance(space, 5_000, seed=6, workers=4))
+        assert pools == threads
+    assert results[0] == results[1] == results[2]
+
+
 def test_workers_split_covers_all_samples():
     est = estimate_expected_distance(SPACE_ALIASES["s2"], 10_001, seed=3, workers=7)
     assert est.n_samples == 10_001
@@ -177,7 +200,7 @@ def test_point_space_and_single_sample():
     assert single.stderr == 0.0 and single.n_samples == 1
 
 
-def test_vectorized_kernel_matches_schur_path():
+def test_trace_kernel_matches_eigenvalue_orbit_minimum():
     # the batched trace formula must agree with explicit orbit minimization
     for name in ("so3", "partial-flag-1", "full-flag"):
         space = SPACE_ALIASES[name]
@@ -191,7 +214,7 @@ def test_vectorized_kernel_matches_schur_path():
 
 
 def test_general_dimension_slow_paths():
-    # SO(4) and a rank-4 sign quotient exercise the per-sample Schur route
+    # SO(4) and a rank-4 sign quotient exercise the batched eigenvalue route
     est = estimate_expected_distance(SpecialOrthogonal(4), 64, seed=2)
     assert est.mean > 0.0
     s = spec((1, 1, 1, 1), [(1, 2, 3, 4)])

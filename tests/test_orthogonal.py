@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -75,14 +76,6 @@ def test_construction_invariants_hold_on_1000_draws():
         assert abs(np.linalg.det(q) - 1.0) <= 1e-10
 
 
-def test_gram_schmidt_mode_matches_invariants():
-    gen = RngStream(12).generator()
-    for _ in range(200):
-        q = random_special_orthogonal(4, gen, gram_schmidt=True).matrix
-        assert np.abs(q.T @ q - np.eye(4)).max() <= 1e-12
-        assert abs(np.linalg.det(q) - 1.0) <= 1e-10
-
-
 def test_batch_sampler_invariants():
     q = sample_rotation_matrices(5, 500, RngStream(13).generator())
     defect = np.abs(np.einsum("nji,njk->nik", q, q) - np.eye(5)).max()
@@ -111,6 +104,15 @@ def test_trace_mean_is_zero_for_haar_so3(so3_haar_million):
     traces = so3_haar_million["traces"]
     stderr = traces.std(ddof=1) / math.sqrt(len(traces))
     assert abs(traces.mean() - oracle) <= 5 * stderr
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_trace_moments_haar_son(n):
+    # Diaconis-Shahshahani: for Haar SO(n), n >= 3, E tr A = 0 and E (tr A)^2 = 1
+    traces = np.einsum("kii->k", sample_rotation_matrices(n, 100_000, RngStream(40 + n).generator()))
+    for moment, expected in ((traces, 0.0), (traces * traces, 1.0)):
+        stderr = moment.std(ddof=1) / math.sqrt(len(moment))
+        assert abs(moment.mean() - expected) <= 5 * stderr
 
 
 def test_first_column_uniform_on_sphere(so3_haar_million):
@@ -176,6 +178,40 @@ def test_distance_against_eigenvalue_log_oracle():
     assert abs(geodesic_distance(np.diag([-1.0, -1, -1, -1]), np.eye(4))
                - math.sqrt(2) * math.pi) <= 1e-12
     assert abs(geodesic_distance(np.diag([-1.0, -1, 1]), np.eye(3)) - math.pi) <= 1e-12
+
+
+def planted_rotation(gen, angles, n):
+    """Q blockdiag(R(theta_1), ..., R(theta_k)[, 1]) Q^T for a Haar Q: known angles."""
+    block = np.eye(n)
+    for j, theta in enumerate(angles):
+        c, s = math.cos(theta), math.sin(theta)
+        block[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c, -s], [s, c]]
+    q = sample_rotation_matrices(n, 1, gen)[0]
+    return q @ block @ q.T
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_angles_and_distance_against_planted_blocks(n):
+    gen = RngStream(25).generator()
+    edges = (None, 0.0, math.pi, math.pi - 1e-9)
+    for first, second in itertools.product(edges, repeat=2):
+        angles = gen.uniform(0.0, math.pi, n // 2)
+        for j, edge in enumerate((first, second)):
+            if edge is not None:
+                angles[j] = edge
+        m = planted_rotation(gen, angles, n)
+        expected = np.sort(angles)[::-1]
+        assert np.abs(rotation_angles(m) - expected).max() <= 1e-10
+        assert abs(geodesic_distance(m, np.eye(n)) - math.sqrt(np.sum(angles ** 2))) <= 1e-10
+
+
+def test_reflection_is_rejected():
+    for n in (2, 3, 4, 5):
+        reflection = np.diag([-1.0] + [1.0] * (n - 1))
+        with pytest.raises(ArithmeticError):
+            geodesic_distance(reflection, np.eye(n))
+        with pytest.raises(ArithmeticError):
+            rotation_angles(reflection)
 
 
 def test_dimension_mismatch_rejected():
