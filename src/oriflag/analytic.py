@@ -24,16 +24,22 @@ from .quadrature import (
     nested_double_integral,
     nested_triple_integral,
 )
-from .spaces import Space, UnsupportedSpaceError, classify
+from .spaces import Space, UnsupportedSpaceError, classify, space_label
 from .symbolic import PiExpression
 
 FULL_FLAG_TAG = "full-flag-quadrature"
+# Smallest tolerance the full-flag quadrature accepts: below it double
+# precision cannot meet the bound.
+FULL_FLAG_MIN_TOL = 1e-13
 
-_SO3_EXPECTATION = PiExpression(((-1, Fraction(2)), (1, Fraction(1, 2))))
-_SPHERE_EXPECTATION = PiExpression(((1, Fraction(1, 2)),))
-_PROJECTIVE_EXPECTATION = PiExpression.rational(1)
-_PARTIAL_FLAG_EXPECTATION = PiExpression(((0, Fraction(1)), (1, Fraction(1, 4))))
-_ZERO = PiExpression.zero()
+# Closed-form expected distance by kernel family; the full flag has none.
+_EXPECTATIONS = {
+    "point": PiExpression.zero(),
+    "so3": PiExpression(((-1, Fraction(2)), (1, Fraction(1, 2)))),
+    "partial-flag": PiExpression(((0, Fraction(1)), (1, Fraction(1, 4)))),
+    "s2": PiExpression(((1, Fraction(1, 2)),)),
+    "rp2": PiExpression.rational(1),
+}
 
 _DOMAIN_SLACK = 1e-12
 
@@ -63,25 +69,13 @@ def analytic_expected_distance(space: Space) -> ClosedForm:
     the projective plane. The full flag case is delegated to
     :func:`expected_distance_full_flag` at tolerance 1e-12.
     """
-    kern = classify(space)
-    if kern.kind == "point":
-        return _closed(_ZERO)
-    if kern.kind == "sphere":
-        return _closed(_SPHERE_EXPECTATION)
-    if kern.kind == "projective-plane":
-        return _closed(_PROJECTIVE_EXPECTATION)
-    if kern.kind == "son":
-        if kern.n == 1:
-            return _closed(_ZERO)
-        if kern.n == 3:
-            return _closed(_SO3_EXPECTATION)
-        raise UnsupportedSpaceError(f"no closed form implemented for SO({kern.n})")
-    if kern.kind == "finite-quotient" and kern.n == 3:
-        if kern.isotropy.order == 2:
-            return _closed(_PARTIAL_FLAG_EXPECTATION)
+    family = classify(space).family
+    if family == "full-flag":
         quad = expected_distance_full_flag(1e-12)
         return ClosedForm(tag=FULL_FLAG_TAG, value=quad.value, exact=None)
-    raise UnsupportedSpaceError(f"no closed form known for {space!r}")
+    if family not in _EXPECTATIONS:
+        raise UnsupportedSpaceError(f"no closed form known for {space_label(space)}")
+    return _closed(_EXPECTATIONS[family])
 
 
 def full_flag_integrand(phi3):
@@ -109,8 +103,8 @@ def expected_distance_full_flag(tol: float) -> QuadratureResult:
     at most ``tol``. Tolerances below 1e-13 are not attainable in double
     precision and are rejected.
     """
-    if tol < 1e-13:
-        raise ValueError(f"tolerance must be >= 1e-13, got {tol:g}")
+    if tol < FULL_FLAG_MIN_TOL:
+        raise ValueError(f"tolerance must be >= {FULL_FLAG_MIN_TOL:g}, got {tol:g}")
     scale = 96.0 / math.pi**2
     raw = adaptive_gauss_kronrod(full_flag_integrand, 0.0, 0.25 * math.pi, tol / scale)
     return QuadratureResult(
@@ -160,22 +154,15 @@ def numeric_volume(space: Space, tol: float = 1e-7) -> float:
     of 48 congruent spherical simplices; the sphere and projective plane use
     the polar-angle area element. Cross-checks the exact volume formula.
     """
-    kern = classify(space)
-    if kern.kind == "sphere":
+    family = classify(space).family
+    if family in ("s2", "rp2"):
         return nested_double_integral(
             lambda _theta, phis: np.sin(phis),
             (0.0, 2.0 * math.pi),
-            lambda _theta: (0.0, math.pi),
+            lambda _theta: (0.0, math.pi if family == "s2" else 0.5 * math.pi),
             tol,
         )
-    if kern.kind == "projective-plane":
-        return nested_double_integral(
-            lambda _theta, phis: np.sin(phis),
-            (0.0, 2.0 * math.pi),
-            lambda _theta: (0.0, 0.5 * math.pi),
-            tol,
-        )
-    if kern.kind == "son" and kern.n == 3:
+    if family == "so3":
         return nested_triple_integral(
             lambda _phi3, phi2, phi1: _so3_measure(phi1, phi2),
             (0.0, 2.0 * math.pi),
@@ -183,15 +170,15 @@ def numeric_volume(space: Space, tol: float = 1e-7) -> float:
             lambda _phi3, _phi2: (0.0, 0.5 * math.pi),
             tol,
         )
-    if kern.kind == "finite-quotient" and kern.n == 3:
-        if kern.isotropy.order == 2:
-            return 2.0 * nested_triple_integral(
-                lambda _phi3, phi2, phi1: _so3_measure(phi1, phi2),
-                (0.0, 2.0 * math.pi),
-                lambda _phi3: (0.0, 0.5 * math.pi),
-                lambda _phi3, phi2: (0.0, _arctan_sec(phi2)),
-                tol,
-            )
+    if family == "partial-flag":
+        return 2.0 * nested_triple_integral(
+            lambda _phi3, phi2, phi1: _so3_measure(phi1, phi2),
+            (0.0, 2.0 * math.pi),
+            lambda _phi3: (0.0, 0.5 * math.pi),
+            lambda _phi3, phi2: (0.0, _arctan_sec(phi2)),
+            tol,
+        )
+    if family == "full-flag":
         return 48.0 * nested_triple_integral(
             lambda _phi3, phi2, phi1: _so3_measure(phi1, phi2),
             (0.0, 0.25 * math.pi),
@@ -207,6 +194,7 @@ def numeric_volume(space: Space, tol: float = 1e-7) -> float:
 
 __all__ = [
     "ClosedForm",
+    "FULL_FLAG_MIN_TOL",
     "FULL_FLAG_TAG",
     "QuadratureError",
     "QuadratureResult",

@@ -19,6 +19,7 @@ import time
 
 from . import __version__
 from .analytic import (
+    FULL_FLAG_MIN_TOL,
     QuadratureError,
     analytic_expected_distance,
     expected_distance_full_flag,
@@ -45,17 +46,6 @@ from .spaces import (
     space_json,
     space_label,
 )
-
-_ALL_SPACES = [
-    "so3",
-    "partial-flag-1",
-    "partial-flag-2",
-    "partial-flag-3",
-    "full-flag",
-    "s2",
-    "rp2",
-    "trivial-flag",
-]
 
 _SAMPLE_BATCH = 1 << 15
 
@@ -130,8 +120,12 @@ def _expected_one(space: Space, mode: str, args, seed) -> dict:
         cf = analytic_expected_distance(space)
         return {"mode": "analytic", "symbolic": cf.tag, "value": cf.value}
     if mode == "quadrature":
-        kern = classify(space)
-        if kern.kind == "finite-quotient" and kern.n == 3 and kern.isotropy.order == 4:
+        family = classify(space).family
+        if family == "full-flag":
+            if args.tol < FULL_FLAG_MIN_TOL:
+                raise UsageError(
+                    f"--tol must be >= {FULL_FLAG_MIN_TOL:g} for the full flag, got {args.tol:g}"
+                )
             quad = expected_distance_full_flag(args.tol)
             return {
                 "mode": "quadrature",
@@ -140,7 +134,7 @@ def _expected_one(space: Space, mode: str, args, seed) -> dict:
                 "evaluations": quad.evaluations,
                 "tol": args.tol,
             }
-        if kern.kind == "finite-quotient" and kern.n == 3 and kern.isotropy.order == 2:
+        if family == "partial-flag":
             tol = max(args.tol, 1e-12)
             return {
                 "mode": "quadrature",
@@ -167,8 +161,7 @@ def cmd_expected(args) -> int:
     seed = _default_seed(args.seed)
     if args.all:
         rows = []
-        for name in _ALL_SPACES:
-            space = SPACE_ALIASES[name]
+        for name, space in SPACE_ALIASES.items():
             cf = analytic_expected_distance(space)
             est = estimate_expected_distance(space, args.n, seed=seed, workers=args.workers)
             rows.append(
@@ -224,45 +217,37 @@ def cmd_quadrature(args) -> int:
 
 def _sample_rows(space: Space, n: int, seed: int, lift: bool):
     kern = classify(space)
+    if kern.signs is None:
+        raise UnsupportedSpaceError(f"nothing to sample for {space_label(space)}")
+    sphere = kern.family in ("s2", "rp2")
+    d = 3 if sphere else kern.signs.shape[1]
+    if lift and (sphere or d != 3):
+        raise UsageError("--lift requires a 3x3 rotation space")
+    if lift:
+        header = ["x", "y", "z", "w"]
+    elif sphere:
+        header = ["x", "y", "z"]
+    else:
+        header = [f"m{i}{j}" for i in range(d) for j in range(d)]
     gen = RngStream(seed, 0).generator()
-    if kern.kind in ("sphere", "projective-plane"):
-        if lift:
-            raise UsageError("--lift requires a 3x3 rotation space")
-        def rows():
-            done = 0
-            while done < n:
-                m = min(_SAMPLE_BATCH, n - done)
-                for v in _unit_vectors(gen, m):
-                    yield [float(c) for c in v]
-                done += m
-        return ["x", "y", "z"], rows()
-    if kern.kind in ("son", "finite-quotient"):
-        d = kern.n
-        if lift and d != 3:
-            raise UsageError("--lift requires a 3x3 rotation space")
-        header = (
-            ["x", "y", "z", "w"]
-            if lift
-            else [f"m{i}{j}" for i in range(d) for j in range(d)]
-        )
-        def rows():
-            done = 0
-            while done < n:
-                m = min(_SAMPLE_BATCH, n - done)
-                for q in sample_rotation_matrices(d, m, gen):
-                    if lift:
-                        u = rotation_to_quaternion(Rotation(q))
-                        yield [u.x, u.y, u.z, u.w]
-                    else:
-                        yield [[float(x) for x in row] for row in q]
-                done += m
-        return header, rows()
-    raise UnsupportedSpaceError(f"nothing to sample for {space_label(space)}")
+
+    def rows():
+        done = 0
+        while done < n:
+            m = min(_SAMPLE_BATCH, n - done)
+            batch = _unit_vectors(gen, m) if sphere else sample_rotation_matrices(d, m, gen)
+            for x in batch:
+                if lift:
+                    u = rotation_to_quaternion(Rotation(x))
+                    yield [u.x, u.y, u.z, u.w]
+                else:
+                    yield x.tolist()
+            done += m
+
+    return header, rows()
 
 
 def cmd_sample(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
     space = parse_space(args.space)
     seed = _default_seed(args.seed)
     header, rows = _sample_rows(space, args.n, seed, args.lift)
@@ -307,10 +292,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_seed_workers(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                    help="random seed (default: ORIFLAG_SEED env var, else 0)")
-    p.add_argument("--workers", "--streams", type=int, default=1,
+    p.add_argument("--workers", "--streams", type=_positive_int, default=1,
                    help="parallel sampling streams")
 
 
@@ -336,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="comma-separated parts")
     p.add_argument("--P", dest="blocks", help="set partition blocks")
     p.add_argument("--mode", choices=["analytic", "quadrature", "montecarlo"], default="analytic")
-    p.add_argument("--n", type=int, default=1_000_000, help="Monte Carlo sample count")
+    p.add_argument("--n", type=_positive_int, default=1_000_000, help="Monte Carlo sample count")
     p.add_argument("--tol", type=_tolerance, default=1e-12, help="quadrature tolerance")
     p.add_argument("--two-point", action="store_true", help="draw both points instead of using the base point")
     p.add_argument("--all", action="store_true", help="comparison table over every SO(3)-derived space")
@@ -346,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="Monte Carlo expected distance (expected --mode montecarlo)")
     p.add_argument("--space", required=True)
-    p.add_argument("--n", type=int, default=1_000_000)
+    p.add_argument("--n", type=_positive_int, default=1_000_000)
     p.add_argument("--two-point", action="store_true")
     _add_seed_workers(p)
     p.set_defaults(func=cmd_estimate, lam=None, blocks=None, tol=1e-12, all=False, format="json")
@@ -365,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="emit random samples as JSON lines or CSV")
     p.add_argument("--space", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--lift", action="store_true", help="emit quaternion lifts instead of matrices")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=None)

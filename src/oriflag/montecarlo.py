@@ -66,16 +66,6 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
     return float(_distances_to_identity(orbit).min())
 
 
-def sphere_point(rng) -> np.ndarray:
-    """A uniform random point on the unit 2-sphere (normalized Gaussian draw)."""
-    gen = _as_generator(rng)
-    while True:
-        v = gen.standard_normal(3)
-        norm = np.linalg.norm(v)
-        if norm >= _MIN_NORM:
-            return v / norm
-
-
 def _unit_vectors(gen: np.random.Generator, count: int) -> np.ndarray:
     v = gen.standard_normal((count, 3))
     norms = np.linalg.norm(v, axis=1)
@@ -88,6 +78,11 @@ def _unit_vectors(gen: np.random.Generator, count: int) -> np.ndarray:
     return v / norms[:, None]
 
 
+def sphere_point(rng) -> np.ndarray:
+    """A uniform random point on the unit 2-sphere (normalized Gaussian draw)."""
+    return _unit_vectors(_as_generator(rng), 1)[0]
+
+
 def _principal_angle_from_traces(traces: np.ndarray, n: int) -> np.ndarray:
     """Rotation angle of SO(2)/SO(3) matrices given their traces."""
     if n == 3:
@@ -97,41 +92,32 @@ def _principal_angle_from_traces(traces: np.ndarray, n: int) -> np.ndarray:
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
-def _orbit_signs(kern: Kernel) -> np.ndarray:
-    if kern.isotropy is not None:
-        return kern.isotropy.diagonal_signs()
-    return np.ones((1, kern.n))
-
-
 def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
     """One batch of distance samples for a kernel; consumes ``gen`` sequentially."""
-    if kern.kind == "point":
+    if kern.family == "point":
         return np.zeros(count)
-    if kern.kind in ("sphere", "projective-plane"):
+    if kern.family in ("s2", "rp2"):
         v = _unit_vectors(gen, count)
         cos = (_unit_vectors(gen, count) * v).sum(axis=1) if two_point else v[:, 2]
-        if kern.kind == "projective-plane":
+        # Nearest point of the orbit {s v}: the largest cosine, |cos| under signs {1, -1}.
+        if len(kern.signs) > 1:
             cos = np.abs(cos)
         return np.arccos(np.clip(cos, -1.0, 1.0))
-    # Rotation-group kinds: "son" and "finite-quotient".
-    n = kern.n
-    if n == 1:
-        return np.zeros(count)
+    n = kern.signs.shape[1]
     a = sample_rotation_matrices(n, count, gen)
     b = sample_rotation_matrices(n, count, gen) if two_point else None
-    signs = _orbit_signs(kern)
     if n in (2, 3):
         if b is None:
             diag = np.diagonal(a, axis1=1, axis2=2)
         else:
             diag = np.einsum("mik,mik->mk", a, b)
-        return _principal_angle_from_traces(diag @ signs.T, n).min(axis=1)
+        return _principal_angle_from_traces(diag @ kern.signs.T, n).min(axis=1)
     # General n: one batched eigenvalue call per isotropy element. A diag(s) B^T
     # is similar to B^T A diag(s), so the product with B is taken once; only
     # one (count, n, n) stack is alive at a time.
     rel = a if b is None else np.swapaxes(b, 1, 2) @ a
     best = np.inf
-    for s in signs:
+    for s in kern.signs:
         best = np.minimum(best, _distances_to_identity(rel * s))
     return best
 
@@ -180,8 +166,9 @@ def _chunk_stats(kern: Kernel, seed: int, chunk: int, size: int, two_point: bool
 
 
 def _chunk_sizes(n: int, workers: int) -> list[int]:
+    """Sizes of the non-empty chunks; when ``workers`` > ``n`` the rest would be empty."""
     base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+    return [base + (1 if i < extra else 0) for i in range(min(workers, n))]
 
 
 def estimate_expected_distance(
@@ -200,7 +187,7 @@ def estimate_expected_distance(
     work, same mean). ``n_samples`` is split into ``workers`` contiguous
     chunks, each on its own substream of ``seed``, and merged in chunk order,
     so the result is a pure function of (space, n_samples, seed, workers).
-    The chunks run on at most ``os.cpu_count()`` threads.
+    Only the non-empty chunks run, on at most ``os.cpu_count()`` threads.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -209,7 +196,7 @@ def estimate_expected_distance(
     kern = classify(space)
     sizes = _chunk_sizes(n_samples, workers)
     # Chunks fix the result; threads only run them, so never more than cores.
-    threads = min(workers, os.cpu_count() or 1)
+    threads = min(len(sizes), os.cpu_count() or 1)
     if threads == 1:
         parts = [_chunk_stats(kern, seed, i, size, two_point) for i, size in enumerate(sizes)]
     else:

@@ -155,26 +155,16 @@ def nested_triple_integral(f, outer_range, mid_range, inner_range, tol: float) -
     """Iterated triple integral, innermost varying fastest.
 
     ``mid_range(outer)`` and ``inner_range(outer, mid)`` give the bounds;
-    ``f(outer, mid, inner_array)`` returns an array. Each of the three levels
-    runs at tol / 10.
+    ``f(outer, mid, inner_array)`` returns an array. A nested double integral
+    over the innermost integral; each of the three levels runs at tol / 10.
     """
     level_tol = tol / 10.0
 
-    def outer_integrand(xs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            def mid_integrand(ys: np.ndarray) -> np.ndarray:
-                vals = np.empty_like(ys)
-                for j, y in enumerate(ys):
-                    lo, hi = inner_range(x, y)
-                    vals[j] = adaptive_gauss_kronrod(
-                        lambda zs: f(x, y, zs), lo, hi, level_tol
-                    ).value
-                return vals
+    def inner_integral(x: float, ys: np.ndarray) -> np.ndarray:
+        vals = np.empty_like(ys)
+        for j, y in enumerate(ys):
+            lo, hi = inner_range(x, y)
+            vals[j] = adaptive_gauss_kronrod(lambda zs: f(x, y, zs), lo, hi, level_tol).value
+        return vals
 
-            mlo, mhi = mid_range(x)
-            out[i] = adaptive_gauss_kronrod(mid_integrand, mlo, mhi, level_tol).value
-        return out
-
-    lo, hi = outer_range
-    return adaptive_gauss_kronrod(outer_integrand, lo, hi, level_tol).value
+    return nested_double_integral(inner_integral, outer_range, mid_range, tol)

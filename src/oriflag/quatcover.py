@@ -71,14 +71,9 @@ class UnitQuaternion:
     def __mul__(self, other: "UnitQuaternion") -> "UnitQuaternion":
         if not isinstance(other, UnitQuaternion):
             return NotImplemented
-        a, b, c, d = self.x, self.y, self.z, self.w
-        e, f, g, h = other.x, other.y, other.z, other.w
-        return UnitQuaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
+        return UnitQuaternion(*_mul_raw(
+            (self.x, self.y, self.z, self.w), (other.x, other.y, other.z, other.w)
+        ))
 
 
 ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)

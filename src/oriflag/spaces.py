@@ -13,8 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .flagspec import (
-    FiniteIsotropy,
     FlagSpec,
     FlagSpecParseError,
     OrderedPartition,
@@ -59,14 +60,15 @@ def _flag(parts, blocks) -> FlagSpec:
     return FlagSpec(OrderedPartition(tuple(parts)), SetPartition(tuple(tuple(b) for b in blocks)))
 
 
+# In the order of the ``expected --all`` comparison table.
 SPACE_ALIASES: dict[str, Space] = {
     "so3": _flag((1, 1, 1), ((1,), (2,), (3,))),
-    "s2": _flag((1, 2), ((1,), (2,))),
-    "rp2": _flag((1, 2), ((1, 2),)),
-    "full-flag": _flag((1, 1, 1), ((1, 2, 3),)),
     "partial-flag-1": _flag((1, 1, 1), ((1,), (2, 3))),
     "partial-flag-2": _flag((1, 1, 1), ((2,), (1, 3))),
     "partial-flag-3": _flag((1, 1, 1), ((3,), (1, 2))),
+    "full-flag": _flag((1, 1, 1), ((1, 2, 3),)),
+    "s2": _flag((1, 2), ((1,), (2,))),
+    "rp2": _flag((1, 2), ((1, 2),)),
     "trivial-flag": _flag((3,), ((1,),)),
 }
 
@@ -105,41 +107,54 @@ def space_json(space: Space):
     return space_label(space)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
-    """How to sample and measure a space.
+    """How to sample and measure a space, decided once by :func:`classify`.
 
-    ``kind`` is one of "point", "son", "finite-quotient", "sphere",
-    "projective-plane". For the rotation-group kinds, ``n`` is the matrix
-    dimension and ``isotropy`` the finite isotropy group (trivial for "son").
+    ``signs`` lists the finite isotropy group as rows of diagonal signs. For a
+    rotation space it is the (|SG|, n) array acting on sampled n x n rotations,
+    one row of ones for SO(n); the distance is the minimum over the orbit
+    ``a diag(s)``. For the sphere and projective plane it is the (|G|, 1)
+    scalar action on sampled unit 3-vectors, [[1]] or [[1], [-1]]. A point
+    quotient by a continuous group has ``signs`` None. ``family`` names the
+    SO(3)-derived cases with a closed form or quadrature ("point", "so3",
+    "partial-flag", "full-flag", "s2", "rp2") and is None for every other space.
     """
 
-    kind: str
-    n: int = 0
-    isotropy: FiniteIsotropy | None = None
+    family: str | None
+    signs: np.ndarray | None = None
+
+
+# (|SG|, n) of a rotation space -> its SO(3)-derived family.
+_ROTATION_FAMILIES = {(1, 1): "point", (1, 3): "so3", (2, 3): "partial-flag", (4, 3): "full-flag"}
+_SPHERE_KERNEL = Kernel("s2", np.ones((1, 1)))
+_PROJECTIVE_KERNEL = Kernel("rp2", np.array([[1.0], [-1.0]]))
+
+
+def _rotation_kernel(signs: np.ndarray) -> Kernel:
+    return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs)
 
 
 def classify(space: Space) -> Kernel:
-    """Map a space to its sampling/distance kernel, or raise if unsupported."""
+    """Map a space to its sampling/distance kernel, or raise if unsupported.
+
+    The only place that decides what a space is: callers read the returned
+    ``family`` and ``signs`` instead of inspecting the space themselves.
+    """
     if isinstance(space, SpecialOrthogonal):
-        return Kernel("son", n=space.n)
+        return _rotation_kernel(np.ones((1, space.n)))
     if isinstance(space, Sphere2):
-        return Kernel("sphere")
+        return _SPHERE_KERNEL
     if isinstance(space, ProjectivePlane2):
-        return Kernel("projective-plane")
+        return _PROJECTIVE_KERNEL
     if isinstance(space, FlagSpec):
         parts = space.lam.parts
         if len(parts) == 1:
-            return Kernel("point", n=space.n)
+            return Kernel("point")
         if all(p == 1 for p in parts):
-            iso = isotropy_group(space)
-            if iso.order == 1:
-                return Kernel("son", n=space.n)
-            return Kernel("finite-quotient", n=space.n, isotropy=iso)
+            return _rotation_kernel(isotropy_group(space).diagonal_signs())
         if sorted(parts) == [1, 2]:
-            if space.p.is_complete:
-                return Kernel("sphere")
-            return Kernel("projective-plane")
+            return _SPHERE_KERNEL if space.p.is_complete else _PROJECTIVE_KERNEL
         raise UnsupportedSpaceError(
             f"no distance machinery for lambda = ({space.lam}) with partition {space.p}; "
             "supported: lambda all ones, a single part, or the 3 = 1+2 sphere cases"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oriflag.analytic import FULL_FLAG_MIN_TOL
 from oriflag.cli import main
 
 FULL_FLAG_REFERENCE = 1.3117250347224445929
@@ -110,6 +111,21 @@ def test_bad_tolerance_is_a_usage_error(capsys, tol):
                  ("volume", "--space", "full-flag", "--numeric", "--tol", tol)):
         code, out, _err = run(capsys, *argv)
         assert code == 2 and out == "", argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("quadrature", "--tol", "1e-300"),
+    ("expected", "--space", "full-flag", "--mode", "quadrature", "--tol", "1e-14"),
+])
+def test_tolerance_below_full_flag_floor_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{FULL_FLAG_MIN_TOL:g}" in err
+
+
+def test_full_flag_floor_tolerance_is_accepted(capsys):
+    report = run_json(capsys, "quadrature", "--tol", repr(FULL_FLAG_MIN_TOL))
+    assert report["result"]["abs_error_bound"] <= FULL_FLAG_MIN_TOL
 
 
 def test_quadrature_on_partial_flag_uses_double_integral(capsys):
@@ -220,6 +236,20 @@ def test_sample_validation(capsys):
     assert code == 2
     code, _out, _err = run(capsys, "sample", "--space", "trivial-flag", "--n", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--space", "s2", "--n", "10", "--workers", "0"),
+    ("estimate", "--space", "s2", "--n", "0"),
+    ("estimate", "--space", "s2", "--n", "-5"),
+    ("expected", "--space", "s2", "--mode", "montecarlo", "--n", "0"),
+    ("convergence", "--space", "s2", "--n-list", "10,100", "--workers", "0"),
+    ("sample", "--space", "so3", "--n", "-5"),
+])
+def test_nonpositive_count_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "positive integer" in err
 
 
 # --------------------------------------------------------------- convergence

@@ -180,6 +180,24 @@ def test_threads_capped_at_cpu_count(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_only_nonempty_chunks_run(monkeypatch):
+    import oriflag.montecarlo as mc
+
+    chunks = []
+    real = mc._chunk_stats
+
+    def counting(kern, seed, chunk, size, two_point):
+        chunks.append(chunk)
+        return real(kern, seed, chunk, size, two_point)
+
+    monkeypatch.setattr(mc, "_chunk_stats", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    space = SPACE_ALIASES["s2"]
+    many = estimate_expected_distance(space, 5, seed=9, workers=1000)
+    assert sorted(chunks) == [0, 1, 2, 3, 4]
+    assert many == estimate_expected_distance(space, 5, seed=9, workers=5)
+
+
 def test_workers_split_covers_all_samples():
     est = estimate_expected_distance(SPACE_ALIASES["s2"], 10_001, seed=3, workers=7)
     assert est.n_samples == 10_001

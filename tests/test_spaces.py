@@ -1,0 +1,83 @@
+"""``classify`` is the one place that decides what a space is.
+
+Each case pins the kernel family and everything that callers derive from it:
+the closed form, the quadrature route and the numeric volume integral.
+"""
+
+import argparse
+import math
+
+import pytest
+
+from oriflag.analytic import FULL_FLAG_TAG, analytic_expected_distance, numeric_volume
+from oriflag.cli import UsageError, _expected_one
+from oriflag.spaces import (
+    SPACE_ALIASES,
+    SpecialOrthogonal,
+    UnsupportedSpaceError,
+    classify,
+    parse_space,
+)
+
+FULL_FLAG_REFERENCE = 1.3117250347224445929
+PI = math.pi
+
+# (space text or object, family, (tag, value) of the closed form or None,
+#  accepted by quadrature mode, exact volume when numeric_volume accepts it)
+CASES = {
+    "so3": ("so3", "so3", ("2/pi + pi/2", 2 / PI + PI / 2), False, 8 * PI**2),
+    "partial-flag-1": ("partial-flag-1", "partial-flag", ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
+    "partial-flag-2": ("partial-flag-2", "partial-flag", ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
+    "partial-flag-3": ("partial-flag-3", "partial-flag", ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
+    "full-flag": ("full-flag", "full-flag", (FULL_FLAG_TAG, FULL_FLAG_REFERENCE), True, 2 * PI**2),
+    "s2": ("s2", "s2", ("pi/2", PI / 2), False, 4 * PI),
+    "rp2": ("rp2", "rp2", ("1", 1.0), False, 2 * PI),
+    "trivial-flag": ("trivial-flag", "point", ("0", 0.0), False, None),
+    "so1": ("so1", "point", ("0", 0.0), False, None),
+    "SO(3)": (SpecialOrthogonal(3), "so3", ("2/pi + pi/2", 2 / PI + PI / 2), False, 8 * PI**2),
+    "so4": ("so4", None, None, False, None),
+    "partial-flag-2-text": ("lambda=1,1,1 P={2}{1,3}", "partial-flag", ("1 + pi/4", 1 + PI / 4),
+                            True, 4 * PI**2),
+    "rp2-text": ("lambda=2,1 P={1,2}", "rp2", ("1", 1.0), False, 2 * PI),
+}
+
+
+def test_cases_cover_every_alias():
+    assert set(SPACE_ALIASES) <= set(CASES)
+
+
+@pytest.mark.parametrize("case", list(CASES.values()), ids=list(CASES))
+def test_classify_decides_family_and_every_route(case):
+    text, family, closed, quadrature, volume = case
+    space = parse_space(text) if isinstance(text, str) else text
+    assert classify(space).family == family
+
+    if closed is None:
+        with pytest.raises(UnsupportedSpaceError):
+            analytic_expected_distance(space)
+    else:
+        cf = analytic_expected_distance(space)
+        assert cf.tag == closed[0]
+        assert cf.value == pytest.approx(closed[1], abs=1e-12)
+
+    args = argparse.Namespace(tol=1e-10)
+    if quadrature:
+        result = _expected_one(space, "quadrature", args, None)
+        assert result["value"] == pytest.approx(closed[1], abs=1e-9)
+    else:
+        with pytest.raises(UsageError):
+            _expected_one(space, "quadrature", args, None)
+
+    if volume is None:
+        with pytest.raises(UnsupportedSpaceError):
+            numeric_volume(space)
+    else:
+        assert numeric_volume(space) == pytest.approx(volume, rel=1e-6)
+
+
+def test_sign_rows_of_rotation_kernels():
+    assert classify(SpecialOrthogonal(4)).signs.tolist() == [[1.0, 1.0, 1.0, 1.0]]
+    full = classify(SPACE_ALIASES["full-flag"]).signs
+    assert full.shape == (4, 3) and (full.prod(axis=1) == 1.0).all()
+    assert classify(SPACE_ALIASES["rp2"]).signs.tolist() == [[1.0], [-1.0]]
+    assert classify(SPACE_ALIASES["trivial-flag"]).signs is None
