@@ -5,7 +5,8 @@ and the run manifest (command, space, N, seed, workers, version, wall time).
 JSON floats are printed in Python's shortest round-trip form and CSV floats
 with 17 significant digits, so output parses back without loss; a non-finite
 value is refused rather than printed as invalid JSON. Exit codes: 0 success,
-2 parse or usage failure, 3 space unsupported for the requested computation.
+2 parse or usage failure (including a quadrature --tol that cannot be reached),
+3 space unsupported for the requested computation.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .flagspec import (
     parse_blocks,
 )
 from .montecarlo import _unit_vectors, estimate_expected_distance
-from .orthogonal import RngStream, Rotation, sample_rotation_matrices
-from .quatcover import rotation_to_quaternion
+from .orthogonal import RngStream, sample_rotation_matrices
+from .quatcover import _lifts
 from .spaces import (
     SPACE_ALIASES,
     Space,
@@ -163,7 +164,9 @@ def cmd_expected(args) -> int:
         rows = []
         for name, space in SPACE_ALIASES.items():
             cf = analytic_expected_distance(space)
-            est = estimate_expected_distance(space, args.n, seed=seed, workers=args.workers)
+            est = estimate_expected_distance(
+                space, args.n, seed=seed, workers=args.workers, two_point=args.two_point
+            )
             rows.append(
                 {
                     "space": name,
@@ -231,36 +234,32 @@ def _sample_rows(space: Space, n: int, seed: int, lift: bool):
         header = [f"m{i}{j}" for i in range(d) for j in range(d)]
     gen = RngStream(seed, 0).generator()
 
-    def rows():
+    def batches():
         done = 0
         while done < n:
             m = min(_SAMPLE_BATCH, n - done)
             batch = _unit_vectors(gen, m) if sphere else sample_rotation_matrices(d, m, gen)
-            for x in batch:
-                if lift:
-                    u = rotation_to_quaternion(Rotation(x))
-                    yield [u.x, u.y, u.z, u.w]
-                else:
-                    yield x.tolist()
+            yield _lifts(batch) if lift else batch
             done += m
 
-    return header, rows()
+    return header, batches()
 
 
 def cmd_sample(args) -> int:
     space = parse_space(args.space)
     seed = _default_seed(args.seed)
-    header, rows = _sample_rows(space, args.n, seed, args.lift)
+    header, batches = _sample_rows(space, args.n, seed, args.lift)
     out = sys.stdout
     if args.format == "csv":
         out.write(",".join(header) + "\n")
-        for row in rows:
-            flat = [x for cell in row for x in (cell if isinstance(cell, list) else [cell])]
-            out.write(",".join(_fmt(x) for x in flat) + "\n")
+        for batch in batches:
+            for row in batch.reshape(len(batch), -1):
+                out.write(",".join(_fmt(x) for x in row.tolist()) + "\n")
     else:
         encode = json.JSONEncoder(allow_nan=False).encode
-        for row in rows:
-            out.write(encode(row) + "\n")
+        for batch in batches:
+            for row in batch:
+                out.write(encode(row.tolist()) + "\n")
     return 0
 
 
@@ -380,13 +379,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (FlagSpecParseError, UsageError) as exc:
+    except (FlagSpecParseError, UsageError, QuadratureError) as exc:
+        # In the CLI a quadrature only fails when the user's --tol cannot be reached.
         print(f"oriflag: error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedSpaceError as exc:
         print(f"oriflag: unsupported space: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, ValueError) as exc:
+    except ValueError as exc:
         print(f"oriflag: error: {exc}", file=sys.stderr)
         return 1
 

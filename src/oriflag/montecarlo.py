@@ -122,18 +122,20 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     return best
 
 
+def _distance_batches(kern: Kernel, gen: np.random.Generator, count: int, two_point: bool):
+    """``count`` distance samples in batches of at most ``_BATCH``, drawn in order from ``gen``."""
+    done = 0
+    while done < count:
+        m = min(_BATCH, count - done)
+        yield _kernel_distances(kern, gen, m, two_point)
+        done += m
+
+
 def sample_distances(space: Space, count: int, rng, *, two_point: bool = False) -> np.ndarray:
     """Raw distance samples for a space, one random draw (or pair) per entry."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    kern = classify(space)
-    gen = _as_generator(rng)
-    chunks = []
-    done = 0
-    while done < count:
-        m = min(_BATCH, count - done)
-        chunks.append(_kernel_distances(kern, gen, m, two_point))
-        done += m
+    chunks = list(_distance_batches(classify(space), _as_generator(rng), count, two_point))
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
@@ -155,13 +157,9 @@ def _merge_stats(a: tuple[int, float, float], b: tuple[int, float, float]) -> tu
 
 
 def _chunk_stats(kern: Kernel, seed: int, chunk: int, size: int, two_point: bool) -> tuple[int, float, float]:
-    gen = RngStream(seed, chunk).generator()
     stats = (0, 0.0, 0.0)
-    done = 0
-    while done < size:
-        m = min(_BATCH, size - done)
-        stats = _merge_stats(stats, _batch_stats(_kernel_distances(kern, gen, m, two_point)))
-        done += m
+    for x in _distance_batches(kern, RngStream(seed, chunk).generator(), size, two_point):
+        stats = _merge_stats(stats, _batch_stats(x))
     return stats
 
 

@@ -119,43 +119,42 @@ def quaternion_to_rotation(q: UnitQuaternion) -> Rotation:
     return Rotation(np.column_stack(cols))
 
 
-def rotation_to_quaternion(r: Rotation) -> UnitQuaternion:
-    """The lift of ``r`` with nonnegative real part.
+def _lifts(m: np.ndarray) -> np.ndarray:
+    """Lifts (x, y, z, w) of a (k, 3, 3) rotation stack, first nonzero coordinate positive.
 
-    Uses the largest of the four Shepperd branch discriminants to avoid
-    cancellation near rotation angle pi. When the real part is zero (angle
-    exactly pi, where both lifts have x = 0) the representative whose first
-    nonzero imaginary coordinate is positive is returned.
+    Shepperd's method: the symmetric matrix below is 4 q q^T, so each row is q
+    scaled by 4 q_b. The row of the largest of t, m00, m11, m22 has the largest
+    q_b and so avoids cancellation near rotation angle pi; only its diagonal
+    entry is square-rooted. The sign rule picks x > 0, or at angle exactly pi
+    (x = 0) the lift whose first nonzero imaginary coordinate is positive.
     """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.moveaxis(m, 0, -1)
+    t = m00 + m11 + m22
+    a, b, c = m21 - m12, m02 - m20, m10 - m01
+    d, e, f = m01 + m10, m02 + m20, m12 + m21
+    shepperd = np.stack([
+        1.0 + t, a, b, c,
+        a, 1.0 + m00 - m11 - m22, d, e,
+        b, d, 1.0 + m11 - m00 - m22, f,
+        c, e, f, 1.0 + m22 - m00 - m11,
+    ], axis=-1).reshape(-1, 4, 4)
+    rows = np.arange(len(t))
+    branch = np.argmax(np.stack([t, m00, m11, m22], axis=-1), axis=-1)
+    s = 2.0 * np.sqrt(shepperd[rows, branch, branch])
+    q = shepperd[rows, branch] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    sq = q * q
+    q /= np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])[:, None]
+    first = q[rows, np.argmax(q != 0.0, axis=-1)]
+    q[first < 0.0] *= -1.0
+    return q
+
+
+def rotation_to_quaternion(r: Rotation) -> UnitQuaternion:
+    """The lift of ``r`` with x >= 0; at angle pi (x = 0), first nonzero coordinate positive."""
     if not isinstance(r, Rotation) or r.n != 3:
         raise ValueError("expected a 3x3 Rotation")
-    m = r.matrix
-    t = m[0, 0] + m[1, 1] + m[2, 2]
-    branch = int(np.argmax([t, m[0, 0], m[1, 1], m[2, 2]]))
-    if branch == 0:
-        s = 2.0 * math.sqrt(1.0 + t)
-        q = (0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s)
-    elif branch == 1:
-        s = 2.0 * math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        q = ((m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s)
-    elif branch == 2:
-        s = 2.0 * math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        q = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s)
-    else:
-        s = 2.0 * math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s)
-    norm = math.sqrt(sum(c * c for c in q))
-    q = tuple(c / norm for c in q)
-    if q[0] < 0.0:
-        q = tuple(-c for c in q)
-    elif q[0] == 0.0:
-        for comp in q[1:]:
-            if comp > 0.0:
-                break
-            if comp < 0.0:
-                q = tuple(-c for c in q)
-                break
-    return UnitQuaternion(*q)
+    return UnitQuaternion(*_lifts(r.matrix[None])[0])
 
 
 def sphere_distance(p: UnitQuaternion, q: UnitQuaternion) -> float:

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oriflag import cli
 from oriflag.analytic import FULL_FLAG_MIN_TOL
 from oriflag.cli import main
+from oriflag.quatcover import UnitQuaternion, quaternion_to_rotation
 
 FULL_FLAG_REFERENCE = 1.3117250347224445929
 
@@ -128,6 +130,13 @@ def test_full_flag_floor_tolerance_is_accepted(capsys):
     assert report["result"]["abs_error_bound"] <= FULL_FLAG_MIN_TOL
 
 
+@pytest.mark.parametrize("space", ["s2", "rp2", "so3", "partial-flag-1", "full-flag"])
+def test_unreachable_numeric_volume_tolerance_is_a_usage_error(capsys, space):
+    code, out, err = run(capsys, "volume", "--space", space, "--numeric", "--tol", "1e-13")
+    assert code == 2 and out == ""
+    assert "subintervals" in err
+
+
 def test_quadrature_on_partial_flag_uses_double_integral(capsys):
     report = run_json(capsys, "quadrature", "--space", "partial-flag-2", "--tol", "1e-10")
     assert report["result"]["value"] == pytest.approx(1 + math.pi / 4, abs=1e-9)
@@ -171,6 +180,14 @@ def test_expected_all_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "space,symbolic,analytic,mean,stderr,abs_delta"
     assert len(lines) == 9
+
+
+def test_expected_all_two_point_draws_both_points(capsys):
+    report = run_json(capsys, "expected", "--all", "--n", "2000", "--seed", "3", "--two-point")
+    so3 = next(r for r in report["result"]["rows"] if r["space"] == "so3")
+    single = run_json(capsys, "estimate", "--space", "so3", "--n", "2000", "--seed", "3",
+                      "--two-point")
+    assert so3["mean"] == single["result"]["mean"]
 
 
 def test_expected_requires_space(capsys):
@@ -227,6 +244,18 @@ def test_sample_csv_and_lift(capsys):
     assert quats.shape == (3, 4)
     assert np.abs(np.linalg.norm(quats, axis=1) - 1.0).max() <= 1e-12
     assert np.all(quats[:, 0] >= 0.0)
+
+
+def test_sample_lifts_cover_the_sampled_matrices(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SAMPLE_BATCH", 7)  # 20 rows cross two batch boundaries
+    argv = ("sample", "--space", "full-flag", "--n", "20", "--seed", "6")
+    _code, out, _ = run(capsys, *argv)
+    matrices = [np.array(strict_json(line)) for line in out.strip().splitlines()]
+    _code, out, _ = run(capsys, *argv, "--lift")
+    lifts = [strict_json(line) for line in out.strip().splitlines()]
+    assert len(matrices) == len(lifts) == 20
+    for m, q in zip(matrices, lifts):
+        assert np.abs(quaternion_to_rotation(UnitQuaternion(*q)).matrix - m).max() <= 1e-12
 
 
 def test_sample_validation(capsys):

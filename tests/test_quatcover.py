@@ -6,7 +6,13 @@ import pytest
 
 from oriflag.flagspec import FlagSpec, OrderedPartition, SetPartition, isotropy_group
 from oriflag.montecarlo import quotient_distance
-from oriflag.orthogonal import RngStream, Rotation, geodesic_distance, random_special_orthogonal
+from oriflag.orthogonal import (
+    RngStream,
+    Rotation,
+    geodesic_distance,
+    random_special_orthogonal,
+    sample_rotation_matrices,
+)
 from oriflag.quatcover import (
     I,
     J,
@@ -15,6 +21,7 @@ from oriflag.quatcover import (
     Hyperspherical,
     JoinCoords,
     UnitQuaternion,
+    _lifts,
     cartesian_to_hyperspherical,
     cartesian_to_join,
     hyperspherical_to_cartesian,
@@ -161,6 +168,50 @@ def test_rotation_to_quaternion_pi_rotation_tie_break():
         assert first > 0.0
         assert min(np.abs(q.vector - q_in.vector).max(),
                    np.abs(q.vector + q_in.vector).max()) <= 1e-12
+
+
+def _half_turn(axis):
+    """Rotation by pi about ``axis``: 2 n n^T - I, exactly symmetric."""
+    n = np.asarray(axis, dtype=float)
+    n /= np.linalg.norm(n)
+    return 2.0 * np.outer(n, n) - np.eye(3)
+
+
+def test_lifts_of_a_stack_cover_every_branch_and_sign_rule():
+    gen = RngStream(49).generator()
+    half_turns = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -3, 4), (0, 0, -1),
+                  (-3, 0, 4), (0, 4, -3), (1, 2, 2), (-2, 1, 2)]
+    near_pi = [quaternion_to_rotation(UnitQuaternion.from_axis_angle(e, math.pi - 1e-3)).matrix
+               for e in (E1, E2, E3)]
+    stack = np.concatenate([
+        sample_rotation_matrices(3, 200, gen),
+        np.array(near_pi + [_half_turn(a) for a in half_turns] + [np.eye(3)]),
+    ])
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    branches = np.argmax(np.column_stack([diag.sum(axis=1), diag]), axis=1)
+    assert set(branches.tolist()) == {0, 1, 2, 3}
+
+    lifts = _lifts(stack)
+    assert lifts.shape == (len(stack), 4)
+    for m, q in zip(stack, lifts):
+        # independent inverse map: conjugation by the lift reproduces the matrix
+        assert np.abs(quaternion_to_rotation(UnitQuaternion(*q)).matrix - m).max() <= 1e-12
+        assert q[0] >= 0.0
+        assert q[q != 0.0][0] > 0.0
+    x_zero = lifts[-len(half_turns) - 1:-1]
+    assert np.all(x_zero[:, 0] == 0.0)
+    expected = np.array([[0.0, *a] for a in half_turns])
+    expected /= np.linalg.norm(expected, axis=1)[:, None]
+    expected *= np.sign([row[row != 0.0][0] for row in expected])[:, None]
+    assert np.abs(x_zero - expected).max() <= 1e-15
+    assert np.array_equal(lifts[-1], [1.0, 0.0, 0.0, 0.0])
+
+
+def test_lift_real_part_has_haar_mean():
+    # Haar angle density (1 - cos t)/pi on [0, pi] gives E cos(t/2) = 4/(3 pi).
+    x = _lifts(sample_rotation_matrices(3, 40_000, RngStream(50).generator()))[:, 0]
+    stderr = x.std(ddof=1) / math.sqrt(len(x))
+    assert abs(x.mean() - 4.0 / (3.0 * math.pi)) <= 5.0 * stderr
 
 
 # ------------------------------------------------------------ sphere distance
