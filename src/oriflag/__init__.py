@@ -64,13 +64,7 @@ from .quatcover import (
     sphere_distance,
 )
 from .spaces import (
-    PROJECTIVE_PLANE2,
     SPACE_ALIASES,
-    SPHERE2,
-    ProjectivePlane2,
-    Space,
-    SpecialOrthogonal,
-    Sphere2,
     UnsupportedSpaceError,
     classify,
     parse_space,
@@ -87,19 +81,13 @@ __all__ = [
     "Hyperspherical",
     "JoinCoords",
     "OrderedPartition",
-    "PROJECTIVE_PLANE2",
     "PiExpression",
-    "ProjectivePlane2",
     "QuadratureError",
     "QuadratureResult",
     "RngStream",
     "Rotation",
     "SPACE_ALIASES",
-    "SPHERE2",
     "SetPartition",
-    "Space",
-    "SpecialOrthogonal",
-    "Sphere2",
     "UnitQuaternion",
     "UnsupportedSpaceError",
     "analytic_expected_distance",

@@ -24,7 +24,8 @@ from .quadrature import (
     nested_double_integral,
     nested_triple_integral,
 )
-from .spaces import Space, UnsupportedSpaceError, classify, space_label
+from .flagspec import FlagSpec
+from .spaces import UnsupportedSpaceError, classify, space_label
 from .symbolic import PiExpression
 
 FULL_FLAG_TAG = "full-flag-quadrature"
@@ -62,7 +63,7 @@ def _closed(expr: PiExpression) -> ClosedForm:
     return ClosedForm(tag=str(expr), value=float(expr), exact=expr)
 
 
-def analytic_expected_distance(space: Space) -> ClosedForm:
+def analytic_expected_distance(space: FlagSpec) -> ClosedForm:
     """Exact expected distance between two random points of ``space``.
 
     Supported: SO(3) and every flag quotient derived from it, the sphere, and
@@ -145,7 +146,7 @@ def _arctan_sec(phi: float) -> float:
     return math.atan2(1.0, math.cos(phi))
 
 
-def numeric_volume(space: Space, tol: float = 1e-7) -> float:
+def numeric_volume(space: FlagSpec, tol: float = 1e-7) -> float:
     """Volume by direct numeric integration in (hyper)spherical coordinates.
 
     SO(3) integrates the density 8 sin^2(phi1) sin(phi2) over the positive
@@ -187,7 +188,7 @@ def numeric_volume(space: Space, tol: float = 1e-7) -> float:
             tol,
         )
     raise UnsupportedSpaceError(
-        f"no volume integral implemented for {space!r}; "
+        f"no volume integral implemented for {space_label(space)}; "
         "supported: so3, the partial and full flags, s2, rp2"
     )
 

@@ -5,8 +5,8 @@ and the run manifest (command, space, N, seed, workers, version, wall time).
 JSON floats are printed in Python's shortest round-trip form and CSV floats
 with 17 significant digits, so output parses back without loss; a non-finite
 value is refused rather than printed as invalid JSON. Exit codes: 0 success,
-2 parse or usage failure (including a quadrature --tol that cannot be reached),
-3 space unsupported for the requested computation.
+2 parse or usage failure (including a negative seed and a quadrature --tol that
+cannot be reached), 3 space unsupported for the requested computation.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from .orthogonal import RngStream, sample_rotation_matrices
 from .quatcover import _lifts
 from .spaces import (
     SPACE_ALIASES,
-    Space,
     UnsupportedSpaceError,
     classify,
     parse_space,
-    space_json,
     space_label,
 )
 
@@ -63,19 +61,19 @@ def _default_seed(value) -> int:
     if value is not None:
         return value
     env = os.environ.get("ORIFLAG_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError as exc:
-            raise UsageError(f"ORIFLAG_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _seed(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"ORIFLAG_SEED must be a nonnegative integer, got {env!r}") from exc
 
 
 def _report(command: str, space, result: dict, *, n=None, seed=None, workers=None, t0: float) -> int:
     manifest = {
         "schema": 1,
         "command": command,
-        "space": space_json(space) if space is not None else None,
+        "space": space.to_json_dict() if space is not None else None,
         "n": n,
         "seed": seed,
         "workers": workers,
@@ -87,7 +85,7 @@ def _report(command: str, space, result: dict, *, n=None, seed=None, workers=Non
     return 0
 
 
-def _parse_space_arg(args) -> Space:
+def _parse_space_arg(args) -> FlagSpec:
     if getattr(args, "space", None):
         return parse_space(args.space)
     if getattr(args, "lam", None):
@@ -103,10 +101,6 @@ def _parse_space_arg(args) -> Space:
 def cmd_volume(args) -> int:
     t0 = time.perf_counter()
     space = _parse_space_arg(args)
-    if not isinstance(space, FlagSpec):
-        raise UnsupportedSpaceError(
-            "volumes are defined for flag specifications; pass --lambda/--P or a flag alias"
-        )
     vol = flag_volume(space)
     result = {"symbolic": str(vol), "value": float(vol)}
     if args.numeric:
@@ -116,7 +110,7 @@ def cmd_volume(args) -> int:
     return _report("volume", space, result, t0=t0)
 
 
-def _expected_one(space: Space, mode: str, args, seed) -> dict:
+def _expected_one(space: FlagSpec, mode: str, args, seed) -> dict:
     if mode == "analytic":
         cf = analytic_expected_distance(space)
         return {"mode": "analytic", "symbolic": cf.tag, "value": cf.value}
@@ -218,7 +212,7 @@ def cmd_quadrature(args) -> int:
     return _report(args.command, space, result, t0=t0)
 
 
-def _sample_rows(space: Space, n: int, seed: int, lift: bool):
+def _sample_rows(space: FlagSpec, n: int, seed: int, lift: bool):
     kern = classify(space)
     if kern.signs is None:
         raise UnsupportedSpaceError(f"nothing to sample for {space_label(space)}")
@@ -298,8 +292,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text, 0)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _add_seed_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="random seed (default: ORIFLAG_SEED env var, else 0)")
     p.add_argument("--workers", "--streams", type=_positive_int, default=1,
                    help="parallel sampling streams")
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--lift", action="store_true", help="emit quaternion lifts instead of matrices")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("convergence", help="CSV of (N, mean, stderr, |error|) over increasing N")

@@ -288,20 +288,35 @@ class FiniteIsotropy:
         return diags
 
 
-def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:
-    """The finite isotropy subgroup SG for lambda = (1,...,1).
+def _isotropy_signs(spec: FlagSpec) -> np.ndarray:
+    """The (2^(k - |P|), k) diagonal sign rows of SG, in descending order.
 
-    These are the diagonal +-1 matrices whose signs multiply to +1 within each
-    block of P; there are 2^(k - |P|) of them. Any lambda with a part larger
-    than 1 has a continuous isotropy group and is rejected.
+    Every sign but the last of each block is free; the last is the product of
+    the others, so each block multiplies to +1 and only group elements are
+    visited. Any lambda with a part larger than 1 is rejected.
     """
     if any(p != 1 for p in spec.lam.parts):
         raise ValueError(
             f"isotropy group is finite only for lambda = (1,...,1), got lambda = ({spec.lam})"
         )
-    k = spec.lam.k
-    elements = []
-    for signs in itertools.product((1.0, -1.0), repeat=k):
-        if all(math.prod(signs[i - 1] for i in block) > 0 for block in spec.p.blocks):
-            elements.append(Rotation(np.diag(signs)))
-    return FiniteIsotropy(tuple(elements))
+    blocks = spec.p.blocks
+    free = [i for b in blocks for i in b[:-1]]
+    rows = []
+    for choice in itertools.product((1.0, -1.0), repeat=len(free)):
+        signs = dict(zip(free, choice))
+        for b in blocks:
+            signs[b[-1]] = math.prod((signs[i] for i in b[:-1]), start=1.0)
+        rows.append([signs[i] for i in range(1, spec.lam.k + 1)])
+    rows.sort(reverse=True)
+    return np.array(rows)
+
+
+def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:
+    """The finite isotropy subgroup SG for lambda = (1,...,1).
+
+    These are the diagonal +-1 matrices whose signs multiply to +1 within each
+    block of P; there are 2^(k - |P|) of them, listed identity first in
+    descending order of their diagonals. Any lambda with a part larger than 1
+    has a continuous isotropy group and is rejected.
+    """
+    return FiniteIsotropy(tuple(Rotation(np.diag(row)) for row in _isotropy_signs(spec)))

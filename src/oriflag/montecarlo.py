@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flagspec import FiniteIsotropy
+from .flagspec import FiniteIsotropy, FlagSpec
 from .orthogonal import (
     RngStream,
     _as_generator,
@@ -28,7 +28,7 @@ from .orthogonal import (
     _matrix_of,
     sample_rotation_matrices,
 )
-from .spaces import Kernel, Space, classify
+from .spaces import Kernel, classify
 
 _BATCH = 1 << 17
 _MIN_NORM = 1e-8
@@ -131,7 +131,7 @@ def _distance_batches(kern: Kernel, gen: np.random.Generator, count: int, two_po
         done += m
 
 
-def sample_distances(space: Space, count: int, rng, *, two_point: bool = False) -> np.ndarray:
+def sample_distances(space: FlagSpec, count: int, rng, *, two_point: bool = False) -> np.ndarray:
     """Raw distance samples for a space, one random draw (or pair) per entry."""
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -170,7 +170,7 @@ def _chunk_sizes(n: int, workers: int) -> list[int]:
 
 
 def estimate_expected_distance(
-    space: Space,
+    space: FlagSpec,
     n_samples: int,
     *,
     seed: int = 0,

@@ -9,6 +9,7 @@ for a decimal rendering.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -16,6 +17,20 @@ from numbers import Rational
 
 def _canonical(terms: dict[int, Fraction]) -> tuple[tuple[int, Fraction], ...]:
     return tuple(sorted((s, q) for s, q in terms.items() if q != 0))
+
+
+def _term_value(s: int, q: Fraction) -> float:
+    """q * pi**s as a double: float(q) * pi**s while both factors and the product are normal."""
+    try:
+        fq, power = float(q), math.pi**s
+    except OverflowError:
+        fq = power = math.inf
+    value = fq * power
+    if all(sys.float_info.min <= abs(x) < math.inf for x in (fq, power, value)):
+        return value
+    # A factor leaves the double range although the term may not: the volume of
+    # SO(46) is pi^529 times a rational near 1e-364. Round the exact product once.
+    return float(q * Fraction(math.pi) ** s)
 
 
 @dataclass(frozen=True)
@@ -53,7 +68,7 @@ class PiExpression:
         return float(self)
 
     def __float__(self) -> float:
-        return math.fsum(float(q) * math.pi**s for s, q in self.terms)
+        return math.fsum(_term_value(s, q) for s, q in self.terms)
 
     def __add__(self, other) -> "PiExpression":
         other = _coerce(other)

@@ -15,7 +15,7 @@ from oriflag.analytic import (
 from oriflag.flagspec import flag_volume
 from oriflag.montecarlo import estimate_expected_distance
 from oriflag.quadrature import nested_triple_integral
-from oriflag.spaces import SPACE_ALIASES, SpecialOrthogonal, UnsupportedSpaceError
+from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, parse_space
 from oriflag.symbolic import PiExpression
 
 FULL_FLAG_REFERENCE = 1.3117250347224445929
@@ -48,13 +48,6 @@ def test_closed_form_tags_read_naturally():
     assert analytic_expected_distance(SPACE_ALIASES["trivial-flag"]).tag == "0"
 
 
-def test_so3_group_space_matches_its_flag_presentation():
-    assert (
-        analytic_expected_distance(SpecialOrthogonal(3)).exact
-        == analytic_expected_distance(SPACE_ALIASES["so3"]).exact
-    )
-
-
 def test_full_flag_dispatches_to_quadrature():
     cf = analytic_expected_distance(SPACE_ALIASES["full-flag"])
     assert cf.tag == FULL_FLAG_TAG
@@ -64,7 +57,7 @@ def test_full_flag_dispatches_to_quadrature():
 
 def test_unsupported_spaces_rejected():
     with pytest.raises(UnsupportedSpaceError):
-        analytic_expected_distance(SpecialOrthogonal(4))
+        analytic_expected_distance(parse_space("so4"))
 
 
 # ------------------------------------------------------------------ integrand

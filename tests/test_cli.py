@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,9 +60,11 @@ def test_volume_by_alias_with_numeric_check(capsys):
 
 
 def test_volume_numeric_unsupported_exits_3(capsys):
-    code, _out, err = run(capsys, "volume", "--lambda", "3", "--P", "{1}", "--numeric")
-    assert code == 3
-    assert "unsupported" in err
+    for argv in (("--lambda", "3", "--P", "{1}"), ("--space", "so4")):
+        code, _out, err = run(capsys, "volume", *argv, "--numeric")
+        assert code == 3
+        assert "unsupported" in err
+        assert "FlagSpec(" not in err
 
 
 def test_volume_parse_failure_exits_2(capsys):
@@ -68,6 +72,19 @@ def test_volume_parse_failure_exits_2(capsys):
     assert code == 2
     code, _out, _err = run(capsys, "volume", "--lambda", "1,1", "--P", "{1}{3}")
     assert code == 2
+    code, _out, _err = run(capsys, "volume", "--space", "so0")
+    assert code == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_volume_of_son_is_its_complete_flag_of_ones(capsys, n):
+    by_name = run_json(capsys, "volume", "--space", f"so{n}")
+    by_flag = run_json(capsys, "volume", "--lambda", ",".join(["1"] * n),
+                       "--P", "".join(f"{{{i}}}" for i in range(1, n + 1)))
+    assert by_name["space"] == by_flag["space"]
+    assert by_name["result"] == by_flag["result"]
+    if n == 3:
+        assert by_name["result"]["symbolic"] == "8*pi^2"
 
 
 # ------------------------------------------------------------------ expected
@@ -199,6 +216,26 @@ def test_expected_requires_space(capsys):
 def test_unsupported_estimate_space_exits_3(capsys):
     code, _out, _err = run(capsys, "estimate", "--space", "lambda=2,2 P={1,2}", "--n", "10")
     assert code == 3
+
+
+def test_so4_estimate_matches_its_flag_text(capsys):
+    by_name = run_json(capsys, "estimate", "--space", "so4", "--n", "500", "--seed", "3")
+    by_flag = run_json(capsys, "estimate", "--space", "lambda=1,1,1,1 P={1}{2}{3}{4}",
+                       "--n", "500", "--seed", "3")
+    assert by_name["result"] == by_flag["result"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("estimate", "--space", "so3", "--n", "10", "--seed", "-1"), None),
+    (("sample", "--space", "so3", "--n", "2", "--seed", "-5"), None),
+    (("estimate", "--space", "so3", "--n", "10"), "-3"),
+    (("convergence", "--space", "rp2", "--n-list", "10,20", "--seed", "-1"), None),
+])
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("ORIFLAG_SEED", env)
+    code, out, _err = run(capsys, *argv)
+    assert code == 2 and out == ""
 
 
 def test_env_seed_default(capsys, monkeypatch):
@@ -358,3 +395,16 @@ def test_manifest_reproducible_result_payload(capsys):
 def test_unknown_command_exits_2(capsys):
     code, _out, _err = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_readme_command_lines_parse():
+    # Parse (never run) every line of the README's command-line block.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 9
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "oriflag", line
+        parser.parse_args(argv[1:])

@@ -246,6 +246,52 @@ def test_isotropy_order_and_closure():
                 assert (a.matrix @ b.matrix).tobytes() in keys
 
 
+def set_partitions(k):
+    """Every set partition of {1, ..., k} as a list of blocks."""
+    if k == 0:
+        yield []
+        return
+    for p in set_partitions(k - 1):
+        for i in range(len(p)):
+            yield p[:i] + [p[i] + (k,)] + p[i + 1:]
+        yield p + [(k,)]
+
+
+def test_isotropy_group_matches_sign_enumeration_for_small_k():
+    # oracle: all 2^k sign vectors in descending order, kept when each block multiplies to +1
+    count = 0
+    for k in range(1, 7):
+        for blocks in set_partitions(k):
+            expected = [
+                list(signs) for signs in itertools.product((1.0, -1.0), repeat=k)
+                if all(math.prod(signs[i - 1] for i in b) > 0 for b in blocks)
+            ]
+            got = isotropy_group(spec((1,) * k, blocks)).diagonal_signs()
+            assert got.tolist() == expected, blocks
+            count += 1
+    assert count == 1 + 2 + 5 + 15 + 52 + 203
+
+
+@pytest.mark.parametrize("parts, blocks", [
+    ((1,), [(1,)]),
+    ((1, 1, 1), [(1, 2, 3)]),
+    ((1,) * 5, [(1, 3, 5), (2, 4)]),
+    ((1,) * 6, [(1, 6), (2,), (3, 4, 5)]),
+    ((1,) * 40, [(i,) for i in range(1, 41)]),
+    ((1,) * 12, [tuple(range(1, 7)), tuple(range(7, 13))]),
+], ids=["so1", "full-flag", "interleaved", "mixed", "so40", "two-blocks-of-six"])
+def test_isotropy_group_lists_each_element_once_in_descending_order(parts, blocks):
+    s = spec(parts, blocks)
+    signs = isotropy_group(s).diagonal_signs()
+    assert signs.shape == (2 ** (s.lam.k - s.p.size), s.lam.k)
+    rows = [tuple(r) for r in signs.tolist()]
+    assert len(set(rows)) == len(rows)
+    for b in s.p.blocks:
+        assert (signs[:, [i - 1 for i in b]].prod(axis=1) == 1.0).all()
+    assert rows[0] == (1.0,) * s.lam.k
+    assert rows == sorted(rows, reverse=True)
+
+
 def test_isotropy_rejects_continuous_case():
     with pytest.raises(ValueError):
         isotropy_group(spec((1, 2), [(1, 2)]))

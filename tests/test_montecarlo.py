@@ -19,13 +19,7 @@ from oriflag.orthogonal import (
     random_special_orthogonal,
     sample_rotation_matrices,
 )
-from oriflag.spaces import (
-    PROJECTIVE_PLANE2,
-    SPACE_ALIASES,
-    SPHERE2,
-    SpecialOrthogonal,
-    UnsupportedSpaceError,
-)
+from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, parse_space
 from oriflag.analytic import analytic_expected_distance
 
 
@@ -233,13 +227,13 @@ def test_trace_kernel_matches_eigenvalue_orbit_minimum():
 
 def test_general_dimension_slow_paths():
     # SO(4) and a rank-4 sign quotient exercise the batched eigenvalue route
-    est = estimate_expected_distance(SpecialOrthogonal(4), 64, seed=2)
+    est = estimate_expected_distance(parse_space("so4"), 64, seed=2)
     assert est.mean > 0.0
     s = spec((1, 1, 1, 1), [(1, 2, 3, 4)])
     est_q = estimate_expected_distance(s, 64, seed=2)
     assert 0.0 < est_q.mean < est.mean
     # two-point slow path
-    est_2p = estimate_expected_distance(SpecialOrthogonal(4), 64, seed=2, two_point=True)
+    est_2p = estimate_expected_distance(parse_space("so4"), 64, seed=2, two_point=True)
     assert est_2p.mean > 0.0
 
 
@@ -265,11 +259,8 @@ def test_unsupported_spaces_rejected():
 
 
 def test_builtin_sphere_spaces_match_flag_aliases():
-    # the lambda = (1,2) flags route to the same kernels as the builtins
-    est_sphere = estimate_expected_distance(SPHERE2, 5_000, seed=12)
-    assert estimate_expected_distance(SPACE_ALIASES["s2"], 5_000, seed=12) == est_sphere
-    est_proj = estimate_expected_distance(PROJECTIVE_PLANE2, 5_000, seed=12)
-    assert estimate_expected_distance(SPACE_ALIASES["rp2"], 5_000, seed=12) == est_proj
+    est_sphere = estimate_expected_distance(SPACE_ALIASES["s2"], 5_000, seed=12)
+    est_proj = estimate_expected_distance(SPACE_ALIASES["rp2"], 5_000, seed=12)
     # the transposed two-part lambda names the same spaces
     assert estimate_expected_distance(spec((2, 1), [(1,), (2,)]), 5_000, seed=12) == est_sphere
     assert estimate_expected_distance(spec((2, 1), [(1, 2)]), 5_000, seed=12) == est_proj
@@ -277,8 +268,8 @@ def test_builtin_sphere_spaces_match_flag_aliases():
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        estimate_expected_distance(SPHERE2, 0, seed=0)
+        estimate_expected_distance(SPACE_ALIASES["s2"], 0, seed=0)
     with pytest.raises(ValueError):
-        estimate_expected_distance(SPHERE2, 10, seed=0, workers=0)
+        estimate_expected_distance(SPACE_ALIASES["s2"], 10, seed=0, workers=0)
     with pytest.raises(ValueError):
         Estimate(mean=1.0, stderr=-1.0, n_samples=10, seed=0)

@@ -52,3 +52,18 @@ def test_rendering():
     assert str(PiExpression(((-1, Fraction(2)), (1, Fraction(1, 2))))) == "2/pi + pi/2"
     assert str(PiExpression.pi_power(-2, Fraction(1, 3)))== "1/(3*pi^2)"
     assert str(PiExpression.pi_power(1, -3)) == "-3*pi"
+
+
+@pytest.mark.parametrize("n", [46, 50, 60])
+def test_volume_of_large_rotation_group_is_not_lost_to_a_factor(n):
+    # Vol SO(n) = pi^s q with q below the double range (n=46) or pi^s above it (n=50, 60).
+    from oriflag.flagspec import flag_volume, parse_flagspec
+
+    blocks = "".join(f"{{{i}}}" for i in range(1, n + 1))
+    spec = parse_flagspec("lambda=" + ",".join(["1"] * n) + " P=" + blocks)
+    log_ref = sum(
+        math.log(2) + i / 2 * math.log(math.pi) - math.lgamma(i / 2) for i in range(2, n + 1)
+    )
+    assert math.log(float(flag_volume(spec))) == pytest.approx(log_ref, rel=1e-12)
+    # terms of ordinary size keep the plain float(q) * pi**s rounding
+    assert float(PiExpression.pi_power(6, Fraction(1, 60))) == float(Fraction(1, 60)) * math.pi**6
