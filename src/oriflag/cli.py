@@ -232,7 +232,7 @@ def _sample_rows(space: FlagSpec, n: int, seed: int, lift: bool):
         done = 0
         while done < n:
             m = min(_SAMPLE_BATCH, n - done)
-            batch = _unit_vectors(gen, m) if sphere else sample_rotation_matrices(d, m, gen)
+            batch = _unit_vectors(gen, m, 3) if sphere else sample_rotation_matrices(d, m, gen)
             yield _lifts(batch) if lift else batch
             done += m
 

@@ -3,12 +3,17 @@
 Every supported space is homogeneous, so the expected distance between two
 random points equals the expected distance from one random point to a fixed
 base point (the identity coset, or the north pole on the sphere); that single
-random point is what gets sampled, one rotation or unit vector per trial. On
-quotients by a finite isotropy group the distance is the minimum over the
-orbit of the sample. Estimates carry a standard error from a streaming
-(count, mean, M2) aggregation, and work is split into per-worker substreams
-whose merge is independent of execution order, so a fixed (seed, workers, N)
-reproduces the estimate bit for bit.
+random point is what gets sampled. A trial draws a unit 3-vector on the
+sphere and projective plane, and otherwise a rotation: for n = 3 and n = 4 a
+point of the spin cover (a unit quaternion q covering x -> q x conj(q), or a
+pair (p, q) covering x -> p x conj(q); Shoemake, Graphics Gems III, 1992;
+Conway & Smith, On Quaternions and Octonions, 2003, ch. 4), for any other n an
+n x n matrix from QR. On quotients by a finite isotropy group the distance is
+the minimum over the orbit of the sample. Estimates carry a standard error
+from a streaming (count, mean, M2) aggregation, and work is split into
+per-worker substreams whose merge is independent of execution order, so a
+fixed (seed, workers, N) reproduces the estimate bit for bit within one
+package version.
 """
 
 from __future__ import annotations
@@ -28,10 +33,17 @@ from .orthogonal import (
     _matrix_of,
     sample_rotation_matrices,
 )
+from .quatcover import _mul_raw
 from .spaces import Kernel, classify
 
 _BATCH = 1 << 17
+# Memory for the (count, n, n) float stacks of one QR/eigvals batch. About
+# _STACKS of them are alive at its peak: the Gaussian, Q, R and the sign-fixed
+# Q while sampling, then the rotations and one orbit product.
+_BATCH_BYTES = 1 << 25
+_STACKS = 6
 _MIN_NORM = 1e-8
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -66,8 +78,9 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
     return float(_distances_to_identity(orbit).min())
 
 
-def _unit_vectors(gen: np.random.Generator, count: int) -> np.ndarray:
-    v = gen.standard_normal((count, 3))
+def _unit_vectors(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` uniform points on the unit sphere in R^dim, one per row."""
+    v = gen.standard_normal((count, dim))
     norms = np.linalg.norm(v, axis=1)
     while True:
         bad = norms < _MIN_NORM
@@ -80,16 +93,41 @@ def _unit_vectors(gen: np.random.Generator, count: int) -> np.ndarray:
 
 def sphere_point(rng) -> np.ndarray:
     """A uniform random point on the unit 2-sphere (normalized Gaussian draw)."""
-    return _unit_vectors(_as_generator(rng), 1)[0]
+    return _unit_vectors(_as_generator(rng), 1, 3)[0]
 
 
-def _principal_angle_from_traces(traces: np.ndarray, n: int) -> np.ndarray:
-    """Rotation angle of SO(2)/SO(3) matrices given their traces."""
-    if n == 3:
-        cos = (traces - 1.0) / 2.0
-    else:
-        cos = traces / 2.0
-    return np.arccos(np.clip(cos, -1.0, 1.0))
+def _cover_points(gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
+    """Uniform unit quaternions q, or conj(q_b) q_a drawn in that order, as (4, count) rows."""
+    q = _unit_vectors(gen, count, 4).T
+    if not two_point:
+        return q
+    return np.array(_mul_raw(_CONJ[:, None] * _unit_vectors(gen, count, 4).T, q))
+
+
+def _real_parts(units: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Re(q u) for (k, 4) units u and (4, count) quaternions q, as a (k, count) array."""
+    return (units * _CONJ) @ q
+
+
+def _spin3_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
+    """n = 3: q covers A, q u covers A diag(s), and d(R(q), I) = 2 arccos |Re q|."""
+    cos = np.abs(_real_parts(lifts, _cover_points(gen, count, two_point))).max(axis=0)
+    return 2.0 * np.arccos(np.minimum(cos, 1.0))
+
+
+def _spin4_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
+    """n = 4: (p, q) covers A x = p x conj(q), and (p u, q v) covers A diag(s).
+
+    With cos a = Re p and cos b = Re q, the rotation angles of A are a + b,
+    reflected into [0, pi], and |a - b|.
+    """
+    p = _cover_points(gen, count, two_point)
+    q = _cover_points(gen, count, two_point)
+    a = np.arccos(np.clip(_real_parts(lifts[:, 0], p), -1.0, 1.0))
+    b = np.arccos(np.clip(_real_parts(lifts[:, 1], q), -1.0, 1.0))
+    plus = a + b
+    plus = np.minimum(plus, 2.0 * np.pi - plus)
+    return np.sqrt((plus * plus + (a - b) ** 2).min(axis=0))
 
 
 def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
@@ -97,22 +135,19 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     if kern.family == "point":
         return np.zeros(count)
     if kern.family in ("s2", "rp2"):
-        v = _unit_vectors(gen, count)
-        cos = (_unit_vectors(gen, count) * v).sum(axis=1) if two_point else v[:, 2]
+        v = _unit_vectors(gen, count, 3)
+        cos = (_unit_vectors(gen, count, 3) * v).sum(axis=1) if two_point else v[:, 2]
         # Nearest point of the orbit {s v}: the largest cosine, |cos| under signs {1, -1}.
         if len(kern.signs) > 1:
             cos = np.abs(cos)
         return np.arccos(np.clip(cos, -1.0, 1.0))
+    if kern.lifts is not None:
+        cover = _spin3_distances if kern.lifts.ndim == 2 else _spin4_distances
+        return cover(kern.lifts, gen, count, two_point)
     n = kern.signs.shape[1]
     a = sample_rotation_matrices(n, count, gen)
     b = sample_rotation_matrices(n, count, gen) if two_point else None
-    if n in (2, 3):
-        if b is None:
-            diag = np.diagonal(a, axis1=1, axis2=2)
-        else:
-            diag = np.einsum("mik,mik->mk", a, b)
-        return _principal_angle_from_traces(diag @ kern.signs.T, n).min(axis=1)
-    # General n: one batched eigenvalue call per isotropy element. A diag(s) B^T
+    # One batched eigenvalue call per isotropy element. A diag(s) B^T
     # is similar to B^T A diag(s), so the product with B is taken once; only
     # one (count, n, n) stack is alive at a time.
     rel = a if b is None else np.swapaxes(b, 1, 2) @ a
@@ -122,11 +157,20 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     return best
 
 
+def _batch_size(kern: Kernel) -> int:
+    """``_BATCH`` samples, or on the QR/eigvals path as many as ``_BATCH_BYTES`` holds."""
+    if kern.lifts is not None or kern.family in ("point", "s2", "rp2"):
+        return _BATCH
+    n = kern.signs.shape[1]
+    return max(1, min(_BATCH, _BATCH_BYTES // (8 * n * n * _STACKS)))
+
+
 def _distance_batches(kern: Kernel, gen: np.random.Generator, count: int, two_point: bool):
-    """``count`` distance samples in batches of at most ``_BATCH``, drawn in order from ``gen``."""
+    """``count`` distance samples in batches of at most ``_batch_size``, drawn in order from ``gen``."""
+    step = _batch_size(kern)
     done = 0
     while done < count:
-        m = min(_BATCH, count - done)
+        m = min(step, count - done)
         yield _kernel_distances(kern, gen, m, two_point)
         done += m
 

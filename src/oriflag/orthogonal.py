@@ -61,10 +61,6 @@ class Rotation:
             return NotImplemented
         return Rotation(self.matrix @ other.matrix)
 
-    def to_lists(self) -> list[list[float]]:
-        """Row-major nested lists, the JSON serialization of a rotation."""
-        return self.matrix.tolist()
-
     def __repr__(self) -> str:
         return f"Rotation({self.matrix.tolist()})"
 

@@ -58,10 +58,6 @@ class UnitQuaternion:
     def vector(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.w])
 
-    @property
-    def imaginary(self) -> np.ndarray:
-        return np.array([self.y, self.z, self.w])
-
     def conjugate(self) -> "UnitQuaternion":
         return UnitQuaternion(self.x, -self.y, -self.z, -self.w)
 

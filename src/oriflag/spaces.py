@@ -88,21 +88,54 @@ class Kernel:
     quotient by a continuous group has ``signs`` None. ``family`` names the
     SO(3)-derived cases with a closed form or quadrature ("point", "so3",
     "partial-flag", "full-flag", "s2", "rp2") and is None for every other space.
+
+    ``lifts`` is the sign rows' lift table on the spin cover, present exactly
+    for rotation spaces with n = 3 or 4, whose samples are drawn there. For
+    n = 3 it is the (|SG|, 4) unit quaternions u, one of {1, i, j, k} per row,
+    with diag(s) the rotation x -> u x conj(u). For n = 4 it is the
+    (|SG|, 2, 4) pairs (u, v) of signed units with diag(s) x = u x conj(v),
+    where A x = p x conj(q) covers SO(4) by S^3 x S^3. It is None otherwise.
     """
 
     family: str | None
     signs: np.ndarray | None = None
+    lifts: np.ndarray | None = None
 
 
 # (|SG|, n) of a rotation space -> its SO(3)-derived family.
 _ROTATION_FAMILIES = {(1, 1): "point", (1, 3): "so3", (2, 3): "partial-flag", (4, 3): "full-flag"}
 
 
+# H: row c is the diagonal of x -> e_c x conj(e_c) on the quaternions for
+# e_c = 1, i, j, k; it fixes 1 and e_c and negates the other two axes. H is
+# symmetric with H H = 4 I.
+_CONJUGATIONS = np.array([
+    [1.0, 1.0, 1.0, 1.0],
+    [1.0, 1.0, -1.0, -1.0],
+    [1.0, -1.0, 1.0, -1.0],
+    [1.0, -1.0, -1.0, 1.0],
+])
+
+
+def _spin_lifts(signs: np.ndarray) -> np.ndarray:
+    """The lift table of :class:`Kernel` for (|SG|, n) det +1 sign rows, n = 3 or 4.
+
+    Every such row is a row of H = ``_CONJUGATIONS`` up to sign. For n = 3 it
+    is H[c] on the imaginary axes, so (1, s) H / 4 = e_c. For n = 4 it is
+    s = s0 H[c], so u = s H / 4 = s0 e_c and v = |u| = e_c.
+    """
+    if signs.shape[1] == 3:
+        return (1.0 + signs @ _CONJUGATIONS[1:]) / 4.0
+    u = signs @ _CONJUGATIONS / 4.0
+    return np.stack([u, np.abs(u)], axis=1)
+
+
 def classify(space: FlagSpec) -> Kernel:
     """Map a space to its sampling/distance kernel, or raise if unsupported.
 
     The only place that decides what a space is: callers read the returned
-    ``family`` and ``signs`` instead of inspecting the space themselves.
+    ``family``, ``signs`` and ``lifts`` instead of inspecting the space
+    themselves.
     """
     if not isinstance(space, FlagSpec):
         raise UnsupportedSpaceError(f"not a space: {space!r}")
@@ -110,7 +143,8 @@ def classify(space: FlagSpec) -> Kernel:
     # All ones first, so lambda = (1,) is SO(1): a rotation kernel of family "point".
     if all(p == 1 for p in parts):
         signs = _isotropy_signs(space)
-        return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs)
+        lifts = _spin_lifts(signs) if signs.shape[1] in (3, 4) else None
+        return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, lifts)
     if len(parts) == 1:
         return Kernel("point")
     if sorted(parts) == [1, 2]:

@@ -8,6 +8,7 @@ for a decimal rendering.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -142,15 +143,20 @@ def _coerce(other) -> "PiExpression":
     return NotImplemented
 
 
+def _digits(n: int) -> str:
+    """Decimal digits of ``n``; unlike ``str(int)``, not capped at 4300 digits."""
+    return str(decimal.Decimal(n))
+
+
 def _term_str(s: int, q: Fraction) -> str:
     num_factors = []
     den_factors = []
     if q.numerator != 1 or s == 0:
-        num_factors.append(str(q.numerator))
+        num_factors.append(_digits(q.numerator))
     if s > 0:
         num_factors.append("pi" if s == 1 else f"pi^{s}")
     if q.denominator != 1:
-        den_factors.append(str(q.denominator))
+        den_factors.append(_digits(q.denominator))
     if s < 0:
         den_factors.append("pi" if s == -1 else f"pi^{-s}")
     num = "*".join(num_factors) if num_factors else "1"
@@ -163,5 +169,3 @@ def _term_str(s: int, q: Fraction) -> str:
 
 
 PI = PiExpression.pi_power(1)
-ONE = PiExpression.rational(1)
-ZERO = PiExpression.zero()

@@ -1,6 +1,8 @@
+import decimal
 import json
 import math
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 from oriflag import cli
 from oriflag.analytic import FULL_FLAG_MIN_TOL
 from oriflag.cli import main
+from oriflag.flagspec import flag_volume
 from oriflag.quatcover import UnitQuaternion, quaternion_to_rotation
+from oriflag.spaces import parse_space
 
 FULL_FLAG_REFERENCE = 1.3117250347224445929
 
@@ -57,6 +61,17 @@ def test_volume_by_alias_with_numeric_check(capsys):
     report = run_json(capsys, "volume", "--space", "partial-flag-1", "--numeric")
     assert report["result"]["symbolic"] == "4*pi^2"
     assert report["result"]["abs_discrepancy"] <= 1e-5
+
+
+def test_volume_of_large_rotation_group_is_exact(capsys):
+    # the coefficient of Vol SO(200) has more digits than Python's int-to-str
+    # limit of 4300; it prints in full and parses back to the exact value
+    report = run_json(capsys, "volume", "--space", "so200")
+    head, den = report["result"]["symbolic"].split("/")
+    num, power = head.split("*pi^")
+    assert len(den) > 4300
+    coeff = Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den)))
+    assert flag_volume(parse_space("so200")).terms == ((int(power), coeff),)
 
 
 def test_volume_numeric_unsupported_exits_3(capsys):

@@ -8,6 +8,7 @@ import pytest
 from oriflag.flagspec import FlagSpec, OrderedPartition, SetPartition, isotropy_group
 from oriflag.montecarlo import (
     Estimate,
+    _unit_vectors,
     estimate_expected_distance,
     quotient_distance,
     sample_distances,
@@ -16,10 +17,11 @@ from oriflag.montecarlo import (
 from oriflag.orthogonal import (
     RngStream,
     Rotation,
+    _distances_to_identity,
     random_special_orthogonal,
-    sample_rotation_matrices,
 )
-from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, parse_space
+from oriflag.quatcover import UnitQuaternion, _lifts, _mul_raw, quaternion_to_rotation
+from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space
 from oriflag.analytic import analytic_expected_distance
 
 
@@ -212,17 +214,123 @@ def test_point_space_and_single_sample():
     assert single.stderr == 0.0 and single.n_samples == 1
 
 
-def test_trace_kernel_matches_eigenvalue_orbit_minimum():
-    # the batched trace formula must agree with explicit orbit minimization
+def _left(p):
+    """The 4x4 matrix of x -> p x on R^4 = H."""
+    return np.column_stack([_mul_raw(tuple(p), tuple(e)) for e in np.eye(4)])
+
+
+def _right(q):
+    """The 4x4 matrix of x -> x q on R^4 = H."""
+    return np.column_stack([_mul_raw(tuple(e), tuple(q)) for e in np.eye(4)])
+
+
+def _cover_rotation(p, q):
+    """x -> p x conj(q), the rotation of SO(4) covered by (p, q)."""
+    return _left(p) @ _right(q * np.array([1.0, -1.0, -1.0, -1.0]))
+
+
+FLAGS_4 = ("so4", "lambda=1,1,1,1 P={1,2}{3,4}", "lambda=1,1,1,1 P={1,2,3,4}")
+
+
+def test_cover_kernel_matches_eigenvalue_orbit_minimum():
+    # common draws: the points the kernel drew, rebuilt as matrices and
+    # measured by eigenvalues against explicit orbit minimization
+    eye3 = Rotation.identity(3)
     for name in ("so3", "partial-flag-1", "full-flag"):
         space = SPACE_ALIASES[name]
         iso = isotropy_group(space)
         d = sample_distances(space, 64, RngStream(88).generator())
-        rot = sample_rotation_matrices(3, 64, RngStream(88).generator())
-        eye = Rotation.identity(3)
+        d2 = sample_distances(space, 64, RngStream(89).generator(), two_point=True)
+        q = _unit_vectors(RngStream(88).generator(), 64, 4)
+        gen = RngStream(89).generator()
+        qa, qb = _unit_vectors(gen, 64, 4), _unit_vectors(gen, 64, 4)
         for i in range(64):
-            explicit = quotient_distance(Rotation(rot[i]), eye, iso)
-            assert abs(d[i] - explicit) <= 1e-10
+            explicit = quotient_distance(quaternion_to_rotation(UnitQuaternion(*q[i])), eye3, iso)
+            assert abs(d[i] - explicit) <= 1e-12, name
+            a = quaternion_to_rotation(UnitQuaternion(*qa[i]))
+            b = quaternion_to_rotation(UnitQuaternion(*qb[i]))
+            assert abs(d2[i] - quotient_distance(a, b, iso)) <= 1e-12, name
+    for text in FLAGS_4:
+        space = parse_space(text)
+        iso = isotropy_group(space)
+        signs = iso.diagonal_signs()
+        d = sample_distances(space, 64, RngStream(88).generator())
+        d2 = sample_distances(space, 64, RngStream(89).generator(), two_point=True)
+        gen = RngStream(88).generator()
+        p, q = _unit_vectors(gen, 64, 4), _unit_vectors(gen, 64, 4)
+        gen = RngStream(89).generator()
+        pa, pb, qa, qb = (_unit_vectors(gen, 64, 4) for _ in range(4))
+        for i in range(64):
+            m = _cover_rotation(p[i], q[i])
+            explicit = _distances_to_identity(m * signs[:, None, :]).min()
+            assert abs(d[i] - explicit) <= 1e-12, text
+            a, b = _cover_rotation(pa[i], qa[i]), _cover_rotation(pb[i], qb[i])
+            assert abs(d2[i] - quotient_distance(a, b, iso)) <= 1e-12, text
+
+
+def test_lift_table_reproduces_every_sign_row():
+    # the full flags list every det +1 diagonal sign matrix of SO(3) and SO(4)
+    kern3 = classify(SPACE_ALIASES["full-flag"])
+    assert kern3.signs.shape == (4, 3)
+    for s, u in zip(kern3.signs, kern3.lifts):
+        lift = _lifts(np.diag(s)[None])[0]
+        assert np.array_equal(np.abs(lift), np.abs(u))
+        assert np.array_equal(quaternion_to_rotation(UnitQuaternion(*u)).matrix, np.diag(s))
+    kern4 = classify(parse_space("lambda=1,1,1,1 P={1,2,3,4}"))
+    assert kern4.signs.shape == (8, 4)
+    for s, (u, v) in zip(kern4.signs, kern4.lifts):
+        assert np.array_equal(_cover_rotation(u, v), np.diag(s))
+    # the smaller groups keep each row's own lift
+    for text in ("so4", "lambda=1,1,1,1 P={1,2}{3,4}", "lambda=1,1,1,1 P={1}{2,3,4}"):
+        kern = classify(parse_space(text))
+        for s, (u, v) in zip(kern.signs, kern.lifts):
+            assert np.array_equal(_cover_rotation(u, v), np.diag(s)), text
+    assert classify(parse_space("so5")).lifts is None
+    assert classify(parse_space("so2")).lifts is None
+
+
+# E d(I, A) for Haar A in SO(4), by Weyl integration (two rotation angles with
+# density proportional to (cos t1 - cos t2)^2), as in the benchmark's oracle.
+SO4_WEYL = 2.6128562
+
+
+def test_so4_cover_estimate_matches_weyl_value():
+    so4 = parse_space("so4")
+    one = estimate_expected_distance(so4, 200_000, seed=31)
+    two = estimate_expected_distance(so4, 200_000, seed=32, two_point=True)
+    for est in (one, two):
+        assert abs(est.mean - SO4_WEYL) <= 5 * est.stderr
+
+
+def test_full_flag_two_point_cover_estimate():
+    space = SPACE_ALIASES["full-flag"]
+    est = estimate_expected_distance(space, 200_000, seed=33, two_point=True)
+    assert abs(est.mean - analytic_expected_distance(space).value) <= 5 * est.stderr
+
+
+def test_qr_batches_sized_by_memory(monkeypatch):
+    import oriflag.montecarlo as mc
+
+    sizes = []
+    real = mc._kernel_distances
+
+    def recording(kern, gen, count, two_point):
+        sizes.append(count)
+        return real(kern, gen, count, two_point)
+
+    so5 = parse_space("so5")
+    whole = sample_distances(so5, 500, RngStream(5).generator())
+    monkeypatch.setattr(mc, "_kernel_distances", recording)
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 8 * 25 * mc._STACKS * 120)
+    split = sample_distances(so5, 500, RngStream(5).generator())
+    assert sizes == [120, 120, 120, 120, 20]
+    # one-point draws are consumed in order, so smaller batches give the same samples
+    assert np.array_equal(split, whole)
+    # never below one sample, and the cover kernels keep the full batch
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 1)
+    assert mc._batch_size(classify(so5)) == 1
+    assert mc._batch_size(classify(parse_space("so4"))) == mc._BATCH
+    assert mc._batch_size(classify(SPACE_ALIASES["s2"])) == mc._BATCH
 
 
 def test_general_dimension_slow_paths():
