@@ -35,8 +35,8 @@ from .flagspec import (
     flag_volume,
     parse_blocks,
 )
-from .montecarlo import _unit_vectors, estimate_expected_distance
-from .orthogonal import RngStream, sample_rotation_matrices
+from .montecarlo import estimate_expected_distance
+from .orthogonal import RngStream, _unit_vectors, sample_rotation_matrices
 from .quatcover import _lifts
 from .spaces import (
     SPACE_ALIASES,
@@ -102,7 +102,9 @@ def cmd_volume(args) -> int:
     t0 = time.perf_counter()
     space = _parse_space_arg(args)
     vol = flag_volume(space)
-    result = {"symbolic": str(vol), "value": float(vol)}
+    value = float(vol)
+    # A nonzero volume below the double range has no float; 0.0 would read as exact.
+    result = {"symbolic": str(vol), "value": value if value or not vol.terms else None}
     if args.numeric:
         numeric = numeric_volume(space, args.tol)
         result["numeric_value"] = numeric

@@ -7,8 +7,9 @@ random point is what gets sampled. A trial draws a unit 3-vector on the
 sphere and projective plane, and otherwise a rotation: for n = 3 and n = 4 a
 point of the spin cover (a unit quaternion q covering x -> q x conj(q), or a
 pair (p, q) covering x -> p x conj(q); Shoemake, Graphics Gems III, 1992;
-Conway & Smith, On Quaternions and Octonions, 2003, ch. 4), for any other n an
-n x n matrix from QR. On quotients by a finite isotropy group the distance is
+Conway & Smith, On Quaternions and Octonions, 2003, ch. 4), for any other n a
+product of Householder reflections, whose rotation angles come from a
+symmetric eigensolve. On quotients by a finite isotropy group the distance is
 the minimum over the orbit of the sample. Estimates carry a standard error
 from a streaming (count, mean, M2) aggregation, and work is split into
 per-worker substreams whose merge is independent of execution order, so a
@@ -31,18 +32,18 @@ from .orthogonal import (
     _as_generator,
     _distances_to_identity,
     _matrix_of,
+    _unit_vectors,
     sample_rotation_matrices,
 )
 from .quatcover import _mul_raw
 from .spaces import Kernel, classify
 
 _BATCH = 1 << 17
-# Memory for the (count, n, n) float stacks of one QR/eigvals batch. About
-# _STACKS of them are alive at its peak: the Gaussian, Q, R and the sign-fixed
-# Q while sampling, then the rotations and one orbit product.
+# Memory for the (count, n, n) float stacks of one matrix batch. At most five
+# are alive at once (the rotations, one orbit product, its eigenvectors, its
+# skew part and their product); _STACKS leaves room for one more.
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
-_MIN_NORM = 1e-8
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
@@ -76,19 +77,6 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
         )
     orbit = ma @ np.stack([e.matrix for e in h.elements]) @ mb.T
     return float(_distances_to_identity(orbit).min())
-
-
-def _unit_vectors(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """``count`` uniform points on the unit sphere in R^dim, one per row."""
-    v = gen.standard_normal((count, dim))
-    norms = np.linalg.norm(v, axis=1)
-    while True:
-        bad = norms < _MIN_NORM
-        if not bad.any():
-            break
-        v[bad] = gen.standard_normal((int(bad.sum()), 3))
-        norms[bad] = np.linalg.norm(v[bad], axis=1)
-    return v / norms[:, None]
 
 
 def sphere_point(rng) -> np.ndarray:
@@ -145,12 +133,12 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
         cover = _spin3_distances if kern.lifts.ndim == 2 else _spin4_distances
         return cover(kern.lifts, gen, count, two_point)
     n = kern.signs.shape[1]
-    a = sample_rotation_matrices(n, count, gen)
-    b = sample_rotation_matrices(n, count, gen) if two_point else None
-    # One batched eigenvalue call per isotropy element. A diag(s) B^T
-    # is similar to B^T A diag(s), so the product with B is taken once; only
-    # one (count, n, n) stack is alive at a time.
-    rel = a if b is None else np.swapaxes(b, 1, 2) @ a
+    # A diag(s) B^T is similar to B^T A diag(s), so the product with B is
+    # taken once, and A and B are dropped before the orbit loop; one batched
+    # symmetric eigensolve per isotropy element.
+    rel = sample_rotation_matrices(n, count, gen)
+    if two_point:
+        rel = np.swapaxes(sample_rotation_matrices(n, count, gen), 1, 2) @ rel
     best = np.inf
     for s in kern.signs:
         best = np.minimum(best, _distances_to_identity(rel * s))
@@ -158,7 +146,7 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
 
 
 def _batch_size(kern: Kernel) -> int:
-    """``_BATCH`` samples, or on the QR/eigvals path as many as ``_BATCH_BYTES`` holds."""
+    """``_BATCH`` samples, or on the matrix path as many as ``_BATCH_BYTES`` holds."""
     if kern.lifts is not None or kern.family in ("point", "s2", "rp2"):
         return _BATCH
     n = kern.signs.shape[1]

@@ -1,11 +1,12 @@
 """Haar-distributed sampling of SO(n) and the bi-invariant geodesic distance.
 
-A random Gaussian matrix is orthogonalized (Householder QR with the sign of
-the R diagonal folded into Q) and the determinant is fixed to +1 by swapping
-the first two rows. The geodesic distance between rotations A and B is
-``sqrt(0.5 * sum |log mu_k|^2)`` over the eigenvalues ``mu_k`` of ``A B^T``,
-equivalently the root-sum-square of the principal rotation angles of
-``A B^T``; both come from one batched eigenvalue computation.
+A Haar rotation is a product of Householder reflections of uniform unit
+vectors, sign-fixed to determinant +1 (Stewart 1980; Mezzadri 2007). The
+geodesic distance between rotations A and B is ``sqrt(0.5 * sum |log mu_k|^2)``
+over the eigenvalues ``mu_k`` of ``A B^T``, the root-sum-square of its
+rotation angles. One batched symmetric eigensolve gives them: the symmetric
+part of a rotation has eigenvalues cos(theta_k), and its skew part K has
+|K v_k| = sin(theta_k) on their eigenvectors v_k.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import numpy as np
 ORTHOGONALITY_TOL = 1e-12
 DETERMINANT_TOL = 1e-10
 
-# Householder QR on an n x n standard Gaussian is rank deficient only if the
-# draw is degenerate; diagonal entries of R below this trigger a resample.
-_RANK_TOL = 1e-12
-
-_MAX_RESAMPLE = 100
+# Gaussian draws shorter than this are redrawn before normalization.
+_MIN_NORM = 1e-8
+# Within this of +-1 cos is too flat to separate rotation planes; outside it
+# the symmetric route's angle error is below eps / sqrt(2 * _FLAT_COS) = 5e-15.
+_FLAT_COS = 1e-3
 
 
 class Rotation:
@@ -97,58 +98,61 @@ def _as_generator(rng) -> np.random.Generator:
 def random_special_orthogonal(n: int, rng) -> Rotation:
     """Draw a Haar-distributed rotation in SO(n).
 
-    Orthogonalizes a standard Gaussian n x n matrix; if the result has
-    determinant -1 its first two rows are swapped, which preserves the Haar
-    property. A batch of one from :func:`sample_rotation_matrices`, so it
-    consumes ``rng`` exactly as that function does.
+    A batch of one from :func:`sample_rotation_matrices`, so it consumes
+    ``rng`` exactly as that function does.
     """
     return Rotation(sample_rotation_matrices(n, 1, rng)[0])
+
+
+def _unit_vectors(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` uniform points on the unit sphere in R^dim, one per row."""
+    return _unit_rows(gen, gen.standard_normal((count, dim)))
+
+
+def _unit_rows(gen: np.random.Generator, v: np.ndarray) -> np.ndarray:
+    """Gaussian rows ``v`` scaled to unit length, redrawing (in place) any shorter than ``_MIN_NORM``."""
+    norms = np.linalg.norm(v, axis=1)
+    while (bad := norms < _MIN_NORM).any():
+        v[bad] = gen.standard_normal((int(bad.sum()), v.shape[1]))
+        norms[bad] = np.linalg.norm(v[bad], axis=1)
+    return v / norms[:, None]
 
 
 def sample_rotation_matrices(n: int, count: int, rng) -> np.ndarray:
     """Vectorized Haar sampling: a (count, n, n) stack of SO(n) matrices.
 
-    Degenerate Gaussian draws are resampled, never silently accepted.
+    The sign-fixed Q of Householder QR on a Gaussian matrix, built directly:
+    the reflection of a uniform unit vector v_k in R^(n-k) maps it to
+    -sign(v_k[0]) e_0, so folding in that sign makes v_k column k of the
+    trailing block, and the last column's sign makes det = +1. Each sample's
+    vectors come from one row of Gaussians, so splitting a batch changes no
+    draw; degenerate draws are redrawn, never accepted.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if count < 0:
         raise ValueError("count must be nonnegative")
     gen = _as_generator(rng)
-    if n == 1:
-        return np.ones((count, 1, 1))
+    g = gen.standard_normal((count, (n - 1) * (n + 2) // 2))
+    vs, start = [], 0
+    for dim in range(n, 1, -1):
+        vs.append(_unit_rows(gen, g[:, start:start + dim]))
+        start += dim
+    signs = [np.copysign(1.0, v[:, 0]) for v in vs]
     q = np.empty((count, n, n))
-    todo = np.arange(count)
-    tries = 0
-    while todo.size:
-        tries += 1
-        if tries > _MAX_RESAMPLE:
-            raise RuntimeError("persistent rank-deficient Gaussian draws; rng is broken")
-        a = gen.standard_normal((todo.size, n, n))
-        qi, ri = np.linalg.qr(a)
-        d = np.diagonal(ri, axis1=1, axis2=2)
-        qi = qi * np.sign(d)[:, None, :]
-        flip = _batch_det(qi) < 0
-        qi[flip] = qi[flip][:, _swap_first_two(n), :]
-        ok = np.abs(d).min(axis=1) >= _RANK_TOL
-        q[todo[ok]] = qi[ok]
-        todo = todo[~ok]
+    # det = (-1)^(n-1) (reflections) * prod(-sign(v_k[0])) (folded signs) * this
+    # last sign, so det = +1 takes prod(sign(v_k[0])); SO(1) draws nothing.
+    q[:, -1, -1] = np.prod(signs, axis=0)
+    for k in range(n - 2, -1, -1):
+        v, tail = vs[k], vs[k][:, 1:]
+        # H_k = I - u u^T / (1 + |v[0]|), u = v + sign(v[0]) e_0, applied to
+        # [0; B], B the block built so far, in two rank-1 steps.
+        block = q[:, k + 1:, k + 1:]
+        w = np.einsum("ci,cij->cj", tail, block)
+        q[:, k, k + 1:] = -signs[k][:, None] * w
+        block -= (tail / (1.0 + np.abs(v[:, :1])))[:, :, None] * w[:, None, :]
+        q[:, k:, k] = v
     return q
-
-
-def _swap_first_two(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    idx[0], idx[1] = 1, 0
-    return idx
-
-
-def _batch_det(q: np.ndarray) -> np.ndarray:
-    n = q.shape[-1]
-    if n == 2:
-        return q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
-    if n == 3:
-        return np.einsum("ni,ni->n", q[:, 0], np.cross(q[:, 1], q[:, 2]))
-    return np.linalg.det(q)
 
 
 def _matrix_of(a) -> np.ndarray:
@@ -158,16 +162,23 @@ def _matrix_of(a) -> np.ndarray:
 
 
 def _eigen_angles(m: np.ndarray) -> np.ndarray:
-    """Arguments of the eigenvalues of a (k, n, n) stack of SO(n) matrices.
+    """Rotation angles in [0, pi] of a (k, n, n) stack of SO(n) matrices, one per eigenvalue.
 
-    Raises ArithmeticError when a determinant (the product of the
-    eigenvalues) is not +1, i.e. the input is not in SO(n).
+    Raises ArithmeticError when a determinant is not +1 (not in SO(n)).
     """
-    mu = np.linalg.eigvals(m)
-    det = np.prod(mu, axis=-1).real
-    if np.abs(det - 1.0).max() > DETERMINANT_TOL:
+    if not (np.abs(np.linalg.det(m) - 1.0) <= DETERMINANT_TOL).all():
         raise ArithmeticError("determinant is not +1; input is not in SO(n)")
-    return np.angle(mu)
+    mt = np.swapaxes(m, -1, -2)
+    # Twice the symmetric and skew parts; atan2 ignores the factor 2.
+    cos2, v = np.linalg.eigh(m + mt)
+    theta = np.arctan2(np.linalg.norm((m - mt) @ v, axis=-2), cos2)
+    # At 0 and pi the eigenvectors of two planes (or a plane and the lone axis
+    # of odd n) mix; those matrices, rare in Haar draws, take eigvals instead.
+    ends = 2.0 - 2.0 * _FLAT_COS
+    crowded = ((cos2 > ends).sum(axis=-1) > 2) | ((cos2 < -ends).sum(axis=-1) > 2)
+    if crowded.any():
+        theta[crowded] = np.abs(np.angle(np.linalg.eigvals(m[crowded])))
+    return theta
 
 
 def _distances_to_identity(m: np.ndarray) -> np.ndarray:
@@ -179,12 +190,13 @@ def _distances_to_identity(m: np.ndarray) -> np.ndarray:
 def rotation_angles(a) -> np.ndarray:
     """Principal rotation angles of ``a`` (Rotation or matrix).
 
-    Returns the floor(n/2) angles in [0, pi], sorted descending. The
-    eigenvalues come in conjugate pairs exp(+-i psi), plus a lone +1 when n is
-    odd, so every other entry of the sorted |arguments| is one angle per pair.
+    Returns the floor(n/2) angles in [0, pi], sorted descending. Each angle
+    of a rotation plane belongs to two eigenvalues exp(+-i psi), and a lone
+    +1 gives angle 0 when n is odd, so every other entry of the sorted angles
+    is one angle per plane.
     """
     m = _matrix_of(a)
-    theta = np.sort(np.abs(_eigen_angles(m[None])[0]))[::-1]
+    theta = np.sort(_eigen_angles(m[None])[0])[::-1]
     return theta[: 2 * (m.shape[0] // 2) : 2]
 
 

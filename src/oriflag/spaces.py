@@ -12,6 +12,7 @@ rejected as unsupported.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -95,11 +96,17 @@ class Kernel:
     with diag(s) the rotation x -> u x conj(u). For n = 4 it is the
     (|SG|, 2, 4) pairs (u, v) of signed units with diag(s) x = u x conj(v),
     where A x = p x conj(q) covers SO(4) by S^3 x S^3. It is None otherwise.
+    Kernels are shared between callers, so their arrays are read-only.
     """
 
     family: str | None
     signs: np.ndarray | None = None
     lifts: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for array in (self.signs, self.lifts):
+            if array is not None:
+                array.setflags(write=False)
 
 
 # (|SG|, n) of a rotation space -> its SO(3)-derived family.
@@ -135,10 +142,15 @@ def classify(space: FlagSpec) -> Kernel:
 
     The only place that decides what a space is: callers read the returned
     ``family``, ``signs`` and ``lifts`` instead of inspecting the space
-    themselves.
+    themselves. Each space's Kernel is built once and cached.
     """
     if not isinstance(space, FlagSpec):
         raise UnsupportedSpaceError(f"not a space: {space!r}")
+    return _classify(space)
+
+
+@functools.lru_cache(maxsize=16)
+def _classify(space: FlagSpec) -> Kernel:
     parts = space.lam.parts
     # All ones first, so lambda = (1,) is SO(1): a rotation kernel of family "point".
     if all(p == 1 for p in parts):

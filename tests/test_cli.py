@@ -74,6 +74,15 @@ def test_volume_of_large_rotation_group_is_exact(capsys):
     assert flag_volume(parse_space("so200")).terms == ((int(power), coeff),)
 
 
+def test_volume_below_double_range_has_no_float(capsys):
+    # Vol SO(200) is far below the smallest double: no float rather than 0.0
+    report = run_json(capsys, "volume", "--space", "so200")
+    assert report["result"]["value"] is None
+    assert flag_volume(parse_space("so200")).terms
+    report = run_json(capsys, "volume", "--space", "so3")
+    assert report["result"]["value"] == 8 * math.pi**2
+
+
 def test_volume_numeric_unsupported_exits_3(capsys):
     for argv in (("--lambda", "3", "--P", "{1}"), ("--space", "so4")):
         code, _out, err = run(capsys, "volume", *argv, "--numeric")

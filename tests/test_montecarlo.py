@@ -95,6 +95,17 @@ def test_sphere_point_is_unit_and_deterministic():
     assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
 
 
+def test_short_draws_are_redrawn_in_their_own_dimension(monkeypatch):
+    # raise the threshold the helper reads, so about 1% of 4-D draws are redrawn
+    whole = _unit_vectors(RngStream(8).generator(), 1000, 4)
+    monkeypatch.setitem(_unit_vectors.__globals__, "_MIN_NORM", 0.5)
+    redrawn = _unit_vectors(RngStream(8).generator(), 1000, 4)
+    assert redrawn.shape == (1000, 4)
+    assert np.abs(np.linalg.norm(redrawn, axis=1) - 1.0).max() <= 1e-12
+    changed = (redrawn != whole).any(axis=1)
+    assert 0 < changed.sum() < 50
+
+
 def test_sphere_and_projective_distances_from_base_point():
     # distance semantics at the three reference directions
     for v, d_sphere, d_proj in [
@@ -302,6 +313,18 @@ def test_so4_cover_estimate_matches_weyl_value():
         assert abs(est.mean - SO4_WEYL) <= 5 * est.stderr
 
 
+# The same Weyl integral for SO(5), as in the benchmark's oracle.
+SO5_WEYL = 2.9365395
+
+
+def test_so5_estimate_matches_weyl_value():
+    so5 = parse_space("so5")
+    one = estimate_expected_distance(so5, 200_000, seed=34)
+    two = estimate_expected_distance(so5, 100_000, seed=35, two_point=True)
+    for est in (one, two):
+        assert abs(est.mean - SO5_WEYL) <= 5 * est.stderr
+
+
 def test_full_flag_two_point_cover_estimate():
     space = SPACE_ALIASES["full-flag"]
     est = estimate_expected_distance(space, 200_000, seed=33, two_point=True)
@@ -334,7 +357,8 @@ def test_qr_batches_sized_by_memory(monkeypatch):
 
 
 def test_general_dimension_slow_paths():
-    # SO(4) and a rank-4 sign quotient exercise the batched eigenvalue route
+    # SO(4) and a rank-4 sign quotient on the spin-cover kernel; the matrix
+    # route is so5's, in test_so5_estimate_matches_weyl_value
     est = estimate_expected_distance(parse_space("so4"), 64, seed=2)
     assert est.mean > 0.0
     s = spec((1, 1, 1, 1), [(1, 2, 3, 4)])

@@ -7,6 +7,7 @@ import pytest
 from oriflag.orthogonal import (
     RngStream,
     Rotation,
+    _distances_to_identity,
     geodesic_distance,
     random_special_orthogonal,
     rotation_angles,
@@ -106,13 +107,33 @@ def test_trace_mean_is_zero_for_haar_so3(so3_haar_million):
     assert abs(traces.mean() - oracle) <= 5 * stderr
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_trace_moments_haar_son(n):
-    # Diaconis-Shahshahani: for Haar SO(n), n >= 3, E tr A = 0 and E (tr A)^2 = 1
+    # Diaconis-Shahshahani: for Haar SO(n), n >= 3, E tr A = 0 and E (tr A)^2 = 1;
+    # on SO(2), tr A = 2 cos(theta) with theta uniform, so E (tr A)^2 = 2
     traces = np.einsum("kii->k", sample_rotation_matrices(n, 100_000, RngStream(40 + n).generator()))
-    for moment, expected in ((traces, 0.0), (traces * traces, 1.0)):
+    for moment, expected in ((traces, 0.0), (traces * traces, 2.0 if n == 2 else 1.0)):
         stderr = moment.std(ddof=1) / math.sqrt(len(moment))
         assert abs(moment.mean() - expected) <= 5 * stderr
+
+
+def qr_haar_traces(n, count, gen):
+    """Traces of Haar SO(n) draws by LAPACK QR of a Gaussian matrix, sign-fixed."""
+    q, r = np.linalg.qr(gen.standard_normal((count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return np.einsum("kii->k", q)
+
+
+def test_householder_sampler_matches_qr_distribution():
+    # two-sample Kolmogorov-Smirnov on the trace; 2.69 is the critical value
+    # of the limiting distribution at alpha = 1e-6
+    count = 20_000
+    ours = np.sort(np.einsum("kii->k", sample_rotation_matrices(5, count, RngStream(46).generator())))
+    theirs = np.sort(qr_haar_traces(5, count, RngStream(47).generator()))
+    grid = np.concatenate([ours, theirs])
+    gap = np.abs(np.searchsorted(ours, grid, side="right") - np.searchsorted(theirs, grid, side="right"))
+    assert gap.max() / count < 2.69 * math.sqrt(2 / count)
 
 
 def test_first_column_uniform_on_sphere(so3_haar_million):
@@ -180,6 +201,14 @@ def test_distance_against_eigenvalue_log_oracle():
     assert abs(geodesic_distance(np.diag([-1.0, -1, 1]), np.eye(3)) - math.pi) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_distances_match_eigenvalue_arguments_on_haar_draws(n):
+    # oracle: the arguments of the eigenvalues from the nonsymmetric solver
+    m = sample_rotation_matrices(n, 10_000, RngStream(60 + n).generator())
+    oracle = np.sqrt(0.5 * (np.angle(np.linalg.eigvals(m)) ** 2).sum(axis=1))
+    assert np.abs(_distances_to_identity(m) - oracle).max() <= 1e-13
+
+
 def planted_rotation(gen, angles, n):
     """Q blockdiag(R(theta_1), ..., R(theta_k)[, 1]) Q^T for a Haar Q: known angles."""
     block = np.eye(n)
@@ -203,6 +232,20 @@ def test_angles_and_distance_against_planted_blocks(n):
         expected = np.sort(angles)[::-1]
         assert np.abs(rotation_angles(m) - expected).max() <= 1e-10
         assert abs(geodesic_distance(m, np.eye(n)) - math.sqrt(np.sum(angles ** 2))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_angles_of_planes_crowding_zero_or_pi(n):
+    # cos is flat at 0 and pi: two planes there, or a plane near 0 and the
+    # lone axis of odd n, must still come out with their own angles
+    gen = RngStream(26).generator()
+    offsets = (0.0, 1e-8, 1e-6, 1e-4, 1e-2)
+    for end, (d1, d2) in itertools.product((0.0, math.pi), itertools.product(offsets, repeat=2)):
+        angles = np.array([abs(end - d1), abs(end - d2)] + [1.0] * (n // 2 - 2))
+        m = planted_rotation(gen, angles, n)
+        expected = np.sort(angles)[::-1]
+        assert np.abs(rotation_angles(m) - expected).max() <= 1e-13
+        assert abs(geodesic_distance(m, np.eye(n)) - math.sqrt(np.sum(angles ** 2))) <= 1e-13
 
 
 def test_reflection_is_rejected():

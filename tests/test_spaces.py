@@ -75,3 +75,17 @@ def test_sign_rows_of_rotation_kernels():
     assert full.shape == (4, 3) and (full.prod(axis=1) == 1.0).all()
     assert classify(SPACE_ALIASES["rp2"]).signs.tolist() == [[1.0], [-1.0]]
     assert classify(SPACE_ALIASES["trivial-flag"]).signs is None
+
+
+def test_kernels_are_cached_and_read_only():
+    for text in ("so5", "full-flag", "lambda=1,1,1,1 P={1,2}{3,4}", "rp2"):
+        kern = classify(parse_space(text))
+        assert classify(parse_space(text)) is kern
+        for array in (kern.signs, kern.lifts):
+            if array is not None:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+    # not a space, and unhashable: still the space error
+    with pytest.raises(UnsupportedSpaceError):
+        classify([1])
