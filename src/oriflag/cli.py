@@ -267,6 +267,7 @@ def cmd_convergence(args) -> int:
     if any(n < 1 for n in n_list) or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise UsageError("--n-list must be strictly increasing positive integers")
     space = parse_space(args.space)
+    classify(space)  # an unsupported space exits 3 before the header is printed
     seed = _default_seed(args.seed)
     try:
         reference = analytic_expected_distance(space).value

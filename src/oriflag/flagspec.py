@@ -5,7 +5,7 @@ with a set partition P of lambda's index set, naming the homogeneous space
 SO(n)/SG where SG is the block-diagonal subgroup whose blocks, grouped by P,
 each have determinant +1. This module computes exact volumes of these spaces,
 covering multiplicities between them, and (when lambda = (1,...,1)) the finite
-isotropy subgroup as an explicit list of sign matrices.
+isotropy subgroup as rows of diagonal signs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .orthogonal import Rotation
 from .symbolic import PiExpression
 
 
@@ -248,52 +247,47 @@ def covering_multiplicity(p: SetPartition, p_refined: SetPartition) -> int:
     return 2 ** (p_refined.size - p.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteIsotropy:
-    """A finite isotropy subgroup, listed explicitly as rotation matrices."""
+    """A finite group of diagonal sign matrices as a read-only (order, n) array of +-1 rows.
 
-    elements: tuple[Rotation, ...]
+    Each row multiplies to +1 and the identity row is present. Instances
+    compare and hash by identity.
+    """
+
+    signs: np.ndarray
 
     def __post_init__(self) -> None:
-        elements = tuple(self.elements)
-        if not elements:
-            raise ValueError("isotropy group cannot be empty")
-        if not all(isinstance(e, Rotation) for e in elements):
-            raise TypeError("isotropy elements must be Rotation instances")
-        n = elements[0].n
-        if any(e.n != n for e in elements):
-            raise ValueError("isotropy elements must share one dimension")
-        if not any(np.array_equal(e.matrix, np.eye(n)) for e in elements):
+        signs = np.array(self.signs, dtype=float)
+        if signs.ndim != 2 or signs.size == 0:
+            raise ValueError(f"isotropy signs must be a nonempty 2-D array, got shape {signs.shape}")
+        if not np.isin(signs, (1.0, -1.0)).all():
+            raise ValueError("isotropy signs must all be +1 or -1")
+        if not (signs.prod(axis=1) == 1.0).all():
+            raise ValueError("every isotropy sign row must multiply to +1")
+        if not (signs == 1.0).all(axis=1).any():
             raise ValueError("isotropy group must contain the identity")
-        object.__setattr__(self, "elements", elements)
+        signs.setflags(write=False)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.signs.shape[0]
 
     @property
     def n(self) -> int:
-        return self.elements[0].n
-
-    def diagonal_signs(self) -> np.ndarray:
-        """The (order, n) array of diagonal entries, one row per element.
-
-        Only meaningful for the diagonal sign groups arising from
-        lambda = (1,...,1); raises otherwise.
-        """
-        mats = np.stack([e.matrix for e in self.elements])
-        diags = np.diagonal(mats, axis1=1, axis2=2)
-        if np.abs(mats - diags[:, :, None] * np.eye(self.n)).max() > 0:
-            raise ValueError("isotropy group is not diagonal")
-        return diags
+        return self.signs.shape[1]
 
 
-def _isotropy_signs(spec: FlagSpec) -> np.ndarray:
-    """The (2^(k - |P|), k) diagonal sign rows of SG, in descending order.
+def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:
+    """The finite isotropy subgroup SG for lambda = (1,...,1).
 
-    Every sign but the last of each block is free; the last is the product of
-    the others, so each block multiplies to +1 and only group elements are
-    visited. Any lambda with a part larger than 1 is rejected.
+    These are the diagonal +-1 matrices whose signs multiply to +1 within each
+    block of P; there are 2^(k - |P|) of them, listed identity first in
+    descending order of their diagonals. Every sign but the last of each block
+    is free and the last is the product of the others, so only group elements
+    are visited. Any lambda with a part larger than 1 has a continuous
+    isotropy group and is rejected.
     """
     if any(p != 1 for p in spec.lam.parts):
         raise ValueError(
@@ -308,15 +302,4 @@ def _isotropy_signs(spec: FlagSpec) -> np.ndarray:
             signs[b[-1]] = math.prod((signs[i] for i in b[:-1]), start=1.0)
         rows.append([signs[i] for i in range(1, spec.lam.k + 1)])
     rows.sort(reverse=True)
-    return np.array(rows)
-
-
-def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:
-    """The finite isotropy subgroup SG for lambda = (1,...,1).
-
-    These are the diagonal +-1 matrices whose signs multiply to +1 within each
-    block of P; there are 2^(k - |P|) of them, listed identity first in
-    descending order of their diagonals. Any lambda with a part larger than 1
-    has a continuous isotropy group and is rejected.
-    """
-    return FiniteIsotropy(tuple(Rotation(np.diag(row)) for row in _isotropy_signs(spec)))
+    return FiniteIsotropy(np.array(rows))

@@ -68,14 +68,15 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
 
     The minimum of geodesic_distance(a hj, b) over the group elements hj;
     symmetric and well-defined on cosets because the metric is bi-invariant
-    and the group is closed under products and inverses.
+    and the group is closed under products and inverses. The whole orbit
+    a hj b^T is one stack, so one batched eigensolve measures it.
     """
     ma, mb = _matrix_of(a), _matrix_of(b)
     if ma.shape != mb.shape or ma.shape[0] != h.n:
         raise ValueError(
             f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={h.n}"
         )
-    orbit = ma @ np.stack([e.matrix for e in h.elements]) @ mb.T
+    orbit = (ma * h.signs[:, None, :]) @ mb.T
     return float(_distances_to_identity(orbit).min())
 
 
@@ -134,15 +135,12 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
         return cover(kern.lifts, gen, count, two_point)
     n = kern.signs.shape[1]
     # A diag(s) B^T is similar to B^T A diag(s), so the product with B is
-    # taken once, and A and B are dropped before the orbit loop; one batched
-    # symmetric eigensolve per isotropy element.
+    # taken once, and A and B are dropped before the orbit minimum; one
+    # batched symmetric eigensolve per isotropy element.
     rel = sample_rotation_matrices(n, count, gen)
     if two_point:
         rel = np.swapaxes(sample_rotation_matrices(n, count, gen), 1, 2) @ rel
-    best = np.inf
-    for s in kern.signs:
-        best = np.minimum(best, _distances_to_identity(rel * s))
-    return best
+    return _distances_to_identity(rel, kern.signs)
 
 
 def _batch_size(kern: Kernel) -> int:

@@ -23,6 +23,7 @@ _MIN_NORM = 1e-8
 # Within this of +-1 cos is too flat to separate rotation planes; outside it
 # the symmetric route's angle error is below eps / sqrt(2 * _FLAT_COS) = 5e-15.
 _FLAT_COS = 1e-3
+_IDENTITY_ROW = np.ones((1, 1))
 
 
 class Rotation:
@@ -161,13 +162,14 @@ def _matrix_of(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def _eigen_angles(m: np.ndarray) -> np.ndarray:
-    """Rotation angles in [0, pi] of a (k, n, n) stack of SO(n) matrices, one per eigenvalue.
-
-    Raises ArithmeticError when a determinant is not +1 (not in SO(n)).
-    """
+def _require_rotations(m: np.ndarray) -> None:
+    """Raise ArithmeticError unless the matrix, or each of a stack, has determinant +1."""
     if not (np.abs(np.linalg.det(m) - 1.0) <= DETERMINANT_TOL).all():
         raise ArithmeticError("determinant is not +1; input is not in SO(n)")
+
+
+def _eigen_angles(m: np.ndarray) -> np.ndarray:
+    """Rotation angles in [0, pi] of a (k, n, n) stack of SO(n) matrices, one per eigenvalue."""
     mt = np.swapaxes(m, -1, -2)
     # Twice the symmetric and skew parts; atan2 ignores the factor 2.
     cos2, v = np.linalg.eigh(m + mt)
@@ -181,10 +183,18 @@ def _eigen_angles(m: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _distances_to_identity(m: np.ndarray) -> np.ndarray:
-    """Geodesic distances to the identity of a (k, n, n) stack of SO(n) matrices."""
-    theta = _eigen_angles(m)
-    return np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+def _distances_to_identity(m: np.ndarray, signs: np.ndarray = _IDENTITY_ROW) -> np.ndarray:
+    """Geodesic distances to the identity of a (k, n, n) SO(n) stack, minimized over m diag(s).
+
+    ``signs`` are (|SG|, n) det +1 rows, by default the identity row. Column
+    sign flips leave the LU determinant bit-identical, so m is checked once.
+    """
+    _require_rotations(m)
+    best = np.inf
+    for s in signs:
+        theta = _eigen_angles(m * s)
+        best = np.minimum(best, np.sqrt(0.5 * (theta * theta).sum(axis=-1)))
+    return best
 
 
 def rotation_angles(a) -> np.ndarray:
@@ -196,6 +206,7 @@ def rotation_angles(a) -> np.ndarray:
     is one angle per plane.
     """
     m = _matrix_of(a)
+    _require_rotations(m)
     theta = np.sort(_eigen_angles(m[None])[0])[::-1]
     return theta[: 2 * (m.shape[0] // 2) : 2]
 

@@ -3,9 +3,11 @@
 Quaternions are written q = x + y i + z j + w k with real part x, matching
 the Cartesian coordinates (x, y, z, w) on the unit 3-sphere. Conjugation
 q u q^-1 rotates the purely imaginary quaternion u, and q, -q induce the same
-rotation, so the covering map scales distances by exactly 2. Two coordinate
-systems on the 3-sphere are provided: hyperspherical angles and join
-coordinates (the 3-sphere as a join of two circles).
+rotation, so the covering map scales distances by exactly 2. The lift table
+of the diagonal sign matrices of SO(3) and SO(4), signed units in {1, i, j, k},
+is defined here for the lifted isotropy orbits and the spin-cover kernels.
+Two coordinate systems on the 3-sphere are provided: hyperspherical angles and
+join coordinates (the 3-sphere as a join of two circles).
 """
 
 from __future__ import annotations
@@ -159,23 +161,48 @@ def sphere_distance(p: UnitQuaternion, q: UnitQuaternion) -> float:
     return math.acos(min(1.0, max(-1.0, dot)))
 
 
+# H: row c is the diagonal of x -> e_c x conj(e_c) on the quaternions for
+# e_c = 1, i, j, k; it fixes 1 and e_c and negates the other two axes. H is
+# symmetric with H H = 4 I.
+_CONJUGATIONS = np.array([
+    [1.0, 1.0, 1.0, 1.0],
+    [1.0, 1.0, -1.0, -1.0],
+    [1.0, -1.0, 1.0, -1.0],
+    [1.0, -1.0, -1.0, 1.0],
+])
+
+
+def _spin_lifts(signs: np.ndarray) -> np.ndarray:
+    """The lift table of ``spaces.Kernel`` for (|SG|, n) det +1 sign rows, n = 3 or 4.
+
+    Every such row is a row of H = ``_CONJUGATIONS`` up to sign. For n = 3 it
+    is H[c] on the imaginary axes, so (1, s) H / 4 = e_c. For n = 4 it is
+    s = s0 H[c], so u = s H / 4 = s0 e_c and v = |u| = e_c.
+    """
+    if signs.shape[1] == 3:
+        return (1.0 + signs @ _CONJUGATIONS[1:]) / 4.0
+    u = signs @ _CONJUGATIONS / 4.0
+    return np.stack([u, np.abs(u)], axis=1)
+
+
+def _lifted_orbits(q: np.ndarray, lifts: np.ndarray) -> np.ndarray:
+    """The lifted orbits +-(q u) of (k, 4) quaternions q and (|SG|, 4) units u, as (k, 2|SG|, 4)."""
+    qu = np.stack(_mul_raw(q.T[:, :, None], lifts.T[:, None, :]), axis=-1)
+    return np.concatenate([qu, -qu], axis=1)
+
+
 def lifted_orbit(spec: FlagSpec, q: UnitQuaternion) -> frozenset[UnitQuaternion]:
     """Preimage on the 3-sphere of the isotropy coset through ``q``'s rotation.
 
     For lambda = (1,1,1) the isotropy group SG is finite and the coset of
     A = quaternion_to_rotation(q) is {A h : h in SG}; its full preimage under
-    the double cover is {+-(q hq) : hq a lift of h}. The trivial partition
+    the double cover is {+-(q u) : u the lift of h}. The trivial partition
     (full flag) yields the eight vertices of a rotated regular 16-cell.
     """
     if spec.lam.parts != (1, 1, 1):
         raise ValueError(f"lifted orbits require lambda = (1,1,1), got ({spec.lam})")
-    lifts = [rotation_to_quaternion(h) for h in isotropy_group(spec).elements]
-    orbit = set()
-    for h in lifts:
-        qh = q * h
-        orbit.add(qh)
-        orbit.add(-qh)
-    return frozenset(orbit)
+    lifts = _spin_lifts(isotropy_group(spec).signs)
+    return frozenset(UnitQuaternion(*u) for u in _lifted_orbits(q.vector[None], lifts)[0])
 
 
 @dataclass(frozen=True)

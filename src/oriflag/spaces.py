@@ -23,9 +23,10 @@ from .flagspec import (
     FlagSpecParseError,
     OrderedPartition,
     SetPartition,
-    _isotropy_signs,
+    isotropy_group,
     parse_flagspec,
 )
+from .quatcover import _spin_lifts
 
 
 class UnsupportedSpaceError(ValueError):
@@ -113,30 +114,6 @@ class Kernel:
 _ROTATION_FAMILIES = {(1, 1): "point", (1, 3): "so3", (2, 3): "partial-flag", (4, 3): "full-flag"}
 
 
-# H: row c is the diagonal of x -> e_c x conj(e_c) on the quaternions for
-# e_c = 1, i, j, k; it fixes 1 and e_c and negates the other two axes. H is
-# symmetric with H H = 4 I.
-_CONJUGATIONS = np.array([
-    [1.0, 1.0, 1.0, 1.0],
-    [1.0, 1.0, -1.0, -1.0],
-    [1.0, -1.0, 1.0, -1.0],
-    [1.0, -1.0, -1.0, 1.0],
-])
-
-
-def _spin_lifts(signs: np.ndarray) -> np.ndarray:
-    """The lift table of :class:`Kernel` for (|SG|, n) det +1 sign rows, n = 3 or 4.
-
-    Every such row is a row of H = ``_CONJUGATIONS`` up to sign. For n = 3 it
-    is H[c] on the imaginary axes, so (1, s) H / 4 = e_c. For n = 4 it is
-    s = s0 H[c], so u = s H / 4 = s0 e_c and v = |u| = e_c.
-    """
-    if signs.shape[1] == 3:
-        return (1.0 + signs @ _CONJUGATIONS[1:]) / 4.0
-    u = signs @ _CONJUGATIONS / 4.0
-    return np.stack([u, np.abs(u)], axis=1)
-
-
 def classify(space: FlagSpec) -> Kernel:
     """Map a space to its sampling/distance kernel, or raise if unsupported.
 
@@ -154,7 +131,7 @@ def _classify(space: FlagSpec) -> Kernel:
     parts = space.lam.parts
     # All ones first, so lambda = (1,) is SO(1): a rotation kernel of family "point".
     if all(p == 1 for p in parts):
-        signs = _isotropy_signs(space)
+        signs = isotropy_group(space).signs
         lifts = _spin_lifts(signs) if signs.shape[1] in (3, 4) else None
         return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, lifts)
     if len(parts) == 1:

@@ -118,6 +118,27 @@ def test_full_flag_quadrature_convergence():
         prev = cur
 
 
+def _mpmath_full_flag(mp):
+    """3 pi/2 + (96 / pi^2) times the integral of the full-flag integrand, in mpmath."""
+    def integrand(phi3):
+        sec = mp.sec(phi3)
+        root = mp.sqrt(1 + sec * sec)
+        return mp.atan(mp.tan(mp.atan(sec) / 2) ** 2) - mp.atan(root) ** 2 / root
+    return 3 * mp.pi / 2 + 96 / mp.pi**2 * mp.quad(integrand, [0, mp.pi / 4])
+
+
+def test_full_flag_against_mpmath_integral():
+    # independent of the GK15 rule and its error heuristic: tanh-sinh at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        exact = _mpmath_full_flag(mp)
+        assert abs(exact - mp.mpf("1.3117250347224445929")) <= mp.mpf("1e-19")
+        for k in range(6, 14):
+            res = expected_distance_full_flag(10.0**-k)
+            assert abs(mp.mpf(res.value) - exact) <= res.abs_error_bound, k
+
+
 def test_full_flag_agrees_with_monte_carlo():
     est = estimate_expected_distance(SPACE_ALIASES["full-flag"], 200_000, seed=2024)
     assert abs(est.mean - FULL_FLAG_REFERENCE) <= 5 * est.stderr

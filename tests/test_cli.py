@@ -385,6 +385,14 @@ def test_convergence_trivial_flag_is_exactly_zero(capsys):
         assert mean == "0" and stderr == "0" and err == "0"
 
 
+def test_convergence_unsupported_space_prints_nothing(capsys):
+    code, out, err = run(capsys, "convergence", "--space", "lambda=2,2 P={1,2}",
+                         "--n-list", "10,20")
+    assert code == 3
+    assert out == ""
+    assert "unsupported" in err
+
+
 def test_convergence_rejects_bad_lists(capsys):
     code, _out, _err = run(capsys, "convergence", "--space", "so3", "--n-list", "100,50")
     assert code == 2

@@ -211,19 +211,19 @@ def test_klein_four_group():
         (1.0, -1.0, -1.0),
         (-1.0, 1.0, -1.0),
     }
-    assert {tuple(np.diag(e.matrix)) for e in iso.elements} == expected
+    assert {tuple(r) for r in iso.signs.tolist()} == expected
 
 
 def test_partial_flag_isotropy_groups():
     got1 = isotropy_group(spec((1, 1, 1), [(1,), (2, 3)]))
-    assert {tuple(np.diag(e.matrix)) for e in got1.elements} == {(1, 1, 1), (1, -1, -1)}
+    assert {tuple(r) for r in got1.signs.tolist()} == {(1, 1, 1), (1, -1, -1)}
     got2 = isotropy_group(spec((1, 1, 1), [(2,), (1, 3)]))
-    assert {tuple(np.diag(e.matrix)) for e in got2.elements} == {(1, 1, 1), (-1, 1, -1)}
+    assert {tuple(r) for r in got2.signs.tolist()} == {(1, 1, 1), (-1, 1, -1)}
     got3 = isotropy_group(spec((1, 1, 1), [(3,), (1, 2)]))
-    assert {tuple(np.diag(e.matrix)) for e in got3.elements} == {(1, 1, 1), (-1, -1, 1)}
+    assert {tuple(r) for r in got3.signs.tolist()} == {(1, 1, 1), (-1, -1, 1)}
     complete = isotropy_group(spec((1, 1, 1), [(1,), (2,), (3,)]))
     assert complete.order == 1
-    assert np.array_equal(complete.elements[0].matrix, np.eye(3))
+    assert np.array_equal(complete.signs[0], np.ones(3))
 
 
 def test_isotropy_order_and_closure():
@@ -236,14 +236,15 @@ def test_isotropy_order_and_closure():
         s = spec(parts, blocks)
         iso = isotropy_group(s)
         assert iso.order == 2 ** (s.lam.k - s.p.size)
-        dets = [np.linalg.det(e.matrix) for e in iso.elements]
-        assert np.allclose(dets, 1.0, atol=1e-10)
-        # exhaustive multiplication table stays inside the group
-        keys = {e.matrix.tobytes() for e in iso.elements}
-        for a in iso.elements:
-            assert (a.matrix @ a.matrix.T).tobytes() in {np.eye(s.n).tobytes()}
-            for b in iso.elements:
-                assert (a.matrix @ b.matrix).tobytes() in keys
+        # a diagonal sign matrix's determinant is its row product, exactly
+        assert (iso.signs.prod(axis=1) == 1.0).all()
+        # exhaustive multiplication table stays inside the group; each
+        # element is its own inverse
+        keys = {tuple(r) for r in iso.signs.tolist()}
+        for a in iso.signs:
+            assert (a * a == 1.0).all()
+            for b in iso.signs:
+                assert tuple((a * b).tolist()) in keys
 
 
 def set_partitions(k):
@@ -266,7 +267,7 @@ def test_isotropy_group_matches_sign_enumeration_for_small_k():
                 list(signs) for signs in itertools.product((1.0, -1.0), repeat=k)
                 if all(math.prod(signs[i - 1] for i in b) > 0 for b in blocks)
             ]
-            got = isotropy_group(spec((1,) * k, blocks)).diagonal_signs()
+            got = isotropy_group(spec((1,) * k, blocks)).signs
             assert got.tolist() == expected, blocks
             count += 1
     assert count == 1 + 2 + 5 + 15 + 52 + 203
@@ -282,7 +283,7 @@ def test_isotropy_group_matches_sign_enumeration_for_small_k():
 ], ids=["so1", "full-flag", "interleaved", "mixed", "so40", "two-blocks-of-six"])
 def test_isotropy_group_lists_each_element_once_in_descending_order(parts, blocks):
     s = spec(parts, blocks)
-    signs = isotropy_group(s).diagonal_signs()
+    signs = isotropy_group(s).signs
     assert signs.shape == (2 ** (s.lam.k - s.p.size), s.lam.k)
     rows = [tuple(r) for r in signs.tolist()]
     assert len(set(rows)) == len(rows)
@@ -298,8 +299,34 @@ def test_isotropy_rejects_continuous_case():
 
 
 def test_finite_isotropy_requires_identity():
-    with pytest.raises(TypeError):
-        FiniteIsotropy((spec((1, 1, 1), [(1, 2, 3)]),))  # type: ignore[arg-type]
-    from oriflag.orthogonal import Rotation
+    with pytest.raises(ValueError, match="identity"):
+        FiniteIsotropy(np.array([[1.0, -1.0, -1.0]]))
+    with pytest.raises(ValueError, match="identity"):
+        FiniteIsotropy(np.array([[-1.0, -1.0, 1.0], [1.0, -1.0, -1.0]]))
+    assert FiniteIsotropy(np.array([[1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])).order == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]],  # row product -1: determinant -1
+    [[1.0, 1.0, 1.0], [2.0, 0.5, 1.0]],  # product +1 but not a sign
+    [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+    [1.0, 1.0, 1.0],  # 1-D
+    np.ones((0, 3)),  # empty
+    np.ones((1, 0)),
+], ids=["det-minus-one", "not-a-sign", "zero", "one-dimensional", "no-rows", "no-columns"])
+def test_finite_isotropy_rejects_bad_sign_rows(rows):
     with pytest.raises(ValueError):
-        FiniteIsotropy((Rotation(np.diag([1.0, -1.0, -1.0])),))
+        FiniteIsotropy(np.array(rows))
+
+
+def test_finite_isotropy_is_read_only_and_hashable():
+    rows = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+    iso = FiniteIsotropy(rows)
+    assert (iso.order, iso.n) == (2, 3)
+    assert not iso.signs.flags.writeable
+    with pytest.raises(ValueError):
+        iso.signs[0, 0] = -1.0
+    rows[1, 1] = 1.0  # the group holds its own copy
+    assert iso.signs[1].tolist() == [-1.0, -1.0, 1.0]
+    assert {iso: "kept"}[iso] == "kept"
+    assert iso != FiniteIsotropy(iso.signs)  # compared by identity

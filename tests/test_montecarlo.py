@@ -52,7 +52,7 @@ def test_quotient_distance_quarter_turn():
     # turn away from the identity, checked by brute force over the orbit
     eye = Rotation.identity(3)
     a = rot_x(math.pi / 2)
-    orbit = [a.matrix @ e.matrix for e in P1_GROUP.elements]
+    orbit = [a.matrix * s for s in P1_GROUP.signs]
     brute = [math.acos(np.clip((np.trace(m) - 1) / 2, -1, 1)) for m in orbit]
     assert brute == pytest.approx([math.pi / 2, math.pi / 2], abs=1e-12)
     assert abs(quotient_distance(a, eye, P1_GROUP) - math.pi / 2) <= 1e-10
@@ -76,8 +76,8 @@ def test_quotient_distance_invariant_on_cosets():
             a = random_special_orthogonal(3, gen)
             b = random_special_orthogonal(3, gen)
             base = quotient_distance(a, b, group)
-            for h in group.elements:
-                shifted = Rotation(a.matrix @ h.matrix)
+            for s in group.signs:
+                shifted = Rotation(a.matrix * s)
                 assert abs(quotient_distance(shifted, b, group) - base) <= 1e-10
 
 
@@ -264,7 +264,7 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
     for text in FLAGS_4:
         space = parse_space(text)
         iso = isotropy_group(space)
-        signs = iso.diagonal_signs()
+        signs = iso.signs
         d = sample_distances(space, 64, RngStream(88).generator())
         d2 = sample_distances(space, 64, RngStream(89).generator(), two_point=True)
         gen = RngStream(88).generator()

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from oriflag.flagspec import FlagSpec, OrderedPartition, SetPartition, isotropy_group
-from oriflag.montecarlo import quotient_distance
 from oriflag.orthogonal import (
     RngStream,
     Rotation,
+    _distances_to_identity,
     geodesic_distance,
     random_special_orthogonal,
     sample_rotation_matrices,
@@ -21,7 +21,9 @@ from oriflag.quatcover import (
     Hyperspherical,
     JoinCoords,
     UnitQuaternion,
+    _lifted_orbits,
     _lifts,
+    _spin_lifts,
     cartesian_to_hyperspherical,
     cartesian_to_join,
     hyperspherical_to_cartesian,
@@ -271,20 +273,17 @@ def test_full_flag_orbit_is_a_sixteen_cell():
 
 
 def test_quotient_distance_equals_twice_min_orbit_distance():
+    # 250 pairs per partition, the draws of 500 alternating random_special_orthogonal calls
     gen = RngStream(48).generator()
     for blocks in PARTITIONS_111.values():
-        s = spec_111(blocks)
-        iso = isotropy_group(s)
-        for _ in range(250):
-            a = random_special_orthogonal(3, gen)
-            b = random_special_orthogonal(3, gen)
-            orbit_a = lifted_orbit(s, rotation_to_quaternion(a))
-            orbit_b = lifted_orbit(s, rotation_to_quaternion(b))
-            upstairs = 2.0 * min(
-                sphere_distance(p, r) for p in orbit_a for r in orbit_b
-            )
-            downstairs = quotient_distance(a, b, iso)
-            assert abs(upstairs - downstairs) <= 1e-9
+        signs = isotropy_group(spec_111(blocks)).signs
+        mats = sample_rotation_matrices(3, 500, gen)
+        a, b = mats[0::2], mats[1::2]
+        lifts = _spin_lifts(signs)
+        dots = np.einsum("kiq,kjq->kij", _lifted_orbits(_lifts(a), lifts), _lifted_orbits(_lifts(b), lifts))
+        upstairs = 2.0 * np.arccos(np.clip(dots, -1.0, 1.0)).min(axis=(1, 2))
+        downstairs = _distances_to_identity(np.swapaxes(b, 1, 2) @ a, signs)
+        assert np.abs(upstairs - downstairs).max() <= 1e-9
 
 
 # ---------------------------------------------------------------- coordinates
