@@ -251,8 +251,8 @@ def covering_multiplicity(p: SetPartition, p_refined: SetPartition) -> int:
 class FiniteIsotropy:
     """A finite group of diagonal sign matrices as a read-only (order, n) array of +-1 rows.
 
-    Each row multiplies to +1 and the identity row is present. Instances
-    compare and hash by identity.
+    Each row multiplies to +1, the identity row is present, and the rows are
+    closed under products. Instances compare and hash by identity.
     """
 
     signs: np.ndarray
@@ -267,6 +267,8 @@ class FiniteIsotropy:
             raise ValueError("every isotropy sign row must multiply to +1")
         if not (signs == 1.0).all(axis=1).any():
             raise ValueError("isotropy group must contain the identity")
+        if not _is_sign_group(signs < 0.0):
+            raise ValueError("isotropy sign rows must be distinct and closed under products")
         signs.setflags(write=False)
         object.__setattr__(self, "signs", signs)
 
@@ -277,6 +279,31 @@ class FiniteIsotropy:
     @property
     def n(self) -> int:
         return self.signs.shape[1]
+
+
+def _is_sign_group(neg: np.ndarray) -> bool:
+    """Whether the rows of ``neg`` (True where a sign is -1) form a group.
+
+    A sign product is a sum over GF(2), so the rows lie in their GF(2) span,
+    a group of 2^rank elements; they are all of it, and hence a group,
+    exactly when they are distinct and that many. The rank is taken over the
+    columns, each packed into one integer with a bit per row.
+    """
+    rows = np.packbits(neg, axis=1)
+    # Sorted with lexsort: np.unique(axis=0) is slower and imports numpy.ma.
+    rows = rows[np.lexsort(rows.T)]
+    if not (rows[1:] != rows[:-1]).any(axis=1).all():
+        return False
+    pivots: dict[int, int] = {}
+    for col in np.packbits(neg, axis=0).T:
+        x = int.from_bytes(col.tobytes(), "big")
+        while x:
+            top = x.bit_length()
+            if top not in pivots:
+                pivots[top] = x
+                break
+            x ^= pivots[top]
+    return len(neg) == 1 << len(pivots)
 
 
 def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:

@@ -8,9 +8,9 @@ sphere and projective plane, and otherwise a rotation: for n = 3 and n = 4 a
 point of the spin cover (a unit quaternion q covering x -> q x conj(q), or a
 pair (p, q) covering x -> p x conj(q); Shoemake, Graphics Gems III, 1992;
 Conway & Smith, On Quaternions and Octonions, 2003, ch. 4), for any other n a
-product of Householder reflections, whose rotation angles come from a
-symmetric eigensolve. On quotients by a finite isotropy group the distance is
-the minimum over the orbit of the sample. Estimates carry a standard error
+product of Householder reflections, whose distance comes from the eigenvalues
+of its symmetric part. On quotients by a finite isotropy group the distance
+is the minimum over the orbit of the sample. Estimates carry a standard error
 from a streaming (count, mean, M2) aggregation, and work is split into
 per-worker substreams whose merge is independent of execution order, so a
 fixed (seed, workers, N) reproduces the estimate bit for bit within one
@@ -39,9 +39,10 @@ from .quatcover import _mul_raw
 from .spaces import Kernel, classify
 
 _BATCH = 1 << 17
-# Memory for the (count, n, n) float stacks of one matrix batch. At most five
-# are alive at once (the rotations, one orbit product, its eigenvectors, its
-# skew part and their product); _STACKS leaves room for one more.
+# Memory for the (count, n, n) float stacks of one matrix batch. At most three
+# are alive at once (the rotations, one orbit product and its symmetric part;
+# or two draws and their product), plus the eigenpair fallback's stacks of its
+# few samples. _STACKS stays at six, so the batch layout does not change.
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
@@ -136,7 +137,7 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     n = kern.signs.shape[1]
     # A diag(s) B^T is similar to B^T A diag(s), so the product with B is
     # taken once, and A and B are dropped before the orbit minimum; one
-    # batched symmetric eigensolve per isotropy element.
+    # batched symmetric eigenvalue solve per isotropy element.
     rel = sample_rotation_matrices(n, count, gen)
     if two_point:
         rel = np.swapaxes(sample_rotation_matrices(n, count, gen), 1, 2) @ rel
@@ -224,7 +225,7 @@ def estimate_expected_distance(
     kern = classify(space)
     sizes = _chunk_sizes(n_samples, workers)
     # Chunks fix the result; threads only run them, so never more than cores.
-    threads = min(len(sizes), os.cpu_count() or 1)
+    threads = 1 if len(sizes) == 1 else min(len(sizes), os.cpu_count() or 1)
     if threads == 1:
         parts = [_chunk_stats(kern, seed, i, size, two_point) for i, size in enumerate(sizes)]
     else:

@@ -4,9 +4,14 @@ A Haar rotation is a product of Householder reflections of uniform unit
 vectors, sign-fixed to determinant +1 (Stewart 1980; Mezzadri 2007). The
 geodesic distance between rotations A and B is ``sqrt(0.5 * sum |log mu_k|^2)``
 over the eigenvalues ``mu_k`` of ``A B^T``, the root-sum-square of its
-rotation angles. One batched symmetric eigensolve gives them: the symmetric
-part of a rotation has eigenvalues cos(theta_k), and its skew part K has
-|K v_k| = sin(theta_k) on their eigenvectors v_k.
+rotation angles. The symmetric part of a rotation has eigenvalues
+cos(theta_k), so one batched symmetric eigenvalue solve gives the distance:
+``d^2 = 0.5 * sum arccos(c_k / 2)^2`` over the eigenvalues ``c_k`` of
+``m + m^T``. Where arccos is ill-conditioned, an angle near pi or a distance
+near 0, the angles come from the eigenpairs instead: the skew part K has
+|K v_k| = sin(theta_k) on the eigenvectors v_k, and
+``theta_k = atan2(|K v_k|, c_k)``. ``rotation_angles``, which returns each
+angle, always takes the eigenpair route.
 """
 
 from __future__ import annotations
@@ -23,6 +28,15 @@ _MIN_NORM = 1e-8
 # Within this of +-1 cos is too flat to separate rotation planes; outside it
 # the symmetric route's angle error is below eps / sqrt(2 * _FLAT_COS) = 5e-15.
 _FLAT_COS = 1e-3
+# eigvalsh gives each c = 2 cos(theta) to within dc = 2e-15 (the largest error
+# measured up to n = 12), and arccos(c / 2) turns that into an angle error of
+# dc / (2 sin theta). Above c = -2 + _NEAR_PI, sin theta > sqrt(_NEAR_PI) =
+# 0.02, so the distance is good to 5e-14. An angle near 0 puts at most dc / 2
+# into d^2, and d takes that as n dc / (4 d): 6e-14 at n = 12 for d above
+# _SHORT. Samples with an angle nearer pi, or a shorter distance, take the
+# eigenpair route, whose atan2 stays well-conditioned there.
+_NEAR_PI = 4e-4
+_SHORT = 0.1
 _IDENTITY_ROW = np.ones((1, 1))
 
 
@@ -188,12 +202,23 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray = _IDENTITY_ROW) -> 
 
     ``signs`` are (|SG|, n) det +1 rows, by default the identity row. Column
     sign flips leave the LU determinant bit-identical, so m is checked once.
+    Each distance comes from the eigenvalues of the symmetric part alone,
+    except in the zones set by ``_NEAR_PI`` and ``_SHORT``, whose samples are
+    measured again from the eigenpairs.
     """
     _require_rotations(m)
     best = np.inf
     for s in signs:
-        theta = _eigen_angles(m * s)
-        best = np.minimum(best, np.sqrt(0.5 * (theta * theta).sum(axis=-1)))
+        ms = m * s
+        cos2 = np.linalg.eigvalsh(ms + np.swapaxes(ms, -1, -2))
+        theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
+        d = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+        # eigvalsh sorts ascending, so column 0 holds the angle nearest pi.
+        redo = (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
+        if redo.any():
+            theta = _eigen_angles(ms[redo])
+            d[redo] = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+        best = np.minimum(best, d)
     return best
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oriflag import cli
+from oriflag import __version__, cli
 from oriflag.analytic import FULL_FLAG_MIN_TOL
 from oriflag.cli import main
 from oriflag.flagspec import flag_volume
@@ -412,7 +412,7 @@ def test_manifest_fields_present(capsys):
     for key in ("schema", "command", "space", "n", "seed", "workers",
                 "version", "wall_time_s", "result"):
         assert key in report
-    assert report["version"]
+    assert report["version"] == __version__
 
 
 def test_manifest_reproducible_result_payload(capsys):

@@ -319,6 +319,35 @@ def test_finite_isotropy_rejects_bad_sign_rows(rows):
         FiniteIsotropy(np.array(rows))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, -1.0, -1.0]],  # the product of the last two is missing
+    [[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]],  # a repeated row
+    [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+], ids=["not-closed", "repeated-row", "repeated-identity"])
+def test_finite_isotropy_rejects_rows_that_are_not_a_group(rows):
+    with pytest.raises(ValueError, match="closed under products"):
+        FiniteIsotropy(np.array(rows))
+
+
+def test_finite_isotropy_accepts_exactly_the_subgroups():
+    # oracle: the multiplication table of every identity-led subset of the
+    # eight det +1 sign rows of n = 4
+    even = [r for r in itertools.product((1.0, -1.0), repeat=4) if math.prod(r) == 1.0]
+    accepted = 0
+    for mask in range(1 << 7):
+        rows = [even[0]] + [r for i, r in enumerate(even[1:]) if mask >> i & 1]
+        keys = set(rows)
+        closed = all(tuple(x * y for x, y in zip(a, b)) in keys for a in rows for b in rows)
+        if closed:
+            assert FiniteIsotropy(np.array(rows)).order == len(rows)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="closed under products"):
+                FiniteIsotropy(np.array(rows))
+    # subgroups of (Z/2)^3: 1 + 7 + 7 + 1
+    assert accepted == 16
+
+
 def test_finite_isotropy_is_read_only_and_hashable():
     rows = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
     iso = FiniteIsotropy(rows)

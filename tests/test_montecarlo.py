@@ -166,6 +166,25 @@ def test_bit_for_bit_determinism():
     assert np.array_equal(arr1, arr2)
 
 
+@pytest.mark.parametrize("text", ["so5", "lambda=1,1,1,1,1 P={1,2}{3,4,5}"])
+def test_bit_for_bit_determinism_on_the_matrix_path(text):
+    space = parse_space(text)
+    for workers in (1, 3):
+        for two_point in (False, True):
+            a = estimate_expected_distance(space, 2_000, seed=9, workers=workers, two_point=two_point)
+            b = estimate_expected_distance(space, 2_000, seed=9, workers=workers, two_point=two_point)
+            assert a == b
+
+
+def test_one_chunk_does_not_ask_for_the_cpu_count(monkeypatch):
+    def unexpected():
+        raise AssertionError("os.cpu_count called for a single chunk")
+
+    monkeypatch.setattr(os, "cpu_count", unexpected)
+    for space, workers, n in (("so5", 1, 100), ("so4", 1, 100), ("s2", 4, 1)):
+        estimate_expected_distance(parse_space(space), n, seed=2, workers=workers)
+
+
 def test_threads_capped_at_cpu_count(monkeypatch):
     import oriflag.montecarlo as mc
 

@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from oriflag.flagspec import isotropy_group, parse_flagspec
 from oriflag.orthogonal import (
+    _NEAR_PI,
+    _SHORT,
     RngStream,
     Rotation,
     _distances_to_identity,
+    _eigen_angles,
     geodesic_distance,
     random_special_orthogonal,
     rotation_angles,
@@ -201,12 +205,51 @@ def test_distance_against_eigenvalue_log_oracle():
     assert abs(geodesic_distance(np.diag([-1.0, -1, 1]), np.eye(3)) - math.pi) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def eigvals_distances(m):
+    """Oracle: distances from the arguments of the eigenvalues of the nonsymmetric solver."""
+    return np.sqrt(0.5 * (np.angle(np.linalg.eigvals(m)) ** 2).sum(axis=-1))
+
+
+def eigenpair_distances(m):
+    """The eigenpair route that measured every sample up to version 0.3.0."""
+    theta = _eigen_angles(m)
+    return np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+
+
+def in_fallback_zone(m):
+    """Samples whose distance the eigenvalue route hands to the eigenpair route."""
+    cos2 = np.linalg.eigvalsh(m + np.swapaxes(m, -1, -2))
+    theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
+    d = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+    return (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
 def test_distances_match_eigenvalue_arguments_on_haar_draws(n):
-    # oracle: the arguments of the eigenvalues from the nonsymmetric solver
     m = sample_rotation_matrices(n, 10_000, RngStream(60 + n).generator())
-    oracle = np.sqrt(0.5 * (np.angle(np.linalg.eigvals(m)) ** 2).sum(axis=1))
-    assert np.abs(_distances_to_identity(m) - oracle).max() <= 1e-13
+    assert np.abs(_distances_to_identity(m) - eigvals_distances(m)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_orbit_distances_match_oracle_on_full_flag_rows(n):
+    full_flag = f"lambda={','.join(['1'] * n)} P={{{','.join(map(str, range(1, n + 1)))}}}"
+    signs = isotropy_group(parse_flagspec(full_flag)).signs
+    assert len(signs) == 2 ** (n - 1)
+    m = sample_rotation_matrices(n, 1_000, RngStream(70 + n).generator())
+    oracle = np.full(len(m), np.inf)
+    for s in signs:
+        each = eigvals_distances(m * s)
+        assert np.abs(_distances_to_identity(m * s) - each).max() <= 1e-13
+        oracle = np.minimum(oracle, each)
+    assert np.abs(_distances_to_identity(m, signs) - oracle).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_fallback_samples_are_bit_identical_to_the_eigenpair_route(n):
+    m = sample_rotation_matrices(n, 4_000, RngStream(80 + n).generator())
+    zone = in_fallback_zone(m)
+    assert zone.any() and not zone.all()
+    assert np.array_equal(_distances_to_identity(m)[zone], eigenpair_distances(m)[zone])
 
 
 def planted_rotation(gen, angles, n):
@@ -232,6 +275,33 @@ def test_angles_and_distance_against_planted_blocks(n):
         expected = np.sort(angles)[::-1]
         assert np.abs(rotation_angles(m) - expected).max() <= 1e-10
         assert abs(geodesic_distance(m, np.eye(n)) - math.sqrt(np.sum(angles ** 2))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_planted_angle_on_both_sides_of_the_near_pi_boundary(n):
+    # the boundary sits at pi - sqrt(_NEAR_PI) = pi - 0.02
+    gen = RngStream(27).generator()
+    offsets = (5e-2, 3e-2, 2.2e-2, 1.8e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+    m = np.array([planted_rotation(gen, [math.pi - off] + list(gen.uniform(0.0, math.pi, n // 2 - 1)), n)
+                  for off in offsets for _ in range(20)])
+    zone = in_fallback_zone(m)
+    assert zone.any() and not zone.all()
+    assert np.abs(_distances_to_identity(m) - eigvals_distances(m)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_planted_small_angles_on_both_sides_of_the_short_boundary(n):
+    # equal angles a with d = a sqrt(n // 2) from well below _SHORT to above it
+    gen = RngStream(28).generator()
+    scales = (1e-7, 1e-5, 1e-3, 0.5, 0.9, 1.1, 2.0)
+    m = np.array([planted_rotation(gen, [scale * _SHORT / math.sqrt(n // 2)] * (n // 2), n)
+                  for scale in scales for _ in range(20)])
+    zone = in_fallback_zone(m)
+    assert zone.any() and not zone.all()
+    assert np.abs(_distances_to_identity(m) - eigvals_distances(m)).max() <= 1e-13
+    small = np.array([planted_rotation(gen, gen.uniform(0.0, 1e-3, n // 2), n) for _ in range(100)])
+    assert in_fallback_zone(small).all()
+    assert np.abs(_distances_to_identity(small) - eigvals_distances(small)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -305,6 +375,13 @@ def test_left_invariance():
             d1 = geodesic_distance(g[0] @ g[1], g[0] @ g[2])
             d2 = geodesic_distance(g[1], g[2])
             assert abs(d1 - d2) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_distance_to_itself(n):
+    assert geodesic_distance(np.eye(n), np.eye(n)) == 0.0
+    for a in sample_rotation_matrices(n, 50, RngStream(34).generator()):
+        assert geodesic_distance(a, a) <= 1e-15
 
 
 def test_symmetry_and_identity_of_indiscernibles():
