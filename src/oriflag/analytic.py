@@ -29,9 +29,10 @@ from .spaces import UnsupportedSpaceError, classify, space_label
 from .symbolic import PiExpression
 
 FULL_FLAG_TAG = "full-flag-quadrature"
-# Smallest tolerance the full-flag quadrature accepts: below it double
-# precision cannot meet the bound.
+# Smallest tolerances the full- and partial-flag quadratures accept: below
+# them double precision cannot meet the bound.
 FULL_FLAG_MIN_TOL = 1e-13
+PARTIAL_FLAG_MIN_TOL = 1e-12
 
 # Closed-form expected distance by kernel family; the full flag has none.
 _EXPECTATIONS = {
@@ -121,8 +122,8 @@ def expected_distance_partial_flag_integral(tol: float) -> float:
     (16/pi) times the integral of arccos(cos a cos t1) cos a sin a over
     a in [0, pi/2], t1 in [0, pi/4]; equals 1 + pi/4.
     """
-    if tol < 1e-12:
-        raise ValueError(f"tolerance must be >= 1e-12, got {tol:g}")
+    if tol < PARTIAL_FLAG_MIN_TOL:
+        raise ValueError(f"tolerance must be >= {PARTIAL_FLAG_MIN_TOL:g}, got {tol:g}")
 
     def f(theta1: float, alphas: np.ndarray) -> np.ndarray:
         cos_a = np.cos(alphas)
@@ -197,6 +198,7 @@ __all__ = [
     "ClosedForm",
     "FULL_FLAG_MIN_TOL",
     "FULL_FLAG_TAG",
+    "PARTIAL_FLAG_MIN_TOL",
     "QuadratureError",
     "QuadratureResult",
     "analytic_expected_distance",

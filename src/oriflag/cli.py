@@ -21,6 +21,7 @@ import time
 from . import __version__
 from .analytic import (
     FULL_FLAG_MIN_TOL,
+    PARTIAL_FLAG_MIN_TOL,
     QuadratureError,
     analytic_expected_distance,
     expected_distance_full_flag,
@@ -118,29 +119,29 @@ def _expected_one(space: FlagSpec, mode: str, args, seed) -> dict:
         return {"mode": "analytic", "symbolic": cf.tag, "value": cf.value}
     if mode == "quadrature":
         family = classify(space).family
-        if family == "full-flag":
-            if args.tol < FULL_FLAG_MIN_TOL:
-                raise UsageError(
-                    f"--tol must be >= {FULL_FLAG_MIN_TOL:g} for the full flag, got {args.tol:g}"
-                )
-            quad = expected_distance_full_flag(args.tol)
+        min_tol = {"full-flag": FULL_FLAG_MIN_TOL, "partial-flag": PARTIAL_FLAG_MIN_TOL}.get(family)
+        if min_tol is None:
+            raise UsageError(
+                f"quadrature mode applies to the full or partial flags, not {space_label(space)}"
+            )
+        if args.tol < min_tol:
+            raise UsageError(
+                f"--tol must be >= {min_tol:g} for the {family} quadrature, got {args.tol:g}"
+            )
+        if family == "partial-flag":
             return {
                 "mode": "quadrature",
-                "value": quad.value,
-                "abs_error_bound": quad.abs_error_bound,
-                "evaluations": quad.evaluations,
+                "value": expected_distance_partial_flag_integral(args.tol),
                 "tol": args.tol,
             }
-        if family == "partial-flag":
-            tol = max(args.tol, 1e-12)
-            return {
-                "mode": "quadrature",
-                "value": expected_distance_partial_flag_integral(tol),
-                "tol": tol,
-            }
-        raise UsageError(
-            f"quadrature mode applies to the full or partial flags, not {space_label(space)}"
-        )
+        quad = expected_distance_full_flag(args.tol)
+        return {
+            "mode": "quadrature",
+            "value": quad.value,
+            "abs_error_bound": quad.abs_error_bound,
+            "evaluations": quad.evaluations,
+            "tol": args.tol,
+        }
     est = estimate_expected_distance(
         space, args.n, seed=seed, workers=args.workers, two_point=args.two_point
     )

@@ -41,8 +41,9 @@ from .spaces import Kernel, classify
 _BATCH = 1 << 17
 # Memory for the (count, n, n) float stacks of one matrix batch. At most three
 # are alive at once (the rotations, one orbit product and its symmetric part;
-# or two draws and their product), plus the eigenpair fallback's stacks of its
-# few samples. _STACKS stays at six, so the batch layout does not change.
+# or two draws and their product), plus the copy of the few zone samples that
+# the general eigenvalue solve measures. _STACKS stays at six, so the batch
+# layout does not change.
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
@@ -69,16 +70,16 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
 
     The minimum of geodesic_distance(a hj, b) over the group elements hj;
     symmetric and well-defined on cosets because the metric is bi-invariant
-    and the group is closed under products and inverses. The whole orbit
-    a hj b^T is one stack, so one batched eigensolve measures it.
+    and the group is closed under products and inverses. a hj b^T is similar
+    to b^T a hj, so this is the orbit minimum of b^T a that the Monte Carlo
+    kernel takes.
     """
     ma, mb = _matrix_of(a), _matrix_of(b)
     if ma.shape != mb.shape or ma.shape[0] != h.n:
         raise ValueError(
             f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={h.n}"
         )
-    orbit = (ma * h.signs[:, None, :]) @ mb.T
-    return float(_distances_to_identity(orbit).min())
+    return float(_distances_to_identity((mb.T @ ma)[None], h.signs)[0])
 
 
 def sphere_point(rng) -> np.ndarray:

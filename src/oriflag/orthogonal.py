@@ -8,10 +8,11 @@ rotation angles. The symmetric part of a rotation has eigenvalues
 cos(theta_k), so one batched symmetric eigenvalue solve gives the distance:
 ``d^2 = 0.5 * sum arccos(c_k / 2)^2`` over the eigenvalues ``c_k`` of
 ``m + m^T``. Where arccos is ill-conditioned, an angle near pi or a distance
-near 0, the angles come from the eigenpairs instead: the skew part K has
-|K v_k| = sin(theta_k) on the eigenvectors v_k, and
-``theta_k = atan2(|K v_k|, c_k)``. ``rotation_angles``, which returns each
-angle, always takes the eigenpair route.
+near 0, the angles are ``|arg mu_k|`` of the general eigenvalues instead. A
+rotation is normal, so its eigenvalues are perfectly conditioned (Bauer-Fike;
+Golub & Van Loan, Matrix Computations, 7.2) and their arguments are accurate
+at 0, at pi and where planes crowd together. ``rotation_angles``, which
+returns each angle, always takes that route.
 """
 
 from __future__ import annotations
@@ -25,16 +26,13 @@ DETERMINANT_TOL = 1e-10
 
 # Gaussian draws shorter than this are redrawn before normalization.
 _MIN_NORM = 1e-8
-# Within this of +-1 cos is too flat to separate rotation planes; outside it
-# the symmetric route's angle error is below eps / sqrt(2 * _FLAT_COS) = 5e-15.
-_FLAT_COS = 1e-3
 # eigvalsh gives each c = 2 cos(theta) to within dc = 2e-15 (the largest error
 # measured up to n = 12), and arccos(c / 2) turns that into an angle error of
 # dc / (2 sin theta). Above c = -2 + _NEAR_PI, sin theta > sqrt(_NEAR_PI) =
 # 0.02, so the distance is good to 5e-14. An angle near 0 puts at most dc / 2
 # into d^2, and d takes that as n dc / (4 d): 6e-14 at n = 12 for d above
 # _SHORT. Samples with an angle nearer pi, or a shorter distance, take the
-# eigenpair route, whose atan2 stays well-conditioned there.
+# arguments of the general eigenvalues, which stay well-conditioned there.
 _NEAR_PI = 4e-4
 _SHORT = 0.1
 _IDENTITY_ROW = np.ones((1, 1))
@@ -182,19 +180,9 @@ def _require_rotations(m: np.ndarray) -> None:
         raise ArithmeticError("determinant is not +1; input is not in SO(n)")
 
 
-def _eigen_angles(m: np.ndarray) -> np.ndarray:
-    """Rotation angles in [0, pi] of a (k, n, n) stack of SO(n) matrices, one per eigenvalue."""
-    mt = np.swapaxes(m, -1, -2)
-    # Twice the symmetric and skew parts; atan2 ignores the factor 2.
-    cos2, v = np.linalg.eigh(m + mt)
-    theta = np.arctan2(np.linalg.norm((m - mt) @ v, axis=-2), cos2)
-    # At 0 and pi the eigenvectors of two planes (or a plane and the lone axis
-    # of odd n) mix; those matrices, rare in Haar draws, take eigvals instead.
-    ends = 2.0 - 2.0 * _FLAT_COS
-    crowded = ((cos2 > ends).sum(axis=-1) > 2) | ((cos2 < -ends).sum(axis=-1) > 2)
-    if crowded.any():
-        theta[crowded] = np.abs(np.angle(np.linalg.eigvals(m[crowded])))
-    return theta
+def _angles(m: np.ndarray) -> np.ndarray:
+    """Rotation angles in [0, pi] of an SO(n) matrix or stack of them, one per eigenvalue."""
+    return np.abs(np.angle(np.linalg.eigvals(m)))
 
 
 def _distances_to_identity(m: np.ndarray, signs: np.ndarray = _IDENTITY_ROW) -> np.ndarray:
@@ -204,7 +192,7 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray = _IDENTITY_ROW) -> 
     sign flips leave the LU determinant bit-identical, so m is checked once.
     Each distance comes from the eigenvalues of the symmetric part alone,
     except in the zones set by ``_NEAR_PI`` and ``_SHORT``, whose samples are
-    measured again from the eigenpairs.
+    measured again from the arguments of the general eigenvalues.
     """
     _require_rotations(m)
     best = np.inf
@@ -216,7 +204,7 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray = _IDENTITY_ROW) -> 
         # eigvalsh sorts ascending, so column 0 holds the angle nearest pi.
         redo = (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
         if redo.any():
-            theta = _eigen_angles(ms[redo])
+            theta = _angles(ms[redo])
             d[redo] = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
         best = np.minimum(best, d)
     return best
@@ -232,7 +220,7 @@ def rotation_angles(a) -> np.ndarray:
     """
     m = _matrix_of(a)
     _require_rotations(m)
-    theta = np.sort(_eigen_angles(m[None])[0])[::-1]
+    theta = np.sort(_angles(m))[::-1]
     return theta[: 2 * (m.shape[0] // 2) : 2]
 
 

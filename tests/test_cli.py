@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oriflag import __version__, cli
-from oriflag.analytic import FULL_FLAG_MIN_TOL
+from oriflag.analytic import FULL_FLAG_MIN_TOL, PARTIAL_FLAG_MIN_TOL
 from oriflag.cli import main
 from oriflag.flagspec import flag_volume
 from oriflag.quatcover import UnitQuaternion, quaternion_to_rotation
@@ -181,6 +181,22 @@ def test_unreachable_numeric_volume_tolerance_is_a_usage_error(capsys, space):
 def test_quadrature_on_partial_flag_uses_double_integral(capsys):
     report = run_json(capsys, "quadrature", "--space", "partial-flag-2", "--tol", "1e-10")
     assert report["result"]["value"] == pytest.approx(1 + math.pi / 4, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("quadrature", "--space", "partial-flag-1", "--tol", "1e-13"),
+    ("expected", "--space", "partial-flag-1", "--mode", "quadrature", "--tol", "1e-13"),
+])
+def test_tolerance_below_partial_flag_floor_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{PARTIAL_FLAG_MIN_TOL:g}" in err
+
+
+def test_partial_flag_floor_tolerance_is_reported_as_given(capsys):
+    report = run_json(capsys, "quadrature", "--space", "partial-flag-1",
+                      "--tol", repr(PARTIAL_FLAG_MIN_TOL))
+    assert report["result"]["tol"] == PARTIAL_FLAG_MIN_TOL
 
 
 def test_quadrature_mode_rejected_for_closed_form_spaces(capsys):

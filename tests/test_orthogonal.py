@@ -11,7 +11,6 @@ from oriflag.orthogonal import (
     RngStream,
     Rotation,
     _distances_to_identity,
-    _eigen_angles,
     geodesic_distance,
     random_special_orthogonal,
     rotation_angles,
@@ -210,14 +209,8 @@ def eigvals_distances(m):
     return np.sqrt(0.5 * (np.angle(np.linalg.eigvals(m)) ** 2).sum(axis=-1))
 
 
-def eigenpair_distances(m):
-    """The eigenpair route that measured every sample up to version 0.3.0."""
-    theta = _eigen_angles(m)
-    return np.sqrt(0.5 * (theta * theta).sum(axis=-1))
-
-
 def in_fallback_zone(m):
-    """Samples whose distance the eigenvalue route hands to the eigenpair route."""
+    """Samples whose distance the symmetric route hands to the general eigenvalues."""
     cos2 = np.linalg.eigvalsh(m + np.swapaxes(m, -1, -2))
     theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
     d = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
@@ -246,10 +239,11 @@ def test_orbit_distances_match_oracle_on_full_flag_rows(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_fallback_samples_are_bit_identical_to_the_eigenpair_route(n):
+    # zone samples are measured by the same eigvals solve as the oracle
     m = sample_rotation_matrices(n, 4_000, RngStream(80 + n).generator())
     zone = in_fallback_zone(m)
     assert zone.any() and not zone.all()
-    assert np.array_equal(_distances_to_identity(m)[zone], eigenpair_distances(m)[zone])
+    assert np.array_equal(_distances_to_identity(m)[zone], eigvals_distances(m)[zone])
 
 
 def planted_rotation(gen, angles, n):
@@ -260,6 +254,15 @@ def planted_rotation(gen, angles, n):
         block[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c, -s], [s, c]]
     q = sample_rotation_matrices(n, 1, gen)[0]
     return q @ block @ q.T
+
+
+def planted_stack(gen, angle_rows, n):
+    """Planted rotations, one per row of angles, and their exact distances sqrt(sum theta^2).
+
+    A lazy ``angle_rows`` that draws from ``gen`` draws each row just before its Q.
+    """
+    pairs = [(planted_rotation(gen, row, n), math.sqrt(sum(t * t for t in row))) for row in angle_rows]
+    return np.array([m for m, _ in pairs]), np.array([d for _, d in pairs])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -282,11 +285,11 @@ def test_planted_angle_on_both_sides_of_the_near_pi_boundary(n):
     # the boundary sits at pi - sqrt(_NEAR_PI) = pi - 0.02
     gen = RngStream(27).generator()
     offsets = (5e-2, 3e-2, 2.2e-2, 1.8e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-    m = np.array([planted_rotation(gen, [math.pi - off] + list(gen.uniform(0.0, math.pi, n // 2 - 1)), n)
-                  for off in offsets for _ in range(20)])
+    m, exact = planted_stack(gen, ([math.pi - off] + list(gen.uniform(0.0, math.pi, n // 2 - 1))
+                                   for off in offsets for _ in range(20)), n)
     zone = in_fallback_zone(m)
     assert zone.any() and not zone.all()
-    assert np.abs(_distances_to_identity(m) - eigvals_distances(m)).max() <= 1e-13
+    assert np.abs(_distances_to_identity(m) - exact).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -294,14 +297,14 @@ def test_planted_small_angles_on_both_sides_of_the_short_boundary(n):
     # equal angles a with d = a sqrt(n // 2) from well below _SHORT to above it
     gen = RngStream(28).generator()
     scales = (1e-7, 1e-5, 1e-3, 0.5, 0.9, 1.1, 2.0)
-    m = np.array([planted_rotation(gen, [scale * _SHORT / math.sqrt(n // 2)] * (n // 2), n)
-                  for scale in scales for _ in range(20)])
+    m, exact = planted_stack(gen, ([scale * _SHORT / math.sqrt(n // 2)] * (n // 2)
+                                   for scale in scales for _ in range(20)), n)
     zone = in_fallback_zone(m)
     assert zone.any() and not zone.all()
-    assert np.abs(_distances_to_identity(m) - eigvals_distances(m)).max() <= 1e-13
-    small = np.array([planted_rotation(gen, gen.uniform(0.0, 1e-3, n // 2), n) for _ in range(100)])
+    assert np.abs(_distances_to_identity(m) - exact).max() <= 1e-13
+    small, exact = planted_stack(gen, (gen.uniform(0.0, 1e-3, n // 2) for _ in range(100)), n)
     assert in_fallback_zone(small).all()
-    assert np.abs(_distances_to_identity(small) - eigvals_distances(small)).max() <= 1e-13
+    assert np.abs(_distances_to_identity(small) - exact).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
