@@ -6,7 +6,8 @@ SO(3), and 0 on the trivial quotient. The full flag manifold has no known
 closed form; its expectation reduces to a one-dimensional integral evaluated
 here by adaptive quadrature (1.3117250347224445929 to twenty digits). The
 defining volume integrals in hyperspherical coordinates are also evaluated
-numerically as an independent check on the exact volume formula.
+numerically as an independent check on the exact volume formula. Every
+numeric value is a :class:`QuadratureResult`, carrying its error bound.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadrature import (
-    QuadratureError,
-    QuadratureResult,
-    adaptive_gauss_kronrod,
-    nested_double_integral,
-    nested_triple_integral,
-)
+from .quadrature import QuadratureError, QuadratureResult, adaptive_gauss_kronrod, nested_integral
 from .flagspec import FlagSpec
 from .spaces import UnsupportedSpaceError, classify, space_label
 from .symbolic import PiExpression
@@ -97,6 +92,11 @@ def full_flag_integrand(phi3):
     return out if out.ndim else float(out)
 
 
+def _scaled(raw: QuadratureResult, factor: float, offset: float = 0.0) -> QuadratureResult:
+    """``offset + factor * raw``, with the bound scaled alike."""
+    return QuadratureResult(offset + factor * raw.value, factor * raw.abs_error_bound, raw.evaluations)
+
+
 def expected_distance_full_flag(tol: float) -> QuadratureResult:
     """Expected distance between two random full flags, by adaptive quadrature.
 
@@ -109,14 +109,15 @@ def expected_distance_full_flag(tol: float) -> QuadratureResult:
         raise ValueError(f"tolerance must be >= {FULL_FLAG_MIN_TOL:g}, got {tol:g}")
     scale = 96.0 / math.pi**2
     raw = adaptive_gauss_kronrod(full_flag_integrand, 0.0, 0.25 * math.pi, tol / scale)
-    return QuadratureResult(
-        value=1.5 * math.pi + scale * raw.value,
-        abs_error_bound=scale * raw.abs_error_bound,
-        evaluations=raw.evaluations,
-    )
+    return _scaled(raw, scale, 1.5 * math.pi)
 
 
-def expected_distance_partial_flag_integral(tol: float) -> float:
+def _join_integrand(theta1: float, alphas: np.ndarray) -> np.ndarray:
+    cos_a = np.cos(alphas)
+    return np.arccos(np.clip(cos_a * math.cos(theta1), -1.0, 1.0)) * cos_a * np.sin(alphas)
+
+
+def expected_distance_partial_flag_integral(tol: float) -> QuadratureResult:
     """The join-coordinate double integral for the partial flag expectation.
 
     (16/pi) times the integral of arccos(cos a cos t1) cos a sin a over
@@ -124,21 +125,15 @@ def expected_distance_partial_flag_integral(tol: float) -> float:
     """
     if tol < PARTIAL_FLAG_MIN_TOL:
         raise ValueError(f"tolerance must be >= {PARTIAL_FLAG_MIN_TOL:g}, got {tol:g}")
-
-    def f(theta1: float, alphas: np.ndarray) -> np.ndarray:
-        cos_a = np.cos(alphas)
-        return np.arccos(np.clip(cos_a * math.cos(theta1), -1.0, 1.0)) * cos_a * np.sin(alphas)
-
-    inner = nested_double_integral(
-        f,
-        (0.0, 0.25 * math.pi),
-        lambda _theta1: (0.0, 0.5 * math.pi),
-        tol * math.pi / 16.0,
-    )
-    return 16.0 / math.pi * inner
+    ranges = ((0.0, 0.25 * math.pi), lambda _theta1: (0.0, 0.5 * math.pi))
+    return _scaled(nested_integral(_join_integrand, ranges, tol * math.pi / 16.0), 16.0 / math.pi)
 
 
-def _so3_measure(phi1: np.ndarray, phi2: float) -> np.ndarray:
+def _polar_area(_theta: float, phis: np.ndarray) -> np.ndarray:
+    return np.sin(phis)
+
+
+def _so3_measure(_phi3: float, phi2: float, phi1: np.ndarray) -> np.ndarray:
     return 8.0 * np.sin(phi1) ** 2 * math.sin(phi2)
 
 
@@ -147,7 +142,29 @@ def _arctan_sec(phi: float) -> float:
     return math.atan2(1.0, math.cos(phi))
 
 
-def numeric_volume(space: FlagSpec, tol: float = 1e-7) -> float:
+# family -> (multiple, integrand, ranges) of its volume integral.
+_VOLUME_INTEGRALS = {
+    "s2": (1.0, _polar_area, ((0.0, 2.0 * math.pi), lambda _theta: (0.0, math.pi))),
+    "rp2": (1.0, _polar_area, ((0.0, 2.0 * math.pi), lambda _theta: (0.0, 0.5 * math.pi))),
+    "so3": (1.0, _so3_measure, (
+        (0.0, 2.0 * math.pi),
+        lambda _phi3: (0.0, math.pi),
+        lambda _phi3, _phi2: (0.0, 0.5 * math.pi),
+    )),
+    "partial-flag": (2.0, _so3_measure, (
+        (0.0, 2.0 * math.pi),
+        lambda _phi3: (0.0, 0.5 * math.pi),
+        lambda _phi3, phi2: (0.0, _arctan_sec(phi2)),
+    )),
+    "full-flag": (48.0, _so3_measure, (
+        (0.0, 0.25 * math.pi),
+        lambda phi3: (0.0, _arctan_sec(phi3)),
+        lambda _phi3, phi2: (0.0, _arctan_sec(phi2)),
+    )),
+}
+
+
+def numeric_volume(space: FlagSpec, tol: float = 1e-7) -> QuadratureResult:
     """Volume by direct numeric integration in (hyper)spherical coordinates.
 
     SO(3) integrates the density 8 sin^2(phi1) sin(phi2) over the positive
@@ -157,41 +174,13 @@ def numeric_volume(space: FlagSpec, tol: float = 1e-7) -> float:
     the polar-angle area element. Cross-checks the exact volume formula.
     """
     family = classify(space).family
-    if family in ("s2", "rp2"):
-        return nested_double_integral(
-            lambda _theta, phis: np.sin(phis),
-            (0.0, 2.0 * math.pi),
-            lambda _theta: (0.0, math.pi if family == "s2" else 0.5 * math.pi),
-            tol,
+    if family not in _VOLUME_INTEGRALS:
+        raise UnsupportedSpaceError(
+            f"no volume integral implemented for {space_label(space)}; "
+            "supported: so3, the partial and full flags, s2, rp2"
         )
-    if family == "so3":
-        return nested_triple_integral(
-            lambda _phi3, phi2, phi1: _so3_measure(phi1, phi2),
-            (0.0, 2.0 * math.pi),
-            lambda _phi3: (0.0, math.pi),
-            lambda _phi3, _phi2: (0.0, 0.5 * math.pi),
-            tol,
-        )
-    if family == "partial-flag":
-        return 2.0 * nested_triple_integral(
-            lambda _phi3, phi2, phi1: _so3_measure(phi1, phi2),
-            (0.0, 2.0 * math.pi),
-            lambda _phi3: (0.0, 0.5 * math.pi),
-            lambda _phi3, phi2: (0.0, _arctan_sec(phi2)),
-            tol,
-        )
-    if family == "full-flag":
-        return 48.0 * nested_triple_integral(
-            lambda _phi3, phi2, phi1: _so3_measure(phi1, phi2),
-            (0.0, 0.25 * math.pi),
-            lambda phi3: (0.0, _arctan_sec(phi3)),
-            lambda _phi3, phi2: (0.0, _arctan_sec(phi2)),
-            tol,
-        )
-    raise UnsupportedSpaceError(
-        f"no volume integral implemented for {space_label(space)}; "
-        "supported: so3, the partial and full flags, s2, rp2"
-    )
+    multiple, integrand, ranges = _VOLUME_INTEGRALS[family]
+    return _scaled(nested_integral(integrand, ranges, tol), multiple)
 
 
 __all__ = [

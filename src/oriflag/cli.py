@@ -108,8 +108,10 @@ def cmd_volume(args) -> int:
     result = {"symbolic": str(vol), "value": value if value or not vol.terms else None}
     if args.numeric:
         numeric = numeric_volume(space, args.tol)
-        result["numeric_value"] = numeric
-        result["abs_discrepancy"] = abs(numeric - float(vol))
+        result["numeric_value"] = numeric.value
+        result["abs_error_bound"] = numeric.abs_error_bound
+        result["evaluations"] = numeric.evaluations
+        result["abs_discrepancy"] = abs(numeric.value - value)
     return _report("volume", space, result, t0=t0)
 
 
@@ -128,13 +130,11 @@ def _expected_one(space: FlagSpec, mode: str, args, seed) -> dict:
             raise UsageError(
                 f"--tol must be >= {min_tol:g} for the {family} quadrature, got {args.tol:g}"
             )
-        if family == "partial-flag":
-            return {
-                "mode": "quadrature",
-                "value": expected_distance_partial_flag_integral(args.tol),
-                "tol": args.tol,
-            }
-        quad = expected_distance_full_flag(args.tol)
+        integral = (
+            expected_distance_partial_flag_integral if family == "partial-flag"
+            else expected_distance_full_flag
+        )
+        quad = integral(args.tol)
         return {
             "mode": "quadrature",
             "value": quad.value,
@@ -156,7 +156,9 @@ def _expected_one(space: FlagSpec, mode: str, args, seed) -> dict:
 
 def cmd_expected(args) -> int:
     t0 = time.perf_counter()
-    seed = _default_seed(args.seed)
+    mc = args.mode == "montecarlo"
+    # Only Monte Carlo draws anything, so only it reads ORIFLAG_SEED.
+    seed = _default_seed(args.seed) if mc or args.all else None
     if args.all:
         rows = []
         for name, space in SPACE_ALIASES.items():
@@ -187,32 +189,10 @@ def cmd_expected(args) -> int:
             n=args.n, seed=seed, workers=args.workers, t0=t0,
         )
     space = _parse_space_arg(args)
-    mc = args.mode == "montecarlo"
     result = _expected_one(space, args.mode, args, seed)
-    return _report(
-        args.command, space, result,
-        n=args.n if mc else None,
-        seed=seed if mc else None,
-        workers=args.workers if mc else None,
-        t0=t0,
-    )
-
-
-def cmd_estimate(args) -> int:
-    args.mode = "montecarlo"
-    return cmd_expected(args)
-
-
-def cmd_analytic(args) -> int:
-    args.mode = "analytic"
-    return cmd_expected(args)
-
-
-def cmd_quadrature(args) -> int:
-    t0 = time.perf_counter()
-    space = parse_space(args.space)
-    result = _expected_one(space, "quadrature", args, seed=None)
-    return _report(args.command, space, result, t0=t0)
+    if not mc:
+        return _report(args.command, space, result, t0=t0)
+    return _report(args.command, space, result, n=args.n, seed=seed, workers=args.workers, t0=t0)
 
 
 def _sample_rows(space: FlagSpec, n: int, seed: int, lift: bool):
@@ -345,19 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=1_000_000)
     p.add_argument("--two-point", action="store_true")
     _add_seed_workers(p)
-    p.set_defaults(func=cmd_estimate, lam=None, blocks=None, tol=1e-12, all=False, format="json")
+    p.set_defaults(func=cmd_expected, mode="montecarlo", all=False)
 
     p = sub.add_parser("analytic", help="closed-form expected distance")
     p.add_argument("--space", required=True)
-    p.set_defaults(
-        func=cmd_analytic, lam=None, blocks=None, seed=None, workers=1,
-        tol=1e-12, n=None, two_point=False, all=False, format="json",
-    )
+    p.set_defaults(func=cmd_expected, mode="analytic", all=False)
 
     p = sub.add_parser("quadrature", help="expected distance by adaptive quadrature")
     p.add_argument("--space", default="full-flag")
     p.add_argument("--tol", type=_tolerance, default=1e-12)
-    p.set_defaults(func=cmd_quadrature)
+    p.set_defaults(func=cmd_expected, mode="quadrature", all=False)
 
     p = sub.add_parser("sample", help="emit random samples as JSON lines or CSV")
     p.add_argument("--space", required=True)

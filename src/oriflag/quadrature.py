@@ -4,6 +4,12 @@ Intervals are bisected greedily (worst estimated error first) until the summed
 error bound meets the requested absolute tolerance. Integrands receive a numpy
 array of abscissae and must return the corresponding array of values; wrap a
 scalar-only function with ``numpy.vectorize`` if needed.
+
+A nested integral runs the rule at every level. Its bound is the outer bound
+plus the outer interval's length times the largest inner bound met at the
+outer nodes: the Kronrod weights are positive and sum to that length, so the
+inner errors move the outer sum by at most that much. Like every bound here it
+is an estimate built from the GK15 panel estimates, not a rigorous enclosure.
 """
 
 from __future__ import annotations
@@ -132,39 +138,33 @@ def adaptive_gauss_kronrod(
     return QuadratureResult(total, total_err, evaluations)
 
 
-def nested_double_integral(f, outer_range, inner_range, tol: float) -> float:
-    """Iterated integral of f(outer, inner) with adaptive rules at each level.
+def nested_integral(f, ranges, tol: float) -> QuadratureResult:
+    """Iterated integral of ``f`` with an adaptive rule at each level.
 
-    ``inner_range`` maps an outer value to (lo, hi). Each level runs at
-    tol / 10; ``f`` must accept (scalar outer, array inner) and return an array.
+    ``ranges[0]`` is the outer (lo, hi); each later entry maps the outer
+    variables to its own (lo, hi). ``f(x1, ..., xs)`` takes the outer values as
+    scalars and the innermost as an array, and returns an array. Every level
+    runs at tol / 10. ``evaluations`` counts the points at which ``f`` is
+    evaluated; the bound is described in the module docstring.
     """
     level_tol = tol / 10.0
+    innermost = len(ranges) - 1
 
-    def outer_integrand(xs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            lo, hi = inner_range(x)
-            out[i] = adaptive_gauss_kronrod(lambda ys: f(x, ys), lo, hi, level_tol).value
-        return out
+    def integrate(outer: tuple) -> QuadratureResult:
+        level = len(outer)
+        lo, hi = ranges[level](*outer) if level else ranges[0]
+        if level == innermost:
+            return adaptive_gauss_kronrod(lambda xs: f(*outer, xs), lo, hi, level_tol)
+        met = []
 
-    lo, hi = outer_range
-    return adaptive_gauss_kronrod(outer_integrand, lo, hi, level_tol).value
+        def integrand(xs: np.ndarray) -> np.ndarray:
+            inner = [integrate((*outer, x)) for x in xs]
+            met.extend(inner)
+            return np.array([r.value for r in inner])
 
+        res = adaptive_gauss_kronrod(integrand, lo, hi, level_tol)
+        worst = max((r.abs_error_bound for r in met), default=0.0)
+        evaluations = sum(r.evaluations for r in met)
+        return QuadratureResult(res.value, res.abs_error_bound + abs(hi - lo) * worst, evaluations)
 
-def nested_triple_integral(f, outer_range, mid_range, inner_range, tol: float) -> float:
-    """Iterated triple integral, innermost varying fastest.
-
-    ``mid_range(outer)`` and ``inner_range(outer, mid)`` give the bounds;
-    ``f(outer, mid, inner_array)`` returns an array. A nested double integral
-    over the innermost integral; each of the three levels runs at tol / 10.
-    """
-    level_tol = tol / 10.0
-
-    def inner_integral(x: float, ys: np.ndarray) -> np.ndarray:
-        vals = np.empty_like(ys)
-        for j, y in enumerate(ys):
-            lo, hi = inner_range(x, y)
-            vals[j] = adaptive_gauss_kronrod(lambda zs: f(x, y, zs), lo, hi, level_tol).value
-        return vals
-
-    return nested_double_integral(inner_integral, outer_range, mid_range, tol)
+    return integrate(())

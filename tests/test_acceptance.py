@@ -149,7 +149,7 @@ def test_criterion_4_volumes():
     for name in ("so3", "partial-flag-1", "full-flag"):
         space = SPACE_ALIASES[name]
         exact = float(flag_volume(space))
-        rel = abs(numeric_volume(space, 1e-7) - exact) / exact
+        rel = abs(numeric_volume(space, 1e-7).value - exact) / exact
         worst_rel = max(worst_rel, rel)
     report(
         4, "volumes symbolic and numeric",

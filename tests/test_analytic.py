@@ -14,7 +14,7 @@ from oriflag.analytic import (
 )
 from oriflag.flagspec import flag_volume
 from oriflag.montecarlo import estimate_expected_distance
-from oriflag.quadrature import nested_triple_integral
+from oriflag.quadrature import nested_integral
 from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, parse_space
 from oriflag.symbolic import PiExpression
 
@@ -145,7 +145,7 @@ def test_full_flag_agrees_with_monte_carlo():
 
 
 def test_partial_flag_integral_equals_one_plus_quarter_pi():
-    val = expected_distance_partial_flag_integral(1e-10)
+    val = expected_distance_partial_flag_integral(1e-10).value
     assert abs(val - (1.0 + math.pi / 4.0)) <= 1e-9
     with pytest.raises(ValueError):
         expected_distance_partial_flag_integral(1e-13)
@@ -166,14 +166,16 @@ def test_full_flag_matches_join_coordinate_triple_integral():
         ca = np.cos(alphas)
         return np.arccos(np.clip(ca * math.cos(t1), -1.0, 1.0)) * ca * np.sin(alphas)
 
-    triple = nested_triple_integral(
+    triple = nested_integral(
         integrand,
-        (-math.pi / 4, math.pi / 4),
-        lambda _t2: (-math.pi / 4, math.pi / 4),
-        lambda t2, t1: (0.0, math.atan(math.cos(t1) / math.cos(t2))),
+        (
+            (-math.pi / 4, math.pi / 4),
+            lambda _t2: (-math.pi / 4, math.pi / 4),
+            lambda t2, t1: (0.0, math.atan(math.cos(t1) / math.cos(t2))),
+        ),
         1e-9,
     )
-    via_join = 32.0 / math.pi**2 * triple
+    via_join = 32.0 / math.pi**2 * triple.value
     via_line = expected_distance_full_flag(1e-12).value
     assert abs(via_join - via_line) <= 1e-8
 
@@ -184,13 +186,13 @@ def test_numeric_volumes_match_exact_formula():
     for name in ("so3", "partial-flag-1", "full-flag"):
         space = SPACE_ALIASES[name]
         exact = float(flag_volume(space))
-        numeric = numeric_volume(space, 1e-7)
+        numeric = numeric_volume(space, 1e-7).value
         assert abs(numeric - exact) / exact <= 1e-6, name
 
 
 def test_numeric_volumes_sphere_and_projective():
-    assert numeric_volume(SPACE_ALIASES["s2"], 1e-9) == pytest.approx(4 * math.pi, abs=1e-8)
-    assert numeric_volume(SPACE_ALIASES["rp2"], 1e-9) == pytest.approx(2 * math.pi, abs=1e-8)
+    assert numeric_volume(SPACE_ALIASES["s2"], 1e-9).value == pytest.approx(4 * math.pi, abs=1e-8)
+    assert numeric_volume(SPACE_ALIASES["rp2"], 1e-9).value == pytest.approx(2 * math.pi, abs=1e-8)
 
 
 def test_numeric_volume_unsupported():
@@ -201,6 +203,19 @@ def test_numeric_volume_unsupported():
 def test_partial_flags_share_their_volume_integral():
     vols = {numeric_volume(SPACE_ALIASES[f"partial-flag-{i}"], 1e-7) for i in (1, 2, 3)}
     assert len(vols) == 1  # identical integral for the three single-block orientations
+
+
+def test_quadrature_bounds_hold_against_exact_values():
+    tols = [10.0**-k for k in range(4, 11)]
+    for name in ("s2", "rp2", "so3", "partial-flag-1", "full-flag"):
+        space = SPACE_ALIASES[name]
+        exact = float(flag_volume(space))
+        for tol in tols:
+            res = numeric_volume(space, tol)
+            assert abs(res.value - exact) <= res.abs_error_bound, (name, tol)
+    for tol in tols + [1e-11, 1e-12]:
+        res = expected_distance_partial_flag_integral(tol)
+        assert abs(res.value - (1.0 + math.pi / 4.0)) <= res.abs_error_bound, tol
 
 
 # ------------------------------------------------------------- cross checks

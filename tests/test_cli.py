@@ -287,6 +287,18 @@ def test_env_seed_default(capsys, monkeypatch):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--space", "so3"),
+    ("expected", "--space", "so3", "--mode", "analytic"),
+    ("expected", "--space", "full-flag", "--mode", "quadrature"),
+    ("quadrature", "--space", "partial-flag-1"),
+])
+def test_env_seed_is_not_read_where_nothing_is_drawn(capsys, monkeypatch, argv):
+    monkeypatch.setenv("ORIFLAG_SEED", "not-a-number")
+    report = run_json(capsys, *argv)
+    assert report["seed"] is None and report["n"] is None and report["workers"] is None
+
 # -------------------------------------------------------------------- sample
 
 def test_sample_rotations_are_valid_and_deterministic(capsys):

@@ -1,8 +1,11 @@
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import oriflag
 
@@ -28,3 +31,15 @@ def test_package_and_pyproject_versions_agree():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
     assert declared == oriflag.__version__
+
+
+def test_console_script_entry_point_prints_the_version(capsys, monkeypatch):
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1]
+    target = re.search(r'^oriflag = "([\w.]+):(\w+)"$', scripts, re.MULTILINE)
+    entry_point = getattr(importlib.import_module(target.group(1)), target.group(2))
+    monkeypatch.setattr(sys, "argv", ["oriflag", "--version"])
+    with pytest.raises(SystemExit) as exit_:
+        entry_point()
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == f"oriflag {oriflag.__version__}\n"

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oriflag.quadrature import (
-    QuadratureError,
-    adaptive_gauss_kronrod,
-    nested_double_integral,
-    nested_triple_integral,
-)
+from oriflag.quadrature import QuadratureError, adaptive_gauss_kronrod, nested_integral
 
 
 def test_polynomial_is_exact():
@@ -75,27 +70,51 @@ def test_invalid_tolerance():
 
 def test_nested_double_integral_rectangle():
     # integral of x*y over [0,1]x[0,2] = 1
-    val = nested_double_integral(
-        lambda x, ys: x * ys, (0.0, 1.0), lambda _x: (0.0, 2.0), 1e-10
-    )
-    assert abs(val - 1.0) <= 1e-10
+    res = nested_integral(lambda x, ys: x * ys, ((0.0, 1.0), lambda _x: (0.0, 2.0)), 1e-10)
+    assert abs(res.value - 1.0) <= 1e-10
 
 
 def test_nested_double_integral_variable_bound():
     # area under y < x over the unit square = 1/2
-    val = nested_double_integral(
-        lambda x, ys: np.ones_like(ys), (0.0, 1.0), lambda x: (0.0, x), 1e-10
-    )
-    assert abs(val - 0.5) <= 1e-10
+    res = nested_integral(lambda x, ys: np.ones_like(ys), ((0.0, 1.0), lambda x: (0.0, x)), 1e-10)
+    assert abs(res.value - 0.5) <= 1e-10
 
 
 def test_nested_triple_integral_simplex_volume():
     # volume of x+y+z <= 1, x,y,z >= 0 is 1/6
-    val = nested_triple_integral(
+    res = nested_integral(
         lambda x, y, zs: np.ones_like(zs),
-        (0.0, 1.0),
-        lambda x: (0.0, 1.0 - x),
-        lambda x, y: (0.0, 1.0 - x - y),
+        ((0.0, 1.0), lambda x: (0.0, 1.0 - x), lambda x, y: (0.0, 1.0 - x - y)),
         1e-9,
     )
-    assert abs(val - 1.0 / 6.0) <= 1e-8
+    assert abs(res.value - 1.0 / 6.0) <= 1e-8
+
+
+def test_nested_evaluations_count_the_integrand_points():
+    # a polynomial of low degree takes one 15-point panel at every level
+    integrands = [
+        lambda xs: xs**2,
+        lambda x, ys: x**2 * ys**2,
+        lambda x, y, zs: x**2 * y**2 * zs**2,
+    ]
+    for levels, f in enumerate(integrands, start=1):
+        ranges = ((0.0, 1.0),) + (lambda *_outer: (0.0, 1.0),) * (levels - 1)
+        res = nested_integral(f, ranges, 1e-10)
+        assert res.evaluations == 15**levels
+        assert abs(res.value - 3.0**-levels) <= res.abs_error_bound
+
+
+def test_nested_bound_is_the_outer_bound_plus_length_times_the_largest_inner_bound():
+    f = lambda x, ys: x * ys**2
+    inner_bounds = []
+
+    def outer_integrand(xs):
+        inner = [adaptive_gauss_kronrod(lambda ys: f(x, ys), 0.0, x, 1e-11) for x in xs]
+        inner_bounds.extend(r.abs_error_bound for r in inner)
+        return np.array([r.value for r in inner])
+
+    outer = adaptive_gauss_kronrod(outer_integrand, 0.0, 2.0, 1e-11)
+    res = nested_integral(f, ((0.0, 2.0), lambda x: (0.0, x)), 1e-10)
+    assert res.value == outer.value
+    assert res.abs_error_bound == outer.abs_error_bound + 2.0 * max(inner_bounds)
+    assert abs(res.value - 32.0 / 15.0) <= res.abs_error_bound

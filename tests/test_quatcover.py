@@ -357,24 +357,20 @@ def test_join_band_matches_halfplane_condition():
 
 def test_hyperspherical_volume_element_integrates_to_sphere_volume():
     # integral of sin^2(phi1) sin(phi2) over the full box is the 3-sphere volume 2 pi^2
-    from oriflag.quadrature import nested_triple_integral
-    vol = nested_triple_integral(
+    from oriflag.quadrature import nested_integral
+    vol = nested_integral(
         lambda _p3, p2, p1: np.sin(p1) ** 2 * math.sin(p2),
-        (0.0, 2 * math.pi),
-        lambda _p3: (0.0, math.pi),
-        lambda _p3, _p2: (0.0, math.pi),
+        ((0.0, 2 * math.pi), lambda _p3: (0.0, math.pi), lambda _p3, _p2: (0.0, math.pi)),
         1e-9,
-    )
+    ).value
     assert vol == pytest.approx(2 * math.pi**2, abs=1e-8)
 
 
 def test_join_volume_element_integrates_to_sphere_volume():
-    from oriflag.quadrature import nested_triple_integral
-    vol = nested_triple_integral(
+    from oriflag.quadrature import nested_integral
+    vol = nested_integral(
         lambda _t2, _t1, alpha: np.cos(alpha) * np.sin(alpha),
-        (-math.pi, math.pi),
-        lambda _t2: (-math.pi, math.pi),
-        lambda _t2, _t1: (0.0, math.pi / 2),
+        ((-math.pi, math.pi), lambda _t2: (-math.pi, math.pi), lambda _t2, _t1: (0.0, math.pi / 2)),
         1e-9,
-    )
+    ).value
     assert vol == pytest.approx(2 * math.pi**2, abs=1e-8)
