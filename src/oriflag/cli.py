@@ -115,11 +115,11 @@ def cmd_volume(args) -> int:
     return _report("volume", space, result, t0=t0)
 
 
-def _expected_one(space: FlagSpec, mode: str, args, seed) -> dict:
-    if mode == "analytic":
+def _expected_one(space: FlagSpec, args, seed) -> dict:
+    if args.mode == "analytic":
         cf = analytic_expected_distance(space)
         return {"mode": "analytic", "symbolic": cf.tag, "value": cf.value}
-    if mode == "quadrature":
+    if args.mode == "quadrature":
         family = classify(space).family
         min_tol = {"full-flag": FULL_FLAG_MIN_TOL, "partial-flag": PARTIAL_FLAG_MIN_TOL}.get(family)
         if min_tol is None:
@@ -189,7 +189,7 @@ def cmd_expected(args) -> int:
             n=args.n, seed=seed, workers=args.workers, t0=t0,
         )
     space = _parse_space_arg(args)
-    result = _expected_one(space, args.mode, args, seed)
+    result = _expected_one(space, args, seed)
     if not mc:
         return _report(args.command, space, result, t0=t0)
     return _report(args.command, space, result, n=args.n, seed=seed, workers=args.workers, t0=t0)

@@ -10,7 +10,12 @@ pair (p, q) covering x -> p x conj(q); Shoemake, Graphics Gems III, 1992;
 Conway & Smith, On Quaternions and Octonions, 2003, ch. 4), for any other n a
 product of Householder reflections, whose distance comes from the eigenvalues
 of its symmetric part. On quotients by a finite isotropy group the distance
-is the minimum over the orbit of the sample. Estimates carry a standard error
+is the minimum over the orbit of the sample. A one-point trial on the sphere,
+the projective plane or a spin cover reads only one coordinate of its unit
+vector per orbit element, so it keeps the Gaussian row undivided and divides
+just those coordinates by the row's norm: the same bits as normalizing
+first, since each lifted sign picks a coordinate exactly and division by a
+positive norm commutes with the maximum. Estimates carry a standard error
 from a streaming (count, mean, M2) aggregation, and work is split into
 per-worker substreams whose merge is independent of execution order, so a
 fixed (seed, workers, N) reproduces the estimate bit for bit within one
@@ -31,6 +36,7 @@ from .orthogonal import (
     RngStream,
     _as_generator,
     _distances_to_identity,
+    _gaussian_rows,
     _matrix_of,
     _unit_vectors,
     sample_rotation_matrices,
@@ -72,14 +78,16 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
     symmetric and well-defined on cosets because the metric is bi-invariant
     and the group is closed under products and inverses. a hj b^T is similar
     to b^T a hj, so this is the orbit minimum of b^T a that the Monte Carlo
-    kernel takes.
+    kernel takes. Equal matrices are exactly 0 apart, as for
+    geodesic_distance.
     """
     ma, mb = _matrix_of(a), _matrix_of(b)
     if ma.shape != mb.shape or ma.shape[0] != h.n:
         raise ValueError(
             f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={h.n}"
         )
-    return float(_distances_to_identity((mb.T @ ma)[None], h.signs)[0])
+    d = float(_distances_to_identity((mb.T @ ma)[None], h.signs)[0])
+    return 0.0 if np.array_equal(ma, mb) else d
 
 
 def sphere_point(rng) -> np.ndarray:
@@ -87,22 +95,38 @@ def sphere_point(rng) -> np.ndarray:
     return _unit_vectors(_as_generator(rng), 1, 3)[0]
 
 
-def _cover_points(gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
-    """Uniform unit quaternions q, or conj(q_b) q_a drawn in that order, as (4, count) rows."""
-    q = _unit_vectors(gen, count, 4).T
+def _cover_points(
+    gen: np.random.Generator, count: int, two_point: bool
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """Quaternions as (4, count) rows, and the norms that scale them to uniform unit quaternions.
+
+    One point: Gaussian rows and their norms, left undivided, because a
+    kernel reads one signed coordinate per lift and divides only that. Two
+    points: conj(q_b) q_a of unit draws taken in that order, with norm 1.
+    """
     if not two_point:
-        return q
-    return np.array(_mul_raw(_CONJ[:, None] * _unit_vectors(gen, count, 4).T, q))
+        g, norms = _gaussian_rows(gen, gen.standard_normal((count, 4)))
+        return g.T, norms
+    q = _unit_vectors(gen, count, 4).T
+    return np.array(_mul_raw(_CONJ[:, None] * _unit_vectors(gen, count, 4).T, q)), 1.0
 
 
 def _real_parts(units: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Re(q u) for (k, 4) units u and (4, count) quaternions q, as a (k, count) array."""
+    """Re(q u) for (k, 4) units u and (4, count) quaternions q, as a (k, count) array.
+
+    Each lift u is a signed unit, so each entry is a signed coordinate of q,
+    without rounding.
+    """
     return (units * _CONJ) @ q
 
 
 def _spin3_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
-    """n = 3: q covers A, q u covers A diag(s), and d(R(q), I) = 2 arccos |Re q|."""
-    cos = np.abs(_real_parts(lifts, _cover_points(gen, count, two_point))).max(axis=0)
+    """n = 3: q covers A, q u covers A diag(s), and d(R(q), I) = 2 arccos |Re q|.
+
+    Dividing by the positive norm is monotone, so it is taken after the maximum.
+    """
+    q, norms = _cover_points(gen, count, two_point)
+    cos = np.abs(_real_parts(lifts, q)).max(axis=0) / norms
     return 2.0 * np.arccos(np.minimum(cos, 1.0))
 
 
@@ -112,10 +136,10 @@ def _spin4_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, tw
     With cos a = Re p and cos b = Re q, the rotation angles of A are a + b,
     reflected into [0, pi], and |a - b|.
     """
-    p = _cover_points(gen, count, two_point)
-    q = _cover_points(gen, count, two_point)
-    a = np.arccos(np.clip(_real_parts(lifts[:, 0], p), -1.0, 1.0))
-    b = np.arccos(np.clip(_real_parts(lifts[:, 1], q), -1.0, 1.0))
+    p, p_norms = _cover_points(gen, count, two_point)
+    q, q_norms = _cover_points(gen, count, two_point)
+    a = np.arccos(np.clip(_real_parts(lifts[:, 0], p) / p_norms, -1.0, 1.0))
+    b = np.arccos(np.clip(_real_parts(lifts[:, 1], q) / q_norms, -1.0, 1.0))
     plus = a + b
     plus = np.minimum(plus, 2.0 * np.pi - plus)
     return np.sqrt((plus * plus + (a - b) ** 2).min(axis=0))
@@ -126,8 +150,12 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     if kern.family == "point":
         return np.zeros(count)
     if kern.family in ("s2", "rp2"):
-        v = _unit_vectors(gen, count, 3)
-        cos = (_unit_vectors(gen, count, 3) * v).sum(axis=1) if two_point else v[:, 2]
+        if two_point:
+            v = _unit_vectors(gen, count, 3)
+            cos = (_unit_vectors(gen, count, 3) * v).sum(axis=1)
+        else:
+            g, norms = _gaussian_rows(gen, gen.standard_normal((count, 3)))
+            cos = g[:, 2] / norms
         # Nearest point of the orbit {s v}: the largest cosine, |cos| under signs {1, -1}.
         if len(kern.signs) > 1:
             cos = np.abs(cos)

@@ -1,7 +1,11 @@
 """Haar-distributed sampling of SO(n) and the bi-invariant geodesic distance.
 
 A Haar rotation is a product of Householder reflections of uniform unit
-vectors, sign-fixed to determinant +1 (Stewart 1980; Mezzadri 2007). The
+vectors, sign-fixed to determinant +1 (Stewart 1980; Mezzadri 2007). A
+uniform unit vector is a Gaussian row over its norm (Muller 1959); the norms
+are summed column by column, which for rows shorter than 8 is numpy's own
+order, and callers that read only a coordinate or two of each row take the
+raw rows with their norms and divide just those. The
 geodesic distance between rotations A and B is ``sqrt(0.5 * sum |log mu_k|^2)``
 over the eigenvalues ``mu_k`` of ``A B^T``, the root-sum-square of its
 rotation angles. The symmetric part of a rotation has eigenvalues
@@ -123,12 +127,31 @@ def _unit_vectors(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
 
 
 def _unit_rows(gen: np.random.Generator, v: np.ndarray) -> np.ndarray:
-    """Gaussian rows ``v`` scaled to unit length, redrawing (in place) any shorter than ``_MIN_NORM``."""
-    norms = np.linalg.norm(v, axis=1)
+    """Gaussian rows ``v``, redrawn as by :func:`_gaussian_rows`, scaled to unit length."""
+    v, norms = _gaussian_rows(gen, v)
+    return v / norms[:, None]
+
+
+def _gaussian_rows(gen: np.random.Generator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian rows ``v`` and their norms, redrawing (in place) any shorter than ``_MIN_NORM``."""
+    norms = _row_norms(v)
     while (bad := norms < _MIN_NORM).any():
         v[bad] = gen.standard_normal((int(bad.sum()), v.shape[1]))
-        norms[bad] = np.linalg.norm(v[bad], axis=1)
-    return v / norms[:, None]
+        norms[bad] = _row_norms(v[bad])
+    return v, norms
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (count, d) array, squares summed column by column.
+
+    Summed left to right, as numpy's reduction sums rows shorter than 8, so
+    this matches ``np.linalg.norm(v, axis=1)`` bit for bit there, without its
+    temporary (count, d) array of squares and strided reduction.
+    """
+    sq = v[:, 0] * v[:, 0]
+    for j in range(1, v.shape[1]):
+        sq += v[:, j] * v[:, j]
+    return np.sqrt(sq)
 
 
 def sample_rotation_matrices(n: int, count: int, rng) -> np.ndarray:
@@ -229,9 +252,11 @@ def geodesic_distance(a, b) -> float:
 
     Depends only on the eigenvalues mu_k of ``A B^T``: the distance is
     sqrt(0.5 * sum |log mu_k|^2), i.e. sqrt(sum psi_j^2) over its principal
-    angles psi_j.
+    angles psi_j. Equal matrices are exactly 0 apart.
     """
     ma, mb = _matrix_of(a), _matrix_of(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return float(_distances_to_identity((ma @ mb.T)[None])[0])
+    d = float(_distances_to_identity((ma @ mb.T)[None])[0])
+    # A A^T only rounds to I, and its eigenvalues carry arguments of about 1e-16.
+    return 0.0 if np.array_equal(ma, mb) else d

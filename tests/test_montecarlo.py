@@ -8,6 +8,7 @@ import pytest
 from oriflag.flagspec import FlagSpec, OrderedPartition, SetPartition, isotropy_group
 from oriflag.montecarlo import (
     Estimate,
+    _real_parts,
     _unit_vectors,
     estimate_expected_distance,
     quotient_distance,
@@ -21,7 +22,7 @@ from oriflag.orthogonal import (
     random_special_orthogonal,
 )
 from oriflag.quatcover import UnitQuaternion, _lifts, _mul_raw, quaternion_to_rotation
-from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space
+from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space, space_label
 from oriflag.analytic import analytic_expected_distance
 
 
@@ -45,6 +46,10 @@ def test_quotient_distance_trivial_cases():
     assert quotient_distance(eye, eye, KLEIN) == 0.0
     member = Rotation(np.diag([-1.0, -1.0, 1.0]))
     assert quotient_distance(member, eye, KLEIN) <= 1e-12
+    gen = RngStream(35).generator()
+    for _ in range(50):
+        a = random_special_orthogonal(3, gen)
+        assert quotient_distance(a, a, KLEIN) == 0.0
 
 
 def test_quotient_distance_quarter_turn():
@@ -296,6 +301,56 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
             assert abs(d[i] - explicit) <= 1e-12, text
             a, b = _cover_rotation(pa[i], qa[i]), _cover_rotation(pb[i], qb[i])
             assert abs(d2[i] - quotient_distance(a, b, iso)) <= 1e-12, text
+
+
+def normalize_first_distances(kern, gen, count):
+    """One-point distances as drawn by whole unit rows, the reference for the raw-row kernels."""
+    if kern.family in ("s2", "rp2"):
+        cos = _unit_vectors(gen, count, 3)[:, 2]
+        if len(kern.signs) > 1:
+            cos = np.abs(cos)
+        return np.arccos(np.clip(cos, -1.0, 1.0))
+    if kern.lifts.ndim == 2:
+        cos = np.abs(_real_parts(kern.lifts, _unit_vectors(gen, count, 4).T)).max(axis=0)
+        return 2.0 * np.arccos(np.minimum(cos, 1.0))
+    p, q = _unit_vectors(gen, count, 4).T, _unit_vectors(gen, count, 4).T
+    a = np.arccos(np.clip(_real_parts(kern.lifts[:, 0], p), -1.0, 1.0))
+    b = np.arccos(np.clip(_real_parts(kern.lifts[:, 1], q), -1.0, 1.0))
+    plus = a + b
+    plus = np.minimum(plus, 2.0 * np.pi - plus)
+    return np.sqrt((plus * plus + (a - b) ** 2).min(axis=0))
+
+
+def set_partitions(k):
+    """Every set partition of {1, ..., k} as a list of blocks."""
+    if k == 0:
+        yield []
+        return
+    for p in set_partitions(k - 1):
+        for i in range(len(p)):
+            yield p[:i] + [p[i] + (k,)] + p[i + 1:]
+        yield p + [(k,)]
+
+
+def test_one_point_kernels_match_normalize_first_draws(monkeypatch):
+    # every n = 3 and n = 4 lift table, and the sphere and projective plane;
+    # the second pass raises the threshold so that about 1-3% of rows are redrawn
+    spaces = [SPACE_ALIASES["s2"], SPACE_ALIASES["rp2"]]
+    spaces += [spec((1,) * k, blocks) for k in (3, 4) for blocks in set_partitions(k)]
+    assert sum(classify(s).lifts is not None for s in spaces) == 5 + 15
+    plain = {}
+    for min_norm in (None, 0.5):
+        if min_norm is not None:
+            monkeypatch.setitem(_unit_vectors.__globals__, "_MIN_NORM", min_norm)
+        for space in spaces:
+            label = space_label(space)
+            got = sample_distances(space, 4000, RngStream(61).generator())
+            want = normalize_first_distances(classify(space), RngStream(61).generator(), 4000)
+            assert np.array_equal(got, want), label
+            if min_norm is None:
+                plain[label] = got
+            else:
+                assert (got != plain[label]).any(), label
 
 
 def test_lift_table_reproduces_every_sign_row():

@@ -4,13 +4,13 @@ Each case pins the kernel family and everything that callers derive from it:
 the closed form, the quadrature route and the numeric volume integral.
 """
 
-import argparse
+import json
 import math
 
 import pytest
 
 from oriflag.analytic import FULL_FLAG_TAG, analytic_expected_distance, numeric_volume
-from oriflag.cli import UsageError, _expected_one
+from oriflag import cli
 from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space
 
 FULL_FLAG_REFERENCE = 1.3117250347224445929
@@ -40,7 +40,7 @@ def test_cases_cover_every_alias():
 
 
 @pytest.mark.parametrize("case", list(CASES.values()), ids=list(CASES))
-def test_classify_decides_family_and_every_route(case):
+def test_classify_decides_family_and_every_route(case, capsys):
     text, family, closed, quadrature, volume = case
     space = parse_space(text)
     assert classify(space).family == family
@@ -53,13 +53,13 @@ def test_classify_decides_family_and_every_route(case):
         assert cf.tag == closed[0]
         assert cf.value == pytest.approx(closed[1], abs=1e-12)
 
-    args = argparse.Namespace(tol=1e-10)
+    code = cli.main(["expected", "--space", text, "--mode", "quadrature", "--tol", "1e-10"])
     if quadrature:
-        result = _expected_one(space, "quadrature", args, None)
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)["result"]
         assert result["value"] == pytest.approx(closed[1], abs=1e-9)
     else:
-        with pytest.raises(UsageError):
-            _expected_one(space, "quadrature", args, None)
+        assert code == 2
 
     if volume is None:
         with pytest.raises(UnsupportedSpaceError):
