@@ -249,7 +249,7 @@ def test_row_norms_within_two_ulp_of_numpy():
 
 
 @pytest.mark.parametrize("n", range(2, 13))
-def test_zone_samples_are_bit_identical_to_eigvals(n):
+def test_fallback_samples_are_bit_identical_to_the_eigenpair_route(n):
     # zone samples are measured by the same eigvals solve as the oracle
     m = sample_rotation_matrices(n, 4_000, RngStream(80 + n).generator())
     zone = in_fallback_zone(m)
