@@ -36,7 +36,7 @@ from .flagspec import (
     flag_volume,
     parse_blocks,
 )
-from .montecarlo import estimate_expected_distance
+from .montecarlo import _batch_size, estimate_expected_distance
 from .orthogonal import RngStream, _unit_vectors, sample_rotation_matrices
 from .quatcover import _lifts
 from .spaces import (
@@ -46,8 +46,6 @@ from .spaces import (
     parse_space,
     space_label,
 )
-
-_SAMPLE_BATCH = 1 << 15
 
 
 class UsageError(ValueError):
@@ -210,14 +208,13 @@ def _sample_rows(space: FlagSpec, n: int, seed: int, lift: bool):
     else:
         header = [f"m{i}{j}" for i in range(d) for j in range(d)]
     gen = RngStream(seed, 0).generator()
+    step = _batch_size(kern)
 
     def batches():
-        done = 0
-        while done < n:
-            m = min(_SAMPLE_BATCH, n - done)
+        for done in range(0, n, step):
+            m = min(step, n - done)
             batch = _unit_vectors(gen, m, 3) if sphere else sample_rotation_matrices(d, m, gen)
             yield _lifts(batch) if lift else batch
-            done += m
 
     return header, batches()
 

@@ -20,9 +20,15 @@ import numpy as np
 
 from .symbolic import PiExpression
 
+_ISOTROPY_BYTES = 1 << 27
+
 
 class FlagSpecParseError(ValueError):
     """Raised when a textual or JSON flag specification cannot be parsed."""
+
+
+class UnsupportedSpaceError(ValueError):
+    """The requested computation is not defined for this space."""
 
 
 @dataclass(frozen=True)
@@ -312,21 +318,23 @@ def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:
     These are the diagonal +-1 matrices whose signs multiply to +1 within each
     block of P; there are 2^(k - |P|) of them, listed identity first in
     descending order of their diagonals. Every sign but the last of each block
-    is free and the last is the product of the others, so only group elements
-    are visited. Any lambda with a part larger than 1 has a continuous
-    isotropy group and is rejected.
+    is free, taken from the bits of the row number, and the last is their
+    parity. A table over ``_ISOTROPY_BYTES`` (the n = 20 full flag fits, n = 21
+    does not) raises UnsupportedSpaceError before it is allocated. Any lambda
+    with a part larger than 1 has a continuous isotropy group and is rejected.
     """
     if any(p != 1 for p in spec.lam.parts):
         raise ValueError(
             f"isotropy group is finite only for lambda = (1,...,1), got lambda = ({spec.lam})"
         )
-    blocks = spec.p.blocks
-    free = [i for b in blocks for i in b[:-1]]
-    rows = []
-    for choice in itertools.product((1.0, -1.0), repeat=len(free)):
-        signs = dict(zip(free, choice))
-        for b in blocks:
-            signs[b[-1]] = math.prod((signs[i] for i in b[:-1]), start=1.0)
-        rows.append([signs[i] for i in range(1, spec.lam.k + 1)])
-    rows.sort(reverse=True)
-    return FiniteIsotropy(np.array(rows))
+    free = sorted(i - 1 for b in spec.p.blocks for i in b[:-1])
+    if (8 * spec.lam.k << len(free)) > _ISOTROPY_BYTES:
+        raise UnsupportedSpaceError(f"the 2^{len(free)} isotropy sign rows of {spec} exceed the table budget")
+    # Row r's free signs are its bits, the lowest free index on top, set for -1.
+    # A block's last index is its largest, so two rows first differ in a free
+    # column, and counting r upward lists the rows in descending order.
+    neg = np.zeros((1 << len(free), spec.lam.k), dtype=bool)
+    neg[:, free] = (np.arange(len(neg))[:, None] >> np.arange(len(free) - 1, -1, -1)) & 1
+    for b in spec.p.blocks:
+        neg[:, b[-1] - 1] = np.logical_xor.reduce(neg[:, [i - 1 for i in b[:-1]]], axis=1)
+    return FiniteIsotropy(np.where(neg, -1.0, 1.0))

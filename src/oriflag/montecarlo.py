@@ -78,8 +78,8 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
     symmetric and well-defined on cosets because the metric is bi-invariant
     and the group is closed under products and inverses. a hj b^T is similar
     to b^T a hj, so this is the orbit minimum of b^T a that the Monte Carlo
-    kernel takes. Equal matrices are exactly 0 apart, as for
-    geodesic_distance.
+    kernel takes. It is exactly 0 when b = a diag(s) for a row s of ``h``, as
+    geodesic_distance is for equal matrices, though b^T a only rounds to diag(s).
     """
     ma, mb = _matrix_of(a), _matrix_of(b)
     if ma.shape != mb.shape or ma.shape[0] != h.n:
@@ -87,7 +87,8 @@ def quotient_distance(a, b, h: FiniteIsotropy) -> float:
             f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={h.n}"
         )
     d = float(_distances_to_identity((mb.T @ ma)[None], h.signs)[0])
-    return 0.0 if np.array_equal(ma, mb) else d
+    s = np.where((ma == mb).all(axis=0), 1.0, -1.0)
+    return 0.0 if np.array_equal(ma * s, mb) and (h.signs == s).all(axis=1).any() else d
 
 
 def sphere_point(rng) -> np.ndarray:
@@ -184,11 +185,8 @@ def _batch_size(kern: Kernel) -> int:
 def _distance_batches(kern: Kernel, gen: np.random.Generator, count: int, two_point: bool):
     """``count`` distance samples in batches of at most ``_batch_size``, drawn in order from ``gen``."""
     step = _batch_size(kern)
-    done = 0
-    while done < count:
-        m = min(step, count - done)
-        yield _kernel_distances(kern, gen, m, two_point)
-        done += m
+    for done in range(0, count, step):
+        yield _kernel_distances(kern, gen, min(step, count - done), two_point)
 
 
 def sample_distances(space: FlagSpec, count: int, rng, *, two_point: bool = False) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flagspec import FlagSpec, isotropy_group
-from .orthogonal import Rotation
+from .orthogonal import Rotation, _row_norms
 
 UNIT_TOL = 1e-12
 
@@ -141,8 +141,7 @@ def _lifts(m: np.ndarray) -> np.ndarray:
     s = 2.0 * np.sqrt(shepperd[rows, branch, branch])
     q = shepperd[rows, branch] / s[:, None]
     q[rows, branch] = 0.25 * s
-    sq = q * q
-    q /= np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])[:, None]
+    q /= _row_norms(q)[:, None]
     first = q[rows, np.argmax(q != 0.0, axis=-1)]
     q[first < 0.0] *= -1.0
     return q

@@ -23,14 +23,11 @@ from .flagspec import (
     FlagSpecParseError,
     OrderedPartition,
     SetPartition,
+    UnsupportedSpaceError,
     isotropy_group,
     parse_flagspec,
 )
 from .quatcover import _spin_lifts
-
-
-class UnsupportedSpaceError(ValueError):
-    """The requested computation is not defined for this space."""
 
 
 def _flag(parts, blocks) -> FlagSpec:

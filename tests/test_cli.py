@@ -1,14 +1,17 @@
 import decimal
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oriflag import __version__, cli
+from oriflag import __version__, cli, montecarlo
 from oriflag.analytic import FULL_FLAG_MIN_TOL, PARTIAL_FLAG_MIN_TOL
 from oriflag.cli import main
 from oriflag.flagspec import flag_volume
@@ -336,7 +339,7 @@ def test_sample_csv_and_lift(capsys):
 
 
 def test_sample_lifts_cover_the_sampled_matrices(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_SAMPLE_BATCH", 7)  # 20 rows cross two batch boundaries
+    monkeypatch.setattr(montecarlo, "_BATCH", 7)  # 20 rows cross two batch boundaries
     argv = ("sample", "--space", "full-flag", "--n", "20", "--seed", "6")
     _code, out, _ = run(capsys, *argv)
     matrices = [np.array(strict_json(line)) for line in out.strip().splitlines()]
@@ -354,6 +357,32 @@ def test_sample_validation(capsys):
     assert code == 2
     code, _out, _err = run(capsys, "sample", "--space", "trivial-flag", "--n", "1")
     assert code == 3
+
+
+# Runs each command in a grandchild, so RUSAGE_CHILDREN sees that command alone.
+_RUSAGE_SCRIPT = """
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:], capture_output=True, timeout=60).returncode
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(code, usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ("estimate", "--n", "10"), ("analytic",), ("sample", "--n", "10"),
+], ids=["estimate", "analytic", "sample"])
+def test_oversized_isotropy_group_exits_3_before_it_is_built(command):
+    # The full flag of SO(30) has 2^29 sign rows, about 129 GB of table.
+    space = "lambda=" + ",".join(["1"] * 30) + " P={" + ",".join(map(str, range(1, 31))) + "}"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "oriflag.cli", command[0], "--space", space, *command[1:]]
+    proc = subprocess.run([sys.executable, "-c", _RUSAGE_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, cpu_s, peak_kb = proc.stdout.split()
+    assert code == "3"
+    assert float(cpu_s) < 1.0
+    assert int(peak_kb) < 150 * 1024
 
 
 @pytest.mark.parametrize("argv", [

@@ -261,7 +261,7 @@ def set_partitions(k):
 def test_isotropy_group_matches_sign_enumeration_for_small_k():
     # oracle: all 2^k sign vectors in descending order, kept when each block multiplies to +1
     count = 0
-    for k in range(1, 7):
+    for k in range(1, 8):
         for blocks in set_partitions(k):
             expected = [
                 list(signs) for signs in itertools.product((1.0, -1.0), repeat=k)
@@ -270,7 +270,7 @@ def test_isotropy_group_matches_sign_enumeration_for_small_k():
             got = isotropy_group(spec((1,) * k, blocks)).signs
             assert got.tolist() == expected, blocks
             count += 1
-    assert count == 1 + 2 + 5 + 15 + 52 + 203
+    assert count == 1 + 2 + 5 + 15 + 52 + 203 + 877
 
 
 @pytest.mark.parametrize("parts, blocks", [

@@ -52,6 +52,23 @@ def test_quotient_distance_trivial_cases():
         assert quotient_distance(a, a, KLEIN) == 0.0
 
 
+def test_quotient_distance_is_exactly_zero_on_one_coset():
+    # b = a diag(s) names the coset of a, though b^T a only rounds to diag(s)
+    group = isotropy_group(spec((1,) * 5, [(1, 2), (3, 4, 5)]))
+    so5 = isotropy_group(spec((1,) * 5, [(i,) for i in range(1, 6)]))
+    gen = RngStream(1).generator()
+    for _ in range(200):
+        a = random_special_orthogonal(5, gen)
+        for s in group.signs:
+            assert quotient_distance(a, a.matrix * s, group) == 0.0
+        # on SO(5) itself each of those flips is a half-turn in one or two planes
+        for s in group.signs[1:]:
+            assert quotient_distance(a, a.matrix * s, so5) >= math.pi - 1e-12
+    # the distance is still taken first, so a matrix outside SO(n) raises
+    with pytest.raises(ArithmeticError):
+        quotient_distance(2.0 * np.eye(5), 2.0 * np.eye(5), group)
+
+
 def test_quotient_distance_quarter_turn():
     # both orbit representatives of the quarter turn about e1 are a quarter
     # turn away from the identity, checked by brute force over the orbit
