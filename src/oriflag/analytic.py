@@ -7,7 +7,8 @@ closed form; its expectation reduces to a one-dimensional integral evaluated
 here by adaptive quadrature (1.3117250347224445929 to twenty digits). The
 defining volume integrals in hyperspherical coordinates are also evaluated
 numerically as an independent check on the exact volume formula. Every
-numeric value is a :class:`QuadratureResult`, carrying its error bound.
+numeric value is a :class:`QuadratureResult`, carrying its error bound. Each
+route is a table keyed by ``classify`` family, chosen in one place, :func:`_route`.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ FULL_FLAG_TAG = "full-flag-quadrature"
 FULL_FLAG_MIN_TOL = 1e-13
 PARTIAL_FLAG_MIN_TOL = 1e-12
 
-# Closed-form expected distance by kernel family; the full flag has none.
+# Closed-form expected distance by kernel family; the full flag (None) has none.
 _EXPECTATIONS = {
     "point": PiExpression.zero(),
     "so3": PiExpression(((-1, Fraction(2)), (1, Fraction(1, 2)))),
     "partial-flag": PiExpression(((0, Fraction(1)), (1, Fraction(1, 4)))),
     "s2": PiExpression(((1, Fraction(1, 2)),)),
     "rp2": PiExpression.rational(1),
+    "full-flag": None,
 }
 
 _DOMAIN_SLACK = 1e-12
@@ -55,8 +57,16 @@ class ClosedForm:
     exact: PiExpression | None = None
 
 
-def _closed(expr: PiExpression) -> ClosedForm:
-    return ClosedForm(tag=str(expr), value=float(expr), exact=expr)
+def _route(table: dict, space: FlagSpec, missing: str):
+    """The entry of ``table`` for the ``classify`` family of ``space``.
+
+    A family the table lacks raises UnsupportedSpaceError, whose message is
+    ``missing`` formatted with the space's name.
+    """
+    family = classify(space).family
+    if family not in table:
+        raise UnsupportedSpaceError(missing.format(space_label(space)))
+    return table[family]
 
 
 def analytic_expected_distance(space: FlagSpec) -> ClosedForm:
@@ -66,13 +76,10 @@ def analytic_expected_distance(space: FlagSpec) -> ClosedForm:
     the projective plane. The full flag case is delegated to
     :func:`expected_distance_full_flag` at tolerance 1e-12.
     """
-    family = classify(space).family
-    if family == "full-flag":
-        quad = expected_distance_full_flag(1e-12)
-        return ClosedForm(tag=FULL_FLAG_TAG, value=quad.value, exact=None)
-    if family not in _EXPECTATIONS:
-        raise UnsupportedSpaceError(f"no closed form known for {space_label(space)}")
-    return _closed(_EXPECTATIONS[family])
+    expr = _route(_EXPECTATIONS, space, "no closed form known for {}")
+    if expr is None:
+        return ClosedForm(tag=FULL_FLAG_TAG, value=expected_distance_full_flag(1e-12).value)
+    return ClosedForm(tag=str(expr), value=float(expr), exact=expr)
 
 
 def full_flag_integrand(phi3):
@@ -129,6 +136,18 @@ def expected_distance_partial_flag_integral(tol: float) -> QuadratureResult:
     return _scaled(nested_integral(_join_integrand, ranges, tol * math.pi / 16.0), 16.0 / math.pi)
 
 
+# family -> the quadrature of its expected distance; each routine checks its own tol floor.
+_QUADRATURES = {
+    "full-flag": expected_distance_full_flag,
+    "partial-flag": expected_distance_partial_flag_integral,
+}
+
+
+def _quadrature(space: FlagSpec, tol: float) -> QuadratureResult:
+    """Expected distance on ``space`` by its family's quadrature at ``tol``."""
+    return _route(_QUADRATURES, space, "no quadrature for {}")(tol)
+
+
 def _polar_area(_theta: float, phis: np.ndarray) -> np.ndarray:
     return np.sin(phis)
 
@@ -173,13 +192,10 @@ def numeric_volume(space: FlagSpec, tol: float = 1e-7) -> QuadratureResult:
     of 48 congruent spherical simplices; the sphere and projective plane use
     the polar-angle area element. Cross-checks the exact volume formula.
     """
-    family = classify(space).family
-    if family not in _VOLUME_INTEGRALS:
-        raise UnsupportedSpaceError(
-            f"no volume integral implemented for {space_label(space)}; "
-            "supported: so3, the partial and full flags, s2, rp2"
-        )
-    multiple, integrand, ranges = _VOLUME_INTEGRALS[family]
+    multiple, integrand, ranges = _route(
+        _VOLUME_INTEGRALS, space,
+        "no volume integral implemented for {}; supported: so3, the partial and full flags, s2, rp2",
+    )
     return _scaled(nested_integral(integrand, ranges, tol), multiple)
 
 

@@ -5,8 +5,9 @@ and the run manifest (command, space, N, seed, workers, version, wall time).
 JSON floats are printed in Python's shortest round-trip form and CSV floats
 with 17 significant digits, so output parses back without loss; a non-finite
 value is refused rather than printed as invalid JSON. Exit codes: 0 success,
-2 parse or usage failure (including a negative seed and a quadrature --tol that
-cannot be reached), 3 space unsupported for the requested computation.
+2 parse or usage failure (including a negative seed, quadrature mode on a space
+that has no quadrature, and a quadrature --tol that cannot be reached), 3 space
+unsupported for the requested computation.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ import sys
 import time
 
 from . import __version__
-from .analytic import (
-    FULL_FLAG_MIN_TOL,
-    PARTIAL_FLAG_MIN_TOL,
-    QuadratureError,
-    analytic_expected_distance,
-    expected_distance_full_flag,
-    expected_distance_partial_flag_integral,
-    numeric_volume,
-)
+from .analytic import QuadratureError, _quadrature, analytic_expected_distance, numeric_volume
 from .flagspec import (
     FlagSpec,
     FlagSpecParseError,
@@ -118,21 +111,11 @@ def _expected_one(space: FlagSpec, args, seed) -> dict:
         cf = analytic_expected_distance(space)
         return {"mode": "analytic", "symbolic": cf.tag, "value": cf.value}
     if args.mode == "quadrature":
-        family = classify(space).family
-        min_tol = {"full-flag": FULL_FLAG_MIN_TOL, "partial-flag": PARTIAL_FLAG_MIN_TOL}.get(family)
-        if min_tol is None:
-            raise UsageError(
-                f"quadrature mode applies to the full or partial flags, not {space_label(space)}"
-            )
-        if args.tol < min_tol:
-            raise UsageError(
-                f"--tol must be >= {min_tol:g} for the {family} quadrature, got {args.tol:g}"
-            )
-        integral = (
-            expected_distance_partial_flag_integral if family == "partial-flag"
-            else expected_distance_full_flag
-        )
-        quad = integral(args.tol)
+        classify(space)  # an unsupported space exits 3, not 2 for want of a quadrature
+        try:
+            quad = _quadrature(space, args.tol)
+        except ValueError as exc:  # no quadrature for this family, or --tol below its floor
+            raise UsageError(f"quadrature mode: {exc}") from exc
         return {
             "mode": "quadrature",
             "value": quad.value,

@@ -369,8 +369,8 @@ print(code, usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
 
 
 @pytest.mark.parametrize("command", [
-    ("estimate", "--n", "10"), ("analytic",), ("sample", "--n", "10"),
-], ids=["estimate", "analytic", "sample"])
+    ("estimate", "--n", "10"), ("analytic",), ("sample", "--n", "10"), ("quadrature",),
+], ids=["estimate", "analytic", "sample", "quadrature"])
 def test_oversized_isotropy_group_exits_3_before_it_is_built(command):
     # The full flag of SO(30) has 2^29 sign rows, about 129 GB of table.
     space = "lambda=" + ",".join(["1"] * 30) + " P={" + ",".join(map(str, range(1, 31))) + "}"

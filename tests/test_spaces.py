@@ -9,7 +9,14 @@ import math
 
 import pytest
 
-from oriflag.analytic import FULL_FLAG_TAG, analytic_expected_distance, numeric_volume
+from oriflag.analytic import (
+    FULL_FLAG_TAG,
+    _quadrature,
+    analytic_expected_distance,
+    expected_distance_full_flag,
+    expected_distance_partial_flag_integral,
+    numeric_volume,
+)
 from oriflag import cli
 from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space
 
@@ -58,8 +65,16 @@ def test_classify_decides_family_and_every_route(case, capsys):
         assert code == 0
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["value"] == pytest.approx(closed[1], abs=1e-9)
+        routine = {"full-flag": expected_distance_full_flag,
+                   "partial-flag": expected_distance_partial_flag_integral}[family]
+        quad = _quadrature(space, 1e-10)
+        assert quad == routine(1e-10)  # value, bound and evaluations, bit for bit
+        assert (result["value"], result["abs_error_bound"], result["evaluations"]) == (
+            quad.value, quad.abs_error_bound, quad.evaluations)
     else:
         assert code == 2
+        with pytest.raises(UnsupportedSpaceError):
+            _quadrature(space, 1e-10)
 
     if volume is None:
         with pytest.raises(UnsupportedSpaceError):
