@@ -6,8 +6,11 @@ JSON floats are printed in Python's shortest round-trip form and CSV floats
 with 17 significant digits, so output parses back without loss; a non-finite
 value is refused rather than printed as invalid JSON. Exit codes: 0 success,
 2 parse or usage failure (including a negative seed, quadrature mode on a space
-that has no quadrature, and a quadrature --tol that cannot be reached), 3 space
-unsupported for the requested computation.
+that has no quadrature, a quadrature --tol that cannot be reached, and an
+``expected`` flag that would be ignored: a space with --all, or --format csv
+without it), 3 space unsupported for the requested computation, 141 stdout
+closed before the output ended (a reader such as ``head`` exited), with no
+traceback.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .flagspec import (
     flag_volume,
     parse_blocks,
 )
-from .montecarlo import _batch_size, estimate_expected_distance
-from .orthogonal import RngStream, _unit_vectors, sample_rotation_matrices
+from .montecarlo import _point_batches, estimate_expected_distance
+from .orthogonal import RngStream
 from .quatcover import _lifts
 from .spaces import (
     SPACE_ALIASES,
@@ -137,6 +140,10 @@ def _expected_one(space: FlagSpec, args, seed) -> dict:
 
 def cmd_expected(args) -> int:
     t0 = time.perf_counter()
+    if args.all and (args.space or args.lam or args.blocks):
+        raise UsageError("--all compares every alias; it takes no --space, --lambda or --P")
+    if not args.all and getattr(args, "format", "json") == "csv":
+        raise UsageError("--format csv applies only to the --all table")
     mc = args.mode == "montecarlo"
     # Only Monte Carlo draws anything, so only it reads ORIFLAG_SEED.
     seed = _default_seed(args.seed) if mc or args.all else None
@@ -178,28 +185,18 @@ def cmd_expected(args) -> int:
 
 def _sample_rows(space: FlagSpec, n: int, seed: int, lift: bool):
     kern = classify(space)
-    if kern.signs is None:
+    if not kern.shape:
         raise UnsupportedSpaceError(f"nothing to sample for {space_label(space)}")
-    sphere = kern.family in ("s2", "rp2")
-    d = 3 if sphere else kern.signs.shape[1]
-    if lift and (sphere or d != 3):
+    if lift and kern.shape != (3, 3):
         raise UsageError("--lift requires a 3x3 rotation space")
     if lift:
         header = ["x", "y", "z", "w"]
-    elif sphere:
+    elif len(kern.shape) == 1:
         header = ["x", "y", "z"]
     else:
-        header = [f"m{i}{j}" for i in range(d) for j in range(d)]
-    gen = RngStream(seed, 0).generator()
-    step = _batch_size(kern)
-
-    def batches():
-        for done in range(0, n, step):
-            m = min(step, n - done)
-            batch = _unit_vectors(gen, m, 3) if sphere else sample_rotation_matrices(d, m, gen)
-            yield _lifts(batch) if lift else batch
-
-    return header, batches()
+        header = [f"m{i}{j}" for i in range(kern.shape[0]) for j in range(kern.shape[1])]
+    batches = _point_batches(kern, RngStream(seed, 0).generator(), n)
+    return header, map(_lifts, batches) if lift else batches
 
 
 def cmd_sample(args) -> int:
@@ -296,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=1e-12, help="quadrature tolerance")
     p.add_argument("--two-point", action="store_true", help="draw both points instead of using the base point")
     p.add_argument("--all", action="store_true", help="comparison table over every SO(3)-derived space")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--format", choices=["json", "csv"], default="json", help="csv only with --all")
     _add_seed_workers(p)
     p.set_defaults(func=cmd_expected)
 
@@ -354,7 +351,15 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader has gone (e.g. `| head`). Flushes at exit go to devnull, so
+        # no second error is printed; the exit code is a shell's for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

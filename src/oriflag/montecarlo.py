@@ -150,7 +150,7 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     """One batch of distance samples for a kernel; consumes ``gen`` sequentially."""
     if kern.family == "point":
         return np.zeros(count)
-    if kern.family in ("s2", "rp2"):
+    if len(kern.shape) == 1:
         if two_point:
             v = _unit_vectors(gen, count, 3)
             cos = (_unit_vectors(gen, count, 3) * v).sum(axis=1)
@@ -164,7 +164,7 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     if kern.lifts is not None:
         cover = _spin3_distances if kern.lifts.ndim == 2 else _spin4_distances
         return cover(kern.lifts, gen, count, two_point)
-    n = kern.signs.shape[1]
+    n = kern.shape[0]
     # A diag(s) B^T is similar to B^T A diag(s), so the product with B is
     # taken once, and A and B are dropped before the orbit minimum; one
     # batched symmetric eigenvalue solve per isotropy element.
@@ -176,24 +176,30 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
 
 def _batch_size(kern: Kernel) -> int:
     """``_BATCH`` samples, or on the matrix path as many as ``_BATCH_BYTES`` holds."""
-    if kern.lifts is not None or kern.family in ("point", "s2", "rp2"):
+    if kern.lifts is not None or len(kern.shape) < 2:
         return _BATCH
-    n = kern.signs.shape[1]
-    return max(1, min(_BATCH, _BATCH_BYTES // (8 * n * n * _STACKS)))
+    return max(1, min(_BATCH, _BATCH_BYTES // (8 * math.prod(kern.shape) * _STACKS)))
 
 
-def _distance_batches(kern: Kernel, gen: np.random.Generator, count: int, two_point: bool):
-    """``count`` distance samples in batches of at most ``_batch_size``, drawn in order from ``gen``."""
+def _batches(kern: Kernel, count: int):
+    """The one split of ``count`` draws: lazy batch sizes of at most ``_batch_size``."""
     step = _batch_size(kern)
-    for done in range(0, count, step):
-        yield _kernel_distances(kern, gen, min(step, count - done), two_point)
+    return (min(step, count - done) for done in range(0, count, step))
+
+
+def _point_batches(kern: Kernel, gen: np.random.Generator, count: int):
+    """``count`` points of ``kern.shape`` (unit 3-vectors or rotations), drawn in order from ``gen``."""
+    n = kern.shape[0]
+    for m in _batches(kern, count):
+        yield _unit_vectors(gen, m, n) if len(kern.shape) == 1 else sample_rotation_matrices(n, m, gen)
 
 
 def sample_distances(space: FlagSpec, count: int, rng, *, two_point: bool = False) -> np.ndarray:
     """Raw distance samples for a space, one random draw (or pair) per entry."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    chunks = list(_distance_batches(classify(space), _as_generator(rng), count, two_point))
+    kern, gen = classify(space), _as_generator(rng)
+    chunks = [_kernel_distances(kern, gen, m, two_point) for m in _batches(kern, count)]
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
@@ -215,9 +221,9 @@ def _merge_stats(a: tuple[int, float, float], b: tuple[int, float, float]) -> tu
 
 
 def _chunk_stats(kern: Kernel, seed: int, chunk: int, size: int, two_point: bool) -> tuple[int, float, float]:
-    stats = (0, 0.0, 0.0)
-    for x in _distance_batches(kern, RngStream(seed, chunk).generator(), size, two_point):
-        stats = _merge_stats(stats, _batch_stats(x))
+    gen, stats = RngStream(seed, chunk).generator(), (0, 0.0, 0.0)
+    for m in _batches(kern, size):
+        stats = _merge_stats(stats, _batch_stats(_kernel_distances(kern, gen, m, two_point)))
     return stats
 
 

@@ -94,12 +94,16 @@ class Kernel:
     with diag(s) the rotation x -> u x conj(u). For n = 4 it is the
     (|SG|, 2, 4) pairs (u, v) of signed units with diag(s) x = u x conj(v),
     where A x = p x conj(q) covers SO(4) by S^3 x S^3. It is None otherwise.
-    Kernels are shared between callers, so their arrays are read-only.
+    ``shape`` is the shape of one drawn point: (3,) for the unit 3-vectors of
+    the sphere and projective plane, (n, n) for the rotations of every
+    rotation space (SO(1) included), and () for a point quotient, which draws
+    nothing. Kernels are shared between callers, so their arrays are read-only.
     """
 
     family: str | None
     signs: np.ndarray | None = None
     lifts: np.ndarray | None = None
+    shape: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for array in (self.signs, self.lifts):
@@ -115,8 +119,8 @@ def classify(space: FlagSpec) -> Kernel:
     """Map a space to its sampling/distance kernel, or raise if unsupported.
 
     The only place that decides what a space is: callers read the returned
-    ``family``, ``signs`` and ``lifts`` instead of inspecting the space
-    themselves. Each space's Kernel is built once and cached.
+    ``family``, ``signs``, ``lifts`` and ``shape`` instead of inspecting the
+    space themselves. Each space's Kernel is built once and cached.
     """
     if not isinstance(space, FlagSpec):
         raise UnsupportedSpaceError(f"not a space: {space!r}")
@@ -129,14 +133,15 @@ def _classify(space: FlagSpec) -> Kernel:
     # All ones first, so lambda = (1,) is SO(1): a rotation kernel of family "point".
     if all(p == 1 for p in parts):
         signs = isotropy_group(space).signs
-        lifts = _spin_lifts(signs) if signs.shape[1] in (3, 4) else None
-        return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, lifts)
+        n = signs.shape[1]
+        lifts = _spin_lifts(signs) if n in (3, 4) else None
+        return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, lifts, (n, n))
     if len(parts) == 1:
         return Kernel("point")
     if sorted(parts) == [1, 2]:
         if space.p.is_complete:
-            return Kernel("s2", np.ones((1, 1)))
-        return Kernel("rp2", np.array([[1.0], [-1.0]]))
+            return Kernel("s2", np.ones((1, 1)), shape=(3,))
+        return Kernel("rp2", np.array([[1.0], [-1.0]]), shape=(3,))
     raise UnsupportedSpaceError(
         f"no distance machinery for lambda = ({space.lam}) with partition {space.p}; "
         "supported: lambda all ones, a single part, or the 3 = 1+2 sphere cases"

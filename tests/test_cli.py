@@ -250,6 +250,16 @@ def test_expected_all_two_point_draws_both_points(capsys):
     assert so3["mean"] == single["result"]["mean"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("expected", "--space", "so3", "--format", "csv"),
+    ("expected", "--all", "--space", "so5", "--n", "10"),
+], ids=["csv-without-all", "space-with-all"])
+def test_expected_flags_that_would_be_ignored_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--all" in err
+
+
 def test_expected_requires_space(capsys):
     code, _out, err = run(capsys, "expected", "--mode", "analytic")
     assert code == 2
@@ -315,6 +325,9 @@ def test_sample_rotations_are_valid_and_deterministic(capsys):
         q = np.array(row)
         assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-12
         assert abs(np.linalg.det(q) - 1.0) <= 1e-10
+    # SO(1) is a point, but still draws its one 1x1 rotation per row
+    code, out, _ = run(capsys, "sample", "--space", "so1", "--n", "2", "--seed", "1")
+    assert code == 0 and [strict_json(line) for line in out.splitlines()] == [[[1.0]], [[1.0]]]
 
 
 def test_sample_sphere_unit_norm(capsys):
@@ -359,6 +372,12 @@ def test_sample_validation(capsys):
     assert code == 3
 
 
+def _env_importing_src():
+    """The environment for a ``python -m oriflag.cli`` child that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # Runs each command in a grandchild, so RUSAGE_CHILDREN sees that command alone.
 _RUSAGE_SCRIPT = """
 import resource, subprocess, sys
@@ -374,8 +393,7 @@ print(code, usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
 def test_oversized_isotropy_group_exits_3_before_it_is_built(command):
     # The full flag of SO(30) has 2^29 sign rows, about 129 GB of table.
     space = "lambda=" + ",".join(["1"] * 30) + " P={" + ",".join(map(str, range(1, 31))) + "}"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_importing_src()
     argv = [sys.executable, "-m", "oriflag.cli", command[0], "--space", space, *command[1:]]
     proc = subprocess.run([sys.executable, "-c", _RUSAGE_SCRIPT, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
@@ -383,6 +401,21 @@ def test_oversized_isotropy_group_exits_3_before_it_is_built(command):
     assert code == "3"
     assert float(cpu_s) < 1.0
     assert int(peak_kb) < 150 * 1024
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("sample", "--space", "so3", "--n", "100000"), 1),  # far more than a pipe buffer holds
+    (("expected", "--space", "so3"), 0),  # closed before the one small report is written
+], ids=["sample", "expected"])
+def test_closed_stdout_exits_quietly(argv, lines):
+    proc = subprocess.Popen([sys.executable, "-m", "oriflag.cli", *argv], env=_env_importing_src(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for _ in range(lines):
+        assert proc.stdout.readline().startswith("[[")
+    proc.stdout.close()
+    _out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 @pytest.mark.parametrize("argv", [

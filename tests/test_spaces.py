@@ -1,7 +1,8 @@
 """``classify`` is the one place that decides what a space is.
 
-Each case pins the kernel family and everything that callers derive from it:
-the closed form, the quadrature route and the numeric volume integral.
+Each case pins the kernel family, the shape of one drawn point, and everything
+that callers derive from them: the closed form, the quadrature route and the
+numeric volume integral.
 """
 
 import json
@@ -23,22 +24,22 @@ from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse
 FULL_FLAG_REFERENCE = 1.3117250347224445929
 PI = math.pi
 
-# (space text, family, (tag, value) of the closed form or None,
+# (space text, family, shape of one drawn point, (tag, value) of the closed form or None,
 #  accepted by quadrature mode, exact volume when numeric_volume accepts it)
 CASES = {
-    "so3": ("so3", "so3", ("2/pi + pi/2", 2 / PI + PI / 2), False, 8 * PI**2),
-    "partial-flag-1": ("partial-flag-1", "partial-flag", ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
-    "partial-flag-2": ("partial-flag-2", "partial-flag", ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
-    "partial-flag-3": ("partial-flag-3", "partial-flag", ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
-    "full-flag": ("full-flag", "full-flag", (FULL_FLAG_TAG, FULL_FLAG_REFERENCE), True, 2 * PI**2),
-    "s2": ("s2", "s2", ("pi/2", PI / 2), False, 4 * PI),
-    "rp2": ("rp2", "rp2", ("1", 1.0), False, 2 * PI),
-    "trivial-flag": ("trivial-flag", "point", ("0", 0.0), False, None),
-    "so1": ("so1", "point", ("0", 0.0), False, None),
-    "so4": ("so4", None, None, False, None),
-    "partial-flag-2-text": ("lambda=1,1,1 P={2}{1,3}", "partial-flag", ("1 + pi/4", 1 + PI / 4),
+    "so3": ("so3", "so3", (3, 3), ("2/pi + pi/2", 2 / PI + PI / 2), False, 8 * PI**2),
+    "partial-flag-1": ("partial-flag-1", "partial-flag", (3, 3), ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
+    "partial-flag-2": ("partial-flag-2", "partial-flag", (3, 3), ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
+    "partial-flag-3": ("partial-flag-3", "partial-flag", (3, 3), ("1 + pi/4", 1 + PI / 4), True, 4 * PI**2),
+    "full-flag": ("full-flag", "full-flag", (3, 3), (FULL_FLAG_TAG, FULL_FLAG_REFERENCE), True, 2 * PI**2),
+    "s2": ("s2", "s2", (3,), ("pi/2", PI / 2), False, 4 * PI),
+    "rp2": ("rp2", "rp2", (3,), ("1", 1.0), False, 2 * PI),
+    "trivial-flag": ("trivial-flag", "point", (), ("0", 0.0), False, None),
+    "so1": ("so1", "point", (1, 1), ("0", 0.0), False, None),
+    "so4": ("so4", None, (4, 4), None, False, None),
+    "partial-flag-2-text": ("lambda=1,1,1 P={2}{1,3}", "partial-flag", (3, 3), ("1 + pi/4", 1 + PI / 4),
                             True, 4 * PI**2),
-    "rp2-text": ("lambda=2,1 P={1,2}", "rp2", ("1", 1.0), False, 2 * PI),
+    "rp2-text": ("lambda=2,1 P={1,2}", "rp2", (3,), ("1", 1.0), False, 2 * PI),
 }
 
 
@@ -48,9 +49,10 @@ def test_cases_cover_every_alias():
 
 @pytest.mark.parametrize("case", list(CASES.values()), ids=list(CASES))
 def test_classify_decides_family_and_every_route(case, capsys):
-    text, family, closed, quadrature, volume = case
+    text, family, shape, closed, quadrature, volume = case
     space = parse_space(text)
     assert classify(space).family == family
+    assert classify(space).shape == shape
 
     if closed is None:
         with pytest.raises(UnsupportedSpaceError):
