@@ -6,11 +6,10 @@ JSON floats are printed in Python's shortest round-trip form and CSV floats
 with 17 significant digits, so output parses back without loss; a non-finite
 value is refused rather than printed as invalid JSON. Exit codes: 0 success,
 2 parse or usage failure (including a negative seed, quadrature mode on a space
-that has no quadrature, a quadrature --tol that cannot be reached, and an
-``expected`` flag that would be ignored: a space with --all, or --format csv
-without it), 3 space unsupported for the requested computation, 141 stdout
-closed before the output ended (a reader such as ``head`` exited), with no
-traceback.
+that has no quadrature, a quadrature --tol that cannot be reached, and a flag
+the chosen form does not read), 3 space unsupported for the requested
+computation, 141 stdout closed before the output ended (a reader such as
+``head`` exited), with no traceback.
 """
 
 from __future__ import annotations
@@ -81,9 +80,11 @@ def _report(command: str, space, result: dict, *, n=None, seed=None, workers=Non
 
 
 def _parse_space_arg(args) -> FlagSpec:
-    if getattr(args, "space", None):
+    if args.blocks is not None and args.lam is None:
+        raise UsageError("--P needs --lambda")
+    if args.space:
         return parse_space(args.space)
-    if getattr(args, "lam", None):
+    if args.lam:
         try:
             parts = tuple(int(s) for s in args.lam.split(","))
             blocks = parse_blocks(args.blocks) if args.blocks else SetPartition.trivial(len(parts))
@@ -95,13 +96,15 @@ def _parse_space_arg(args) -> FlagSpec:
 
 def cmd_volume(args) -> int:
     t0 = time.perf_counter()
+    if args.tol is not None and not args.numeric:
+        raise UsageError("--tol applies only with --numeric")
     space = _parse_space_arg(args)
     vol = flag_volume(space)
     value = float(vol)
     # A nonzero volume below the double range has no float; 0.0 would read as exact.
     result = {"symbolic": str(vol), "value": value if value or not vol.terms else None}
     if args.numeric:
-        numeric = numeric_volume(space, args.tol)
+        numeric = numeric_volume(space, 1e-7 if args.tol is None else args.tol)
         result["numeric_value"] = numeric.value
         result["abs_error_bound"] = numeric.abs_error_bound
         result["evaluations"] = numeric.evaluations
@@ -109,7 +112,7 @@ def cmd_volume(args) -> int:
     return _report("volume", space, result, t0=t0)
 
 
-def _expected_one(space: FlagSpec, args, seed) -> dict:
+def _expected_one(space: FlagSpec, args) -> dict:
     if args.mode == "analytic":
         cf = analytic_expected_distance(space)
         return {"mode": "analytic", "symbolic": cf.tag, "value": cf.value}
@@ -127,7 +130,7 @@ def _expected_one(space: FlagSpec, args, seed) -> dict:
             "tol": args.tol,
         }
     est = estimate_expected_distance(
-        space, args.n, seed=seed, workers=args.workers, two_point=args.two_point
+        space, args.n, seed=args.seed, workers=args.workers, two_point=args.two_point
     )
     return {
         "mode": "montecarlo",
@@ -138,21 +141,39 @@ def _expected_one(space: FlagSpec, args, seed) -> dict:
     }
 
 
+# The argparse dests each form of ``expected`` reads; giving any other is a usage error.
+_EXPECTED_READS = {
+    "analytic": {"space", "lam", "blocks", "mode"},
+    "quadrature": {"space", "lam", "blocks", "mode", "tol"},
+    "montecarlo": {"space", "lam", "blocks", "mode", "n", "two_point", "seed", "workers"},
+    "all": {"all", "n", "two_point", "format", "seed", "workers"},
+}
+_EXPECTED_DEFAULTS = dict(space=None, lam=None, blocks=None, mode="analytic", n=1_000_000, tol=1e-12,
+                          two_point=False, all=False, format="json", seed=None, workers=1)
+
+
 def cmd_expected(args) -> int:
     t0 = time.perf_counter()
-    if args.all and (args.space or args.lam or args.blocks):
-        raise UsageError("--all compares every alias; it takes no --space, --lambda or --P")
-    if not args.all and getattr(args, "format", "json") == "csv":
-        raise UsageError("--format csv applies only to the --all table")
-    mc = args.mode == "montecarlo"
-    # Only Monte Carlo draws anything, so only it reads ORIFLAG_SEED.
-    seed = _default_seed(args.seed) if mc or args.all else None
+    given = vars(args).keys() - {"command", "func"}
+    args = argparse.Namespace(**{**_EXPECTED_DEFAULTS, **vars(args)})
+    form = "all" if args.all else args.mode
+    reads = _EXPECTED_READS[form]
+    if given - reads:  # name each flag given that this form does not read, and the forms that do
+        label = {f: "--all" if f == "all" else f"--mode {f}" for f in _EXPECTED_READS}
+        flag = {"lam": "--lambda", "blocks": "--P"}
+        raise UsageError(f"expected {label[form]} does not read " + ", ".join(
+            f"{flag.get(d, '--' + d.replace('_', '-'))} (read with "
+            f"{' or '.join(label[f] for f, r in _EXPECTED_READS.items() if d in r)})"
+            for d in sorted(given - reads)))
+    if "seed" in reads:  # only a form that draws reads ORIFLAG_SEED
+        args.seed = _default_seed(args.seed)
+    run = {dest: getattr(args, dest) for dest in ("n", "seed", "workers") if dest in reads}
     if args.all:
         rows = []
         for name, space in SPACE_ALIASES.items():
             cf = analytic_expected_distance(space)
             est = estimate_expected_distance(
-                space, args.n, seed=seed, workers=args.workers, two_point=args.two_point
+                space, args.n, seed=args.seed, workers=args.workers, two_point=args.two_point
             )
             rows.append(
                 {
@@ -165,22 +186,13 @@ def cmd_expected(args) -> int:
                 }
             )
         if args.format == "csv":
-            print("space,symbolic,analytic,mean,stderr,abs_delta")
+            print(",".join(rows[0]))
             for r in rows:
-                print(
-                    f"{r['space']},{r['symbolic']},{_fmt(r['analytic'])},"
-                    f"{_fmt(r['mean'])},{_fmt(r['stderr'])},{_fmt(r['abs_delta'])}"
-                )
+                print(",".join(v if isinstance(v, str) else _fmt(v) for v in r.values()))
             return 0
-        return _report(
-            args.command, None, {"mode": "all", "rows": rows},
-            n=args.n, seed=seed, workers=args.workers, t0=t0,
-        )
+        return _report(args.command, None, {"mode": "all", "rows": rows}, **run, t0=t0)
     space = _parse_space_arg(args)
-    result = _expected_one(space, args, seed)
-    if not mc:
-        return _report(args.command, space, result, t0=t0)
-    return _report(args.command, space, result, n=args.n, seed=seed, workers=args.workers, t0=t0)
+    return _report(args.command, space, _expected_one(space, args), **run, t0=t0)
 
 
 def _sample_rows(space: FlagSpec, n: int, seed: int, lift: bool):
@@ -261,10 +273,15 @@ def _seed(text: str) -> int:
 
 
 def _add_seed_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="random seed (default: ORIFLAG_SEED env var, else 0)")
-    p.add_argument("--workers", "--streams", type=_positive_int, default=1,
-                   help="parallel sampling streams")
+    p.add_argument("--seed", type=_seed, help="random seed (default: ORIFLAG_SEED env var, else 0)")
+    p.add_argument("--workers", "--streams", type=_positive_int, help="parallel sampling streams")
+
+
+def _add_space_flags(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--space", help="space alias or 'lambda=... P=...' text")
+    group.add_argument("--lambda", dest="lam", help="comma-separated parts, e.g. 1,1,1")
+    p.add_argument("--P", dest="blocks", help="set partition blocks, e.g. {1}{2,3} (default: one block)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,42 +293,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("volume", help="exact (and optionally numeric) volume of a flag manifold")
-    p.add_argument("--space", help="space alias or 'lambda=... P=...' text")
-    p.add_argument("--lambda", dest="lam", help="comma-separated parts, e.g. 1,1,1")
-    p.add_argument("--P", dest="blocks",
-                   help="set partition blocks, e.g. {1}{2,3} (default: one block)")
+    _add_space_flags(p)
     p.add_argument("--numeric", action="store_true", help="also evaluate the defining integral numerically")
-    p.add_argument("--tol", type=_tolerance, default=1e-7, help="numeric integration tolerance")
+    p.add_argument("--tol", type=_tolerance, help="numeric integration tolerance (default: 1e-7)")
     p.set_defaults(func=cmd_volume)
 
-    p = sub.add_parser("expected", help="expected distance between two random points")
-    p.add_argument("--space", help="space alias or 'lambda=... P=...' text")
-    p.add_argument("--lambda", dest="lam", help="comma-separated parts")
-    p.add_argument("--P", dest="blocks", help="set partition blocks")
-    p.add_argument("--mode", choices=["analytic", "quadrature", "montecarlo"], default="analytic")
-    p.add_argument("--n", type=_positive_int, default=1_000_000, help="Monte Carlo sample count")
-    p.add_argument("--tol", type=_tolerance, default=1e-12, help="quadrature tolerance")
+    # These four leave a flag not given unset, so _add_seed_workers sets no default=;
+    # cmd_expected checks what was given, then fills in _EXPECTED_DEFAULTS.
+    unset = dict(argument_default=argparse.SUPPRESS)
+    p = sub.add_parser("expected", help="expected distance between two random points", **unset)
+    _add_space_flags(p)
+    p.add_argument("--mode", choices=["analytic", "quadrature", "montecarlo"])
+    p.add_argument("--n", type=_positive_int, help="Monte Carlo sample count")
+    p.add_argument("--tol", type=_tolerance, help="quadrature tolerance")
     p.add_argument("--two-point", action="store_true", help="draw both points instead of using the base point")
     p.add_argument("--all", action="store_true", help="comparison table over every SO(3)-derived space")
-    p.add_argument("--format", choices=["json", "csv"], default="json", help="csv only with --all")
+    p.add_argument("--format", choices=["json", "csv"], help="format of the --all table")
     _add_seed_workers(p)
     p.set_defaults(func=cmd_expected)
 
-    p = sub.add_parser("estimate", help="Monte Carlo expected distance (expected --mode montecarlo)")
+    p = sub.add_parser("estimate", help="Monte Carlo expected distance (expected --mode montecarlo)", **unset)
     p.add_argument("--space", required=True)
-    p.add_argument("--n", type=_positive_int, default=1_000_000)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--two-point", action="store_true")
     _add_seed_workers(p)
-    p.set_defaults(func=cmd_expected, mode="montecarlo", all=False)
+    p.set_defaults(func=cmd_expected, mode="montecarlo")
 
-    p = sub.add_parser("analytic", help="closed-form expected distance")
+    p = sub.add_parser("analytic", help="closed-form expected distance", **unset)
     p.add_argument("--space", required=True)
-    p.set_defaults(func=cmd_expected, mode="analytic", all=False)
+    p.set_defaults(func=cmd_expected, mode="analytic")
 
-    p = sub.add_parser("quadrature", help="expected distance by adaptive quadrature")
+    p = sub.add_parser("quadrature", help="expected distance by adaptive quadrature", **unset)
     p.add_argument("--space", default="full-flag")
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
-    p.set_defaults(func=cmd_expected, mode="quadrature", all=False)
+    p.add_argument("--tol", type=_tolerance)
+    p.set_defaults(func=cmd_expected, mode="quadrature")
 
     p = sub.add_parser("sample", help="emit random samples as JSON lines or CSV")
     p.add_argument("--space", required=True)
@@ -325,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--n-list", required=True, help="comma-separated increasing sample counts")
     _add_seed_workers(p)
-    p.set_defaults(func=cmd_convergence)
+    p.set_defaults(func=cmd_convergence, workers=1)
 
     return parser
 

@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import json
 import math
@@ -250,14 +251,37 @@ def test_expected_all_two_point_draws_both_points(capsys):
     assert so3["mean"] == single["result"]["mean"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("expected", "--space", "so3", "--format", "csv"),
-    ("expected", "--all", "--space", "so5", "--n", "10"),
-], ids=["csv-without-all", "space-with-all"])
-def test_expected_flags_that_would_be_ignored_are_usage_errors(capsys, argv):
+@pytest.mark.parametrize("argv, named", [
+    (("expected", "--space", "so3", "--format", "csv"), ("--format", "--all")),
+    (("expected", "--all", "--space", "so5", "--n", "10"), ("--space", "--all")),
+    (("expected", "--space", "so3", "--two-point", "--n", "5", "--seed", "3"),
+     ("--two-point", "--n", "--seed")),
+    (("expected", "--all", "--mode", "quadrature", "--n", "100", "--format", "csv"), ("--mode",)),
+    (("expected", "--space", "full-flag", "--mode", "quadrature", "--workers", "3"), ("--workers",)),
+    (("expected", "--space", "so3", "--mode", "montecarlo", "--tol", "1e-3"), ("--tol",)),
+    (("expected", "--all", "--mode", "analytic"), ("--mode",)),
+    (("expected", "--space", "so3", "--lambda", "1,1,1"), ("--lambda", "--space")),
+    (("expected", "--space", "so3", "--P", "{1,2,3}"), ("--P needs --lambda",)),
+    (("expected", "--P", "{1,2,3}"), ("--P needs --lambda",)),
+    (("volume", "--space", "so3", "--tol", "1e-3"), ("--tol", "--numeric")),
+], ids=["csv-without-all", "space-with-all", "montecarlo-flags-in-analytic-mode",
+        "mode-with-all", "workers-in-quadrature-mode", "tol-in-montecarlo-mode",
+        "analytic-mode-with-all", "space-with-lambda", "P-without-lambda", "P-alone",
+        "volume-tol-without-numeric"])
+def test_expected_flags_that_would_be_ignored_are_usage_errors(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert "--all" in err
+    for text in named:
+        assert text in err
+
+
+def test_expected_aliases_define_only_flags_their_mode_reads():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("estimate", "analytic", "quadrature"):
+        alias = commands.choices[name]
+        dests = {a.dest for a in alias._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests and dests <= cli._EXPECTED_READS[alias.get_default("mode")], name
 
 
 def test_expected_requires_space(capsys):
