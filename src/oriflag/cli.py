@@ -23,14 +23,7 @@ import time
 
 from . import __version__
 from .analytic import QuadratureError, _quadrature, analytic_expected_distance, numeric_volume
-from .flagspec import (
-    FlagSpec,
-    FlagSpecParseError,
-    OrderedPartition,
-    SetPartition,
-    flag_volume,
-    parse_blocks,
-)
+from .flagspec import FlagSpec, FlagSpecParseError, SetPartition, flag_volume
 from .montecarlo import _point_batches, estimate_expected_distance
 from .orthogonal import RngStream
 from .quatcover import _lifts
@@ -80,17 +73,14 @@ def _report(command: str, space, result: dict, *, n=None, seed=None, workers=Non
 
 
 def _parse_space_arg(args) -> FlagSpec:
+    """``--space``, or ``--lambda X --P Y`` read as ``lambda=X P=Y`` (``--P`` defaults to one block)."""
     if args.blocks is not None and args.lam is None:
         raise UsageError("--P needs --lambda")
     if args.space:
         return parse_space(args.space)
-    if args.lam:
-        try:
-            parts = tuple(int(s) for s in args.lam.split(","))
-            blocks = parse_blocks(args.blocks) if args.blocks else SetPartition.trivial(len(parts))
-            return FlagSpec(OrderedPartition(parts), blocks)
-        except (ValueError, FlagSpecParseError) as exc:
-            raise FlagSpecParseError(str(exc)) from exc
+    if args.lam is not None:
+        blocks = SetPartition.trivial(len(args.lam.split(","))) if args.blocks is None else args.blocks
+        return parse_space(f"lambda={args.lam} P={blocks}")
     raise UsageError("a space is required: --space <alias|spec> or --lambda/--P")
 
 

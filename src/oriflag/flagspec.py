@@ -182,17 +182,9 @@ def parse_flagspec(text: str) -> FlagSpec:
         for b in _BLOCK_RE.findall(m.group(2))
     )
     try:
-        return FlagSpec(OrderedPartition(parts), SetPartition(blocks))
+        return FlagSpec(parts, blocks)
     except ValueError as exc:
         raise FlagSpecParseError(str(exc)) from exc
-
-
-def parse_blocks(text: str) -> SetPartition:
-    """Parse just a block list like ``{1}{2,3}``."""
-    blocks = _BLOCK_RE.findall(text)
-    if not blocks or "".join("{" + b + "}" for b in blocks) != text.replace(" ", ""):
-        raise FlagSpecParseError(f"cannot parse block list {text!r}")
-    return SetPartition(tuple(tuple(int(s) for s in b.split(",")) for b in blocks))
 
 
 def conjugate_partition(parts) -> tuple[int, ...]:

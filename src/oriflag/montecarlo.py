@@ -24,6 +24,7 @@ package version.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -211,20 +212,15 @@ def _batch_stats(x: np.ndarray) -> tuple[int, float, float]:
 def _merge_stats(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
     na, ma, m2a = a
     nb, mb, m2b = b
-    if na == 0:
-        return b
-    if nb == 0:
-        return a
     n = na + nb
     delta = mb - ma
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * (nb / n))
 
 
 def _chunk_stats(kern: Kernel, seed: int, chunk: int, size: int, two_point: bool) -> tuple[int, float, float]:
-    gen, stats = RngStream(seed, chunk).generator(), (0, 0.0, 0.0)
-    for m in _batches(kern, size):
-        stats = _merge_stats(stats, _batch_stats(_kernel_distances(kern, gen, m, two_point)))
-    return stats
+    gen = RngStream(seed, chunk).generator()
+    batches = (_batch_stats(_kernel_distances(kern, gen, m, two_point)) for m in _batches(kern, size))
+    return functools.reduce(_merge_stats, batches)
 
 
 def _chunk_sizes(n: int, workers: int) -> list[int]:
@@ -259,17 +255,12 @@ def estimate_expected_distance(
     sizes = _chunk_sizes(n_samples, workers)
     # Chunks fix the result; threads only run them, so never more than cores.
     threads = 1 if len(sizes) == 1 else min(len(sizes), os.cpu_count() or 1)
+    chunk_stats = functools.partial(_chunk_stats, kern, seed, two_point=two_point)
     if threads == 1:
-        parts = [_chunk_stats(kern, seed, i, size, two_point) for i, size in enumerate(sizes)]
+        parts = list(map(chunk_stats, range(len(sizes)), sizes))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_chunk_stats, kern, seed, i, size, two_point)
-                for i, size in enumerate(sizes)
-            ]
-            parts = [f.result() for f in futures]
-    count, mean, m2 = (0, 0.0, 0.0)
-    for part in parts:
-        count, mean, m2 = _merge_stats((count, mean, m2), part)
+            parts = list(pool.map(chunk_stats, range(len(sizes)), sizes))
+    count, mean, m2 = functools.reduce(_merge_stats, parts)
     stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
     return Estimate(mean=mean, stderr=stderr, n_samples=count, seed=seed)

@@ -132,10 +132,7 @@ def adaptive_gauss_kronrod(
         evaluations += 30
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    pieces = sorted(heap, key=lambda item: item[1])
-    total = math.fsum(item[3] for item in pieces)
-    total_err = math.fsum(item[4] for item in pieces)
-    return QuadratureResult(total, total_err, evaluations)
+    return QuadratureResult(math.fsum(item[3] for item in heap), total_err, evaluations)
 
 
 def nested_integral(f, ranges, tol: float) -> QuadratureResult:

@@ -30,20 +30,19 @@ from .flagspec import (
 from .quatcover import _spin_lifts
 
 
-def _flag(parts, blocks) -> FlagSpec:
-    return FlagSpec(OrderedPartition(tuple(parts)), SetPartition(tuple(tuple(b) for b in blocks)))
-
-
 # In the order of the ``expected --all`` comparison table.
 SPACE_ALIASES: dict[str, FlagSpec] = {
-    "so3": _flag((1, 1, 1), ((1,), (2,), (3,))),
-    "partial-flag-1": _flag((1, 1, 1), ((1,), (2, 3))),
-    "partial-flag-2": _flag((1, 1, 1), ((2,), (1, 3))),
-    "partial-flag-3": _flag((1, 1, 1), ((3,), (1, 2))),
-    "full-flag": _flag((1, 1, 1), ((1, 2, 3),)),
-    "s2": _flag((1, 2), ((1,), (2,))),
-    "rp2": _flag((1, 2), ((1, 2),)),
-    "trivial-flag": _flag((3,), ((1,),)),
+    name: parse_flagspec(text)
+    for name, text in {
+        "so3": "lambda=1,1,1 P={1}{2}{3}",
+        "partial-flag-1": "lambda=1,1,1 P={1}{2,3}",
+        "partial-flag-2": "lambda=1,1,1 P={2}{1,3}",
+        "partial-flag-3": "lambda=1,1,1 P={3}{1,2}",
+        "full-flag": "lambda=1,1,1 P={1,2,3}",
+        "s2": "lambda=1,2 P={1}{2}",
+        "rp2": "lambda=1,2 P={1,2}",
+        "trivial-flag": "lambda=3 P={1}",
+    }.items()
 }
 
 _SON_RE = re.compile(r"^so(\d+)$")

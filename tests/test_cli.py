@@ -96,12 +96,30 @@ def test_volume_numeric_unsupported_exits_3(capsys):
 
 
 def test_volume_parse_failure_exits_2(capsys):
-    code, _out, _err = run(capsys, "volume", "--space", "lambda=1,x P={1}")
-    assert code == 2
-    code, _out, _err = run(capsys, "volume", "--lambda", "1,1", "--P", "{1}{3}")
-    assert code == 2
-    code, _out, _err = run(capsys, "volume", "--space", "so0")
-    assert code == 2
+    for argv in (
+        ("volume", "--space", "lambda=1,x P={1}"),
+        ("volume", "--lambda", "1,1", "--P", "{1}{3}"),
+        ("volume", "--space", "so0"),
+        # an empty --P fails the grammar of --space; it is not the default one block
+        ("volume", "--lambda", "1,2", "--P", ""),
+        ("expected", "--lambda", "1,1,1", "--P", "", "--mode", "analytic"),
+    ):
+        code, out, _err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+
+
+@pytest.mark.parametrize("lam, blocks, text", [
+    ("1,1,1", None, "lambda=1,1,1 P={1,2,3}"),
+    ("1,1,1", "{1}{2,3}", "lambda=1,1,1 P={1}{2,3}"),
+    ("2,1", "{1,2}", "lambda=2,1 P={1,2}"),
+    ("1, 1 ,1", "{1} {2, 3}", "lambda=1, 1 ,1 P={1} {2, 3}"),
+], ids=["no-P", "partial-flag", "rp2", "spaces-inside-lists"])
+@pytest.mark.parametrize("command", [("volume",), ("expected", "--mode", "analytic")], ids=["volume", "analytic"])
+def test_lambda_and_P_name_the_space_of_their_text(capsys, command, lam, blocks, text):
+    by_flags = run_json(capsys, *command, "--lambda", lam, *(() if blocks is None else ("--P", blocks)))
+    by_text = run_json(capsys, *command, "--space", text)
+    assert by_flags["space"] == by_text["space"]
+    assert by_flags["result"] == by_text["result"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -47,6 +47,20 @@ def test_cases_cover_every_alias():
     assert set(SPACE_ALIASES) <= set(CASES)
 
 
+def test_alias_texts_in_table_order():
+    # families alone would not tell partial-flag-2 from partial-flag-3
+    assert [(name, space.to_text()) for name, space in SPACE_ALIASES.items()] == [
+        ("so3", "lambda=1,1,1 P={1}{2}{3}"),
+        ("partial-flag-1", "lambda=1,1,1 P={1}{2,3}"),
+        ("partial-flag-2", "lambda=1,1,1 P={1,3}{2}"),
+        ("partial-flag-3", "lambda=1,1,1 P={1,2}{3}"),
+        ("full-flag", "lambda=1,1,1 P={1,2,3}"),
+        ("s2", "lambda=1,2 P={1}{2}"),
+        ("rp2", "lambda=1,2 P={1,2}"),
+        ("trivial-flag", "lambda=3 P={1}"),
+    ]
+
+
 @pytest.mark.parametrize("case", list(CASES.values()), ids=list(CASES))
 def test_classify_decides_family_and_every_route(case, capsys):
     text, family, shape, closed, quadrature, volume = case
