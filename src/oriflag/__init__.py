@@ -37,7 +37,6 @@ from .flagspec import (
 from .montecarlo import (
     Estimate,
     estimate_expected_distance,
-    quotient_distance,
     sample_distances,
     sphere_point,
 )
@@ -45,6 +44,7 @@ from .orthogonal import (
     RngStream,
     Rotation,
     geodesic_distance,
+    quotient_distance,
     random_special_orthogonal,
     rotation_angles,
     sample_rotation_matrices,

@@ -329,4 +329,4 @@ def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:
     neg[:, free] = (np.arange(len(neg))[:, None] >> np.arange(len(free) - 1, -1, -1)) & 1
     for b in spec.p.blocks:
         neg[:, b[-1] - 1] = np.logical_xor.reduce(neg[:, [i - 1 for i in b[:-1]]], axis=1)
-    return FiniteIsotropy(np.where(neg, -1.0, 1.0))
+    return FiniteIsotropy(np.where(neg, np.int8(-1), np.int8(1)))

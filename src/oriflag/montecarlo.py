@@ -32,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flagspec import FiniteIsotropy, FlagSpec
+from .flagspec import FlagSpec
 from .orthogonal import (
     RngStream,
     _as_generator,
     _distances_to_identity,
     _gaussian_rows,
-    _matrix_of,
     _unit_vectors,
     sample_rotation_matrices,
 )
@@ -70,26 +69,6 @@ class Estimate:
             raise ValueError("an estimate needs at least one sample")
         if self.stderr < 0.0 or math.isnan(self.stderr):
             raise ValueError(f"invalid standard error {self.stderr!r}")
-
-
-def quotient_distance(a, b, h: FiniteIsotropy) -> float:
-    """Distance between the cosets of ``a`` and ``b`` modulo the isotropy ``h``.
-
-    The minimum of geodesic_distance(a hj, b) over the group elements hj;
-    symmetric and well-defined on cosets because the metric is bi-invariant
-    and the group is closed under products and inverses. a hj b^T is similar
-    to b^T a hj, so this is the orbit minimum of b^T a that the Monte Carlo
-    kernel takes. It is exactly 0 when b = a diag(s) for a row s of ``h``, as
-    geodesic_distance is for equal matrices, though b^T a only rounds to diag(s).
-    """
-    ma, mb = _matrix_of(a), _matrix_of(b)
-    if ma.shape != mb.shape or ma.shape[0] != h.n:
-        raise ValueError(
-            f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={h.n}"
-        )
-    d = float(_distances_to_identity((mb.T @ ma)[None], h.signs)[0])
-    s = np.where((ma == mb).all(axis=0), 1.0, -1.0)
-    return 0.0 if np.array_equal(ma * s, mb) and (h.signs == s).all(axis=1).any() else d
 
 
 def sphere_point(rng) -> np.ndarray:

@@ -7,7 +7,7 @@ are summed column by column, which for rows shorter than 8 is numpy's own
 order, and callers that read only a coordinate or two of each row take the
 raw rows with their norms and divide just those. The
 geodesic distance between rotations A and B is ``sqrt(0.5 * sum |log mu_k|^2)``
-over the eigenvalues ``mu_k`` of ``A B^T``, the root-sum-square of its
+over the eigenvalues ``mu_k`` of ``B^T A``, the root-sum-square of its
 rotation angles. The symmetric part of a rotation has eigenvalues
 cos(theta_k), so one batched symmetric eigenvalue solve gives the distance:
 ``d^2 = 0.5 * sum arccos(c_k / 2)^2`` over the eigenvalues ``c_k`` of
@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .flagspec import FiniteIsotropy
 
 ORTHOGONALITY_TOL = 1e-12
 DETERMINANT_TOL = 1e-10
@@ -53,10 +55,10 @@ class Rotation:
             raise ValueError(f"rotation matrix must be square, got shape {m.shape}")
         n = m.shape[0]
         defect = np.abs(m.T @ m - np.eye(n)).max()
-        if defect > ORTHOGONALITY_TOL:
+        if not defect <= ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal: max |Q^T Q - I| = {defect:.3e}")
         det = float(np.linalg.det(m))
-        if abs(det - 1.0) > DETERMINANT_TOL:
+        if not abs(det - 1.0) <= DETERMINANT_TOL:
             raise ValueError(f"matrix has determinant {det!r}, expected +1")
         m.setflags(write=False)
         self.matrix = m
@@ -192,9 +194,15 @@ def sample_rotation_matrices(n: int, count: int, rng) -> np.ndarray:
 
 
 def _matrix_of(a) -> np.ndarray:
+    """A Rotation's matrix, or an outside array checked to be one orthogonal n x n matrix (NaN fails)."""
     if isinstance(a, Rotation):
         return a.matrix
-    return np.asarray(a, dtype=float)
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected one square matrix, got shape {m.shape}")
+    if not (defect := np.abs(m.T @ m - np.eye(len(m))).max()) <= ORTHOGONALITY_TOL:
+        raise ArithmeticError(f"max |Q^T Q - I| = {defect:.3e}; input is not in SO(n)")
+    return m
 
 
 def _require_rotations(m: np.ndarray) -> None:
@@ -247,16 +255,34 @@ def rotation_angles(a) -> np.ndarray:
     return theta[: 2 * (m.shape[0] // 2) : 2]
 
 
+def _coset_distance(ma: np.ndarray, mb: np.ndarray, signs: np.ndarray) -> float:
+    """The orbit minimum of b^T a over the (|SG|, n) ``signs``; exactly 0 when b = a diag(s) for a row s."""
+    if ma.shape != mb.shape or ma.shape[0] != signs.shape[1]:
+        raise ValueError(f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={signs.shape[1]}")
+    d = float(_distances_to_identity((mb.T @ ma)[None], signs)[0])
+    s = np.where((ma == mb).all(axis=0), 1.0, -1.0)
+    return 0.0 if np.array_equal(ma * s, mb) and (signs == s).all(axis=1).any() else d
+
+
 def geodesic_distance(a, b) -> float:
     """Riemannian geodesic distance on SO(n) between rotations ``a`` and ``b``.
 
-    Depends only on the eigenvalues mu_k of ``A B^T``: the distance is
+    Depends only on the eigenvalues mu_k of ``B^T A``: the distance is
     sqrt(0.5 * sum |log mu_k|^2), i.e. sqrt(sum psi_j^2) over its principal
-    angles psi_j. Equal matrices are exactly 0 apart.
+    angles psi_j. It is the quotient distance by the trivial group, so equal
+    matrices are exactly 0 apart.
     """
-    ma, mb = _matrix_of(a), _matrix_of(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    d = float(_distances_to_identity((ma @ mb.T)[None])[0])
-    # A A^T only rounds to I, and its eigenvalues carry arguments of about 1e-16.
-    return 0.0 if np.array_equal(ma, mb) else d
+    ma = _matrix_of(a)
+    return _coset_distance(ma, _matrix_of(b), np.ones((1, len(ma))))
+
+
+def quotient_distance(a, b, h: FiniteIsotropy) -> float:
+    """Distance between the cosets of ``a`` and ``b`` modulo the isotropy ``h``.
+
+    The minimum of geodesic_distance(a hj, b) over the group elements hj;
+    symmetric and well-defined on cosets because the metric is bi-invariant
+    and the group is closed under products and inverses. a hj b^T is similar
+    to b^T a hj, so this is the orbit minimum of b^T a. It is exactly 0 when
+    b = a diag(s) for a row s of ``h``, though b^T a only rounds to diag(s).
+    """
+    return _coset_distance(_matrix_of(a), _matrix_of(b), h.signs)

@@ -38,7 +38,7 @@ class UnitQuaternion:
         object.__setattr__(self, "z", float(self.z))
         object.__setattr__(self, "w", float(self.w))
         norm2 = self.x**2 + self.y**2 + self.z**2 + self.w**2
-        if abs(norm2 - 1.0) > 2 * UNIT_TOL:
+        if not abs(norm2 - 1.0) <= 2 * UNIT_TOL:
             raise ValueError(f"not a unit quaternion: |q|^2 = {norm2!r}")
 
     @classmethod
@@ -50,7 +50,7 @@ class UnitQuaternion:
         """The lift cos(angle/2) + sin(angle/2) n of rotation by ``angle`` about ``n``."""
         n = np.asarray(axis, dtype=float)
         norm = np.linalg.norm(n)
-        if abs(norm - 1.0) > UNIT_TOL:
+        if not abs(norm - 1.0) <= UNIT_TOL:
             raise ValueError("axis must be a unit 3-vector")
         h = 0.5 * angle
         s = math.sin(h)
@@ -101,7 +101,7 @@ def rotate_vector(q: UnitQuaternion, u) -> np.ndarray:
     v = np.asarray(u, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if abs(v @ v - 1.0) > 2 * UNIT_TOL:
+    if not abs(v @ v - 1.0) <= 2 * UNIT_TOL:
         raise ValueError("vector must have unit norm")
     p = (q.x, q.y, q.z, q.w)
     out = _mul_raw(_mul_raw(p, (0.0, v[0], v[1], v[2])), (q.x, -q.y, -q.z, -q.w))

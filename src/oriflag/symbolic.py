@@ -167,5 +167,3 @@ def _term_str(s: int, q: Fraction) -> str:
         den = f"({den})"
     return f"{num}/{den}"
 
-
-PI = PiExpression.pi_power(1)

@@ -27,12 +27,13 @@ from oriflag.flagspec import (
     flag_volume,
     isotropy_group,
 )
-from oriflag.montecarlo import estimate_expected_distance, quotient_distance, sample_distances
+from oriflag.montecarlo import estimate_expected_distance, sample_distances
 from oriflag.orthogonal import (
     RngStream,
     Rotation,
     _distances_to_identity,
     geodesic_distance,
+    quotient_distance,
     sample_rotation_matrices,
 )
 from oriflag.quatcover import (

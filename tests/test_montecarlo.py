@@ -11,7 +11,6 @@ from oriflag.montecarlo import (
     _real_parts,
     _unit_vectors,
     estimate_expected_distance,
-    quotient_distance,
     sample_distances,
     sphere_point,
 )
@@ -19,6 +18,7 @@ from oriflag.orthogonal import (
     RngStream,
     Rotation,
     _distances_to_identity,
+    quotient_distance,
     random_special_orthogonal,
 )
 from oriflag.quatcover import UnitQuaternion, _lifts, _mul_raw, quaternion_to_rotation

@@ -13,11 +13,14 @@ from oriflag.orthogonal import (
     _distances_to_identity,
     _row_norms,
     geodesic_distance,
+    quotient_distance,
     random_special_orthogonal,
     rotation_angles,
     sample_rotation_matrices,
 )
 from oriflag.quadrature import adaptive_gauss_kronrod
+from oriflag.quatcover import UnitQuaternion, rotate_vector
+from oriflag.spaces import parse_space
 
 
 def axis_angle_matrix(axis, angle):
@@ -344,6 +347,34 @@ def test_reflection_is_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         geodesic_distance(Rotation.identity(3), Rotation.identity(4))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_geodesic_distance_is_the_trivial_group_quotient_distance(n):
+    trivial = isotropy_group(parse_space(f"so{n}"))
+    m = sample_rotation_matrices(n, 400, RngStream(36 + n).generator())
+    for a, b in zip(m[::2], m[1::2]):
+        assert geodesic_distance(a, b) == quotient_distance(a, b, trivial)
+
+
+SHEAR = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: geodesic_distance(SHEAR, np.eye(3)), ArithmeticError),
+    (lambda: quotient_distance(SHEAR, np.eye(3), isotropy_group(parse_space("full-flag"))), ArithmeticError),
+    (lambda: rotation_angles(SHEAR), ArithmeticError),
+    (lambda: rotation_angles(np.stack([np.eye(3)] * 4)), ValueError),
+    (lambda: Rotation(np.full((3, 3), NAN)), ValueError),
+    (lambda: UnitQuaternion(NAN, 0.0, 0.0, 0.0), ValueError),
+    (lambda: rotate_vector(UnitQuaternion.identity(), [NAN, 0.0, 0.0]), ValueError),
+    (lambda: UnitQuaternion.from_axis_angle([NAN, 0.0, 0.0], 1.0), ValueError),
+], ids=["geodesic-shear", "quotient-shear", "angles-shear", "angles-stack", "rotation-nan",
+        "quaternion-nan", "rotate-nan", "axis-nan"])
+def test_outside_input_is_rejected(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_angles_reduced_to_principal_range():
