@@ -4,12 +4,15 @@ Data goes to stdout, diagnostics to stderr. JSON reports carry a schema number
 and the run manifest (command, space, N, seed, workers, version, wall time).
 JSON floats are printed in Python's shortest round-trip form and CSV floats
 with 17 significant digits, so output parses back without loss; a non-finite
-value is refused rather than printed as invalid JSON. Exit codes: 0 success,
-2 parse or usage failure (including a negative seed, quadrature mode on a space
-that has no quadrature, a quadrature --tol that cannot be reached, and a flag
-the chosen form does not read), 3 space unsupported for the requested
-computation, 141 stdout closed before the output ended (a reader such as
-``head`` exited), with no traceback.
+value is refused rather than printed as invalid JSON. ``sample`` writes its
+rows in slices of at most 2**15 values, one string per slice through a row
+template, with the same bytes as a per-row writer; a JSON slice holding a
+non-finite value is refused whole (exit 1), so every line written is valid.
+Exit codes: 0 success, 2 parse or usage failure (including a negative seed,
+quadrature mode on a space that has no quadrature, a quadrature --tol that
+cannot be reached, and a flag the chosen form does not read), 3 space
+unsupported for the requested computation, 141 stdout closed before the output
+ended (a reader such as ``head`` exited), with no traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 import os
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from .analytic import QuadratureError, _quadrature, analytic_expected_distance, numeric_volume
@@ -34,6 +39,10 @@ from .spaces import (
     parse_space,
     space_label,
 )
+
+
+# Values formatted per write of ``oriflag sample``: one string per slice of rows.
+_SLICE = 1 << 15
 
 
 class UsageError(ValueError):
@@ -205,17 +214,21 @@ def cmd_sample(args) -> int:
     space = parse_space(args.space)
     seed = _default_seed(args.seed)
     header, batches = _sample_rows(space, args.n, seed, args.lift)
+    csv = args.format == "csv"
     out = sys.stdout
-    if args.format == "csv":
+    if csv:
         out.write(",".join(header) + "\n")
-        for batch in batches:
-            for row in batch.reshape(len(batch), -1):
-                out.write(",".join(_fmt(x) for x in row.tolist()) + "\n")
-    else:
-        encode = json.JSONEncoder(allow_nan=False).encode
-        for batch in batches:
-            for row in batch:
-                out.write(encode(row.tolist()) + "\n")
+    rows = max(1, _SLICE // len(header))
+    for batch in batches:
+        # One row template: %.17g is format(x, ".17g"); %r is float.__repr__, and with
+        # json.dumps' ", " separators that is JSONEncoder's output byte for byte.
+        line = (",".join(["%.17g"] * len(header)) if csv else
+                json.dumps(np.zeros(batch.shape[1:]).tolist()).replace("0.0", "%r")) + "\n"
+        for start in range(0, len(batch), rows):
+            part = batch[start:start + rows]
+            if not csv and not np.isfinite(part).all():
+                raise ValueError("a sample is not finite; JSON has no value for it")
+            out.write((line * len(part)) % tuple(part.ravel().tolist()))
     return 0
 
 

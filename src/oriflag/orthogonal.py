@@ -41,7 +41,6 @@ _MIN_NORM = 1e-8
 # arguments of the general eigenvalues, which stay well-conditioned there.
 _NEAR_PI = 4e-4
 _SHORT = 0.1
-_IDENTITY_ROW = np.ones((1, 1))
 
 
 class Rotation:
@@ -216,11 +215,11 @@ def _angles(m: np.ndarray) -> np.ndarray:
     return np.abs(np.angle(np.linalg.eigvals(m)))
 
 
-def _distances_to_identity(m: np.ndarray, signs: np.ndarray = _IDENTITY_ROW) -> np.ndarray:
+def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Geodesic distances to the identity of a (k, n, n) SO(n) stack, minimized over m diag(s).
 
-    ``signs`` are (|SG|, n) det +1 rows, by default the identity row. Column
-    sign flips leave the LU determinant bit-identical, so m is checked once.
+    ``signs`` are (|SG|, n) det +1 rows; the trivial group is one row of ones.
+    Column sign flips leave the LU determinant bit-identical, so m is checked once.
     Each distance comes from the eigenvalues of the symmetric part alone,
     except in the zones set by ``_NEAR_PI`` and ``_SHORT``, whose samples are
     measured again from the arguments of the general eigenvalues.

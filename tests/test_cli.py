@@ -405,6 +405,50 @@ def test_sample_lifts_cover_the_sampled_matrices(capsys, monkeypatch):
         assert np.abs(quaternion_to_rotation(UnitQuaternion(*q)).matrix - m).max() <= 1e-12
 
 
+def per_row_writer(header, batches, csv):
+    """Reference output: one JSONEncoder(allow_nan=False) or format(x, ".17g") line per row."""
+    encode = json.JSONEncoder(allow_nan=False).encode
+    lines = [",".join(header)] if csv else []
+    for batch in batches:
+        for row in batch:
+            lines.append(",".join(format(x, ".17g") for x in row.ravel().tolist()) if csv
+                         else encode(row.tolist()))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("space, extra", [
+    ("so1", ()), ("so3", ()), ("so5", ("--format", "csv")), ("so16", ()),
+    ("s2", ("--format", "csv")), ("rp2", ()), ("full-flag", ("--lift",)),
+])
+def test_sample_output_is_byte_identical_to_a_per_row_writer(capsys, monkeypatch, space, extra):
+    monkeypatch.setattr(montecarlo, "_BATCH", 40)
+    monkeypatch.setattr(montecarlo, "_BATCH_BYTES", 1 << 16)  # so16: 5 rows a batch
+    monkeypatch.setattr(cli, "_SLICE", 36)
+    header, batches = cli._sample_rows(parse_space(space), 100, 9, "--lift" in extra)
+    batches = list(batches)
+    rows = max(1, cli._SLICE // len(header))
+    assert len(batches) >= 3 and len(batches[0]) > rows  # batch and slice boundaries inside N
+    code, out, err = run(capsys, "sample", "--space", space, "--n", "100", "--seed", "9", *extra)
+    assert code == 0, err
+    assert out == per_row_writer(header, batches, "csv" in extra)
+
+
+def test_sample_refuses_a_non_finite_slice_whole(capsys, monkeypatch):
+    def poisoned(*args):
+        for i, batch in enumerate(point_batches(*args)):
+            if i == 0:
+                batch[5, 1, 2] = np.nan  # so3 rows go 4 to a slice: the second slice
+            yield batch
+
+    point_batches = cli._point_batches
+    monkeypatch.setattr(cli, "_point_batches", poisoned)
+    monkeypatch.setattr(cli, "_SLICE", 36)
+    code, out, err = run(capsys, "sample", "--space", "so3", "--n", "20", "--seed", "3")
+    assert code == 1 and err.startswith("oriflag: error:")
+    assert "NaN" not in out and "nan" not in out
+    assert len([strict_json(line) for line in out.splitlines()]) == 4
+
+
 def test_sample_validation(capsys):
     code, _out, _err = run(capsys, "sample", "--space", "so3", "--n", "0")
     assert code == 2

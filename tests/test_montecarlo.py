@@ -314,7 +314,7 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
         pa, pb, qa, qb = (_unit_vectors(gen, 64, 4) for _ in range(4))
         for i in range(64):
             m = _cover_rotation(p[i], q[i])
-            explicit = _distances_to_identity(m * signs[:, None, :]).min()
+            explicit = _distances_to_identity(m * signs[:, None, :], np.ones((1, 4))).min()
             assert abs(d[i] - explicit) <= 1e-12, text
             a, b = _cover_rotation(pa[i], qa[i]), _cover_rotation(pb[i], qb[i])
             assert abs(d2[i] - quotient_distance(a, b, iso)) <= 1e-12, text

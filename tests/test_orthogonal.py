@@ -224,7 +224,7 @@ def in_fallback_zone(m):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_distances_match_eigenvalue_arguments_on_haar_draws(n):
     m = sample_rotation_matrices(n, 10_000, RngStream(60 + n).generator())
-    assert np.abs(_distances_to_identity(m) - eigvals_distances(m)).max() <= 1e-13
+    assert np.abs(_distances_to_identity(m, np.ones((1, n))) - eigvals_distances(m)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -236,7 +236,7 @@ def test_orbit_distances_match_oracle_on_full_flag_rows(n):
     oracle = np.full(len(m), np.inf)
     for s in signs:
         each = eigvals_distances(m * s)
-        assert np.abs(_distances_to_identity(m * s) - each).max() <= 1e-13
+        assert np.abs(_distances_to_identity(m * s, np.ones((1, n))) - each).max() <= 1e-13
         oracle = np.minimum(oracle, each)
     assert np.abs(_distances_to_identity(m, signs) - oracle).max() <= 1e-13
 
@@ -257,7 +257,7 @@ def test_zone_samples_are_bit_identical_to_eigvals(n):
     m = sample_rotation_matrices(n, 4_000, RngStream(80 + n).generator())
     zone = in_fallback_zone(m)
     assert zone.any() and not zone.all()
-    assert np.array_equal(_distances_to_identity(m)[zone], eigvals_distances(m)[zone])
+    assert np.array_equal(_distances_to_identity(m, np.ones((1, n)))[zone], eigvals_distances(m)[zone])
 
 
 def planted_rotation(gen, angles, n):
@@ -303,7 +303,7 @@ def test_planted_angle_on_both_sides_of_the_near_pi_boundary(n):
                                    for off in offsets for _ in range(20)), n)
     zone = in_fallback_zone(m)
     assert zone.any() and not zone.all()
-    assert np.abs(_distances_to_identity(m) - exact).max() <= 1e-13
+    assert np.abs(_distances_to_identity(m, np.ones((1, n))) - exact).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -315,10 +315,10 @@ def test_planted_small_angles_on_both_sides_of_the_short_boundary(n):
                                    for scale in scales for _ in range(20)), n)
     zone = in_fallback_zone(m)
     assert zone.any() and not zone.all()
-    assert np.abs(_distances_to_identity(m) - exact).max() <= 1e-13
+    assert np.abs(_distances_to_identity(m, np.ones((1, n))) - exact).max() <= 1e-13
     small, exact = planted_stack(gen, (gen.uniform(0.0, 1e-3, n // 2) for _ in range(100)), n)
     assert in_fallback_zone(small).all()
-    assert np.abs(_distances_to_identity(small) - exact).max() <= 1e-13
+    assert np.abs(_distances_to_identity(small, np.ones((1, n))) - exact).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
