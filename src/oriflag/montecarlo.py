@@ -37,7 +37,7 @@ from .orthogonal import (
     RngStream,
     _as_generator,
     _distances_to_identity,
-    _gaussian_rows,
+    _gaussian_columns,
     _unit_vectors,
     sample_rotation_matrices,
 )
@@ -45,11 +45,14 @@ from .quatcover import _mul_raw
 from .spaces import Kernel, classify
 
 _BATCH = 1 << 17
-# Memory for the (count, n, n) float stacks of one matrix batch. At most three
-# are alive at once (the rotations, one orbit product and its symmetric part;
-# or two draws and their product), plus the copy of the few zone samples that
-# the general eigenvalue solve measures. _STACKS stays at six, so the batch
-# layout does not change.
+# Memory for the (count, n, n) float stacks of one matrix batch. A draw builds
+# its stack with the sample index innermost and returns a copy: the buffer and
+# the copy, at most 2.7 stacks with the Gaussians, are alive only inside it. At
+# most three are alive after (the rotations, one orbit product and its
+# symmetric part; or two draws and their product), and a two-point batch's
+# second draw runs beside the first. The few zone samples that the general
+# eigenvalue solve measures are copied as well. _STACKS stays at six: it sets
+# the batch split, and so the bits of the merged statistics.
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
@@ -86,8 +89,7 @@ def _cover_points(
     points: conj(q_b) q_a of unit draws taken in that order, with norm 1.
     """
     if not two_point:
-        g, norms = _gaussian_rows(gen, gen.standard_normal((count, 4)))
-        return g.T, norms
+        return _gaussian_columns(gen, gen.standard_normal((count, 4)).T)
     q = _unit_vectors(gen, count, 4).T
     return np.array(_mul_raw(_CONJ[:, None] * _unit_vectors(gen, count, 4).T, q)), 1.0
 
@@ -135,8 +137,8 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
             v = _unit_vectors(gen, count, 3)
             cos = (_unit_vectors(gen, count, 3) * v).sum(axis=1)
         else:
-            g, norms = _gaussian_rows(gen, gen.standard_normal((count, 3)))
-            cos = g[:, 2] / norms
+            g, norms = _gaussian_columns(gen, gen.standard_normal((count, 3)).T)
+            cos = g[2] / norms
         # Nearest point of the orbit {s v}: the largest cosine, |cos| under signs {1, -1}.
         if len(kern.signs) > 1:
             cos = np.abs(cos)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flagspec import FlagSpec, isotropy_group
-from .orthogonal import Rotation, _row_norms
+from .orthogonal import Rotation, _column_norms
 
 UNIT_TOL = 1e-12
 
@@ -141,7 +141,7 @@ def _lifts(m: np.ndarray) -> np.ndarray:
     s = 2.0 * np.sqrt(shepperd[rows, branch, branch])
     q = shepperd[rows, branch] / s[:, None]
     q[rows, branch] = 0.25 * s
-    q /= _row_norms(q)[:, None]
+    q /= _column_norms(q.T)[:, None]
     first = q[rows, np.argmax(q != 0.0, axis=-1)]
     q[first < 0.0] *= -1.0
     return q

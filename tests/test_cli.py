@@ -605,6 +605,21 @@ def test_unknown_command_exits_2(capsys):
     assert code == 2
 
 
+def test_readme_library_quickstart_runs(capsys):
+    # Run the README's Python block; each commented print must show its comment.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    shown = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(shown) == len(prints) == 4
+    for line, out in zip(prints, shown):
+        if "#" in line:
+            assert out == line.split("#", 1)[1].strip().rstrip("."), line
+    mean, stderr = map(float, shown[2].split())
+    assert abs(mean - (1.0 + math.pi / 4.0)) <= 5.0 * stderr
+
+
 def test_readme_command_lines_parse():
     # Parse (never run) every line of the README's command-line block.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

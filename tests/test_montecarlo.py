@@ -24,6 +24,7 @@ from oriflag.orthogonal import (
 from oriflag.quatcover import UnitQuaternion, _lifts, _mul_raw, quaternion_to_rotation
 from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space, space_label
 from oriflag.analytic import analytic_expected_distance
+from weyl import expected_distance as weyl_expected_distance
 
 
 def spec(parts, blocks):
@@ -391,9 +392,21 @@ def test_lift_table_reproduces_every_sign_row():
     assert classify(parse_space("so2")).lifts is None
 
 
-# E d(I, A) for Haar A in SO(4), by Weyl integration (two rotation angles with
-# density proportional to (cos t1 - cos t2)^2), as in the benchmark's oracle.
-SO4_WEYL = 2.6128562
+# E d(I, A) on SO(n) from an earlier, independent product-rule computation.
+WEYL_TABLE = {
+    4: 2.612856192197842,
+    5: 2.936539496206314,
+    6: 3.218057438212068,
+    7: 3.472448306723624,
+    8: 3.707154574528919,
+    9: 3.926549194501219,
+}
+
+
+def test_weyl_values_match_the_table():
+    for n, value in WEYL_TABLE.items():
+        mean, bound = weyl_expected_distance(n)
+        assert abs(mean - value) <= bound < 1e-13, n
 
 
 def test_so4_cover_estimate_matches_weyl_value():
@@ -401,11 +414,7 @@ def test_so4_cover_estimate_matches_weyl_value():
     one = estimate_expected_distance(so4, 200_000, seed=31)
     two = estimate_expected_distance(so4, 200_000, seed=32, two_point=True)
     for est in (one, two):
-        assert abs(est.mean - SO4_WEYL) <= 5 * est.stderr
-
-
-# The same Weyl integral for SO(5), as in the benchmark's oracle.
-SO5_WEYL = 2.9365395
+        assert abs(est.mean - weyl_expected_distance(4)[0]) <= 5 * est.stderr
 
 
 def test_so5_estimate_matches_weyl_value():
@@ -413,7 +422,13 @@ def test_so5_estimate_matches_weyl_value():
     one = estimate_expected_distance(so5, 200_000, seed=34)
     two = estimate_expected_distance(so5, 100_000, seed=35, two_point=True)
     for est in (one, two):
-        assert abs(est.mean - SO5_WEYL) <= 5 * est.stderr
+        assert abs(est.mean - weyl_expected_distance(5)[0]) <= 5 * est.stderr
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_son_estimate_matches_weyl_value(n):
+    est = estimate_expected_distance(parse_space(f"so{n}"), 10_000, seed=36 + n)
+    assert abs(est.mean - weyl_expected_distance(n)[0]) <= 5 * est.stderr
 
 
 def test_full_flag_two_point_cover_estimate():

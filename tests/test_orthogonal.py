@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from oriflag import orthogonal
 from oriflag.flagspec import isotropy_group, parse_flagspec
 from oriflag.orthogonal import (
     _NEAR_PI,
     _SHORT,
     RngStream,
     Rotation,
+    _column_norms,
     _distances_to_identity,
-    _row_norms,
     geodesic_distance,
     quotient_distance,
     random_special_orthogonal,
@@ -21,6 +22,7 @@ from oriflag.orthogonal import (
 from oriflag.quadrature import adaptive_gauss_kronrod
 from oriflag.quatcover import UnitQuaternion, rotate_vector
 from oriflag.spaces import parse_space
+from weyl import largest_angle_cdf
 
 
 def axis_angle_matrix(axis, angle):
@@ -91,6 +93,62 @@ def test_batch_sampler_invariants():
     assert np.abs(np.linalg.det(q) - 1.0).max() <= 1e-10
 
 
+def sample_outer_householder(n, count, gen):
+    """The Householder construction with the sample index outermost, as an independent copy.
+
+    One (count, dim) slice of the Gaussian block per vector, redrawn and
+    normalized row by row, then einsum products and (count, n, n) rank-1
+    updates; reads the module's ``_MIN_NORM`` when called.
+    """
+    def norms_of(rows):
+        sq = rows[:, 0] * rows[:, 0]
+        for j in range(1, rows.shape[1]):
+            sq += rows[:, j] * rows[:, j]
+        return np.sqrt(sq)
+
+    g = gen.standard_normal((count, (n - 1) * (n + 2) // 2))
+    vs, start = [], 0
+    for dim in range(n, 1, -1):
+        v = g[:, start:start + dim]
+        norms = norms_of(v)
+        while (bad := norms < orthogonal._MIN_NORM).any():
+            v[bad] = gen.standard_normal((int(bad.sum()), dim))
+            norms[bad] = norms_of(v[bad])
+        vs.append(v / norms[:, None])
+        start += dim
+    signs = [np.copysign(1.0, v[:, 0]) for v in vs]
+    q = np.empty((count, n, n))
+    q[:, -1, -1] = np.prod(signs, axis=0)
+    for k in range(n - 2, -1, -1):
+        v, tail = vs[k], vs[k][:, 1:]
+        block = q[:, k + 1:, k + 1:]
+        w = np.einsum("ci,cij->cj", tail, block)
+        q[:, k, k + 1:] = -signs[k][:, None] * w
+        block -= (tail / (1.0 + np.abs(v[:, :1])))[:, :, None] * w[:, None, :]
+        q[:, k:, k] = v
+    return q
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sampler_bytes_match_the_sample_outer_construction(n, monkeypatch):
+    # the sample-innermost layout reorders no arithmetic, including redraws:
+    # at _MIN_NORM = 0.5 about 12% of 2-D and 3% of 3-D vectors are redrawn,
+    # at 2.5 most low-dimensional ones and a few in every dimension up to 16
+    plain = {}
+    for min_norm in (None, 0.5, 2.5):
+        if min_norm is not None:
+            monkeypatch.setattr(orthogonal, "_MIN_NORM", min_norm)
+        for count in (0, 1, 7, 500, 3000):
+            got = sample_rotation_matrices(n, count, RngStream(n, count))
+            want = sample_outer_householder(n, count, RngStream(n, count).generator())
+            assert got.shape == (count, n, n) and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (min_norm, count)
+            if min_norm is None:
+                plain[count] = got
+            elif n > 1 and count >= 500:
+                assert not np.array_equal(got, plain[count]), (min_norm, count)
+
+
 def test_rng_stream_determinism_and_independence():
     a = RngStream(99, 0).generator().standard_normal(16)
     b = RngStream(99, 0).generator().standard_normal(16)
@@ -141,6 +199,29 @@ def test_householder_sampler_matches_qr_distribution():
     grid = np.concatenate([ours, theirs])
     gap = np.abs(np.searchsorted(ours, grid, side="right") - np.searchsorted(theirs, grid, side="right"))
     assert gap.max() / count < 2.69 * math.sqrt(2 / count)
+
+
+def largest_angle_gap(n, q):
+    """Largest |F(x_p) - p| over the quantiles x_p, p = 0.01..0.99, of the largest angles of a stack.
+
+    F is the Weyl CDF; the largest angle is arccos of half the smallest
+    eigenvalue of q + q^T.
+    """
+    c = np.linalg.eigvalsh(q + np.swapaxes(q, 1, 2))[:, 0]
+    p = np.arange(1, 100) / 100
+    x = np.quantile(np.arccos(np.clip(0.5 * c, -1.0, 1.0)), p)
+    return np.abs(largest_angle_cdf(n, x) - p).max()
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_largest_angle_follows_the_weyl_law(n):
+    # 1.628 / sqrt(20000) = 0.0115 is the 1% Kolmogorov-Smirnov value; LAPACK
+    # QR without the sign fix (det fixed by one column) misses it by far
+    count = 20_000
+    assert largest_angle_gap(n, sample_rotation_matrices(n, count, RngStream(90 + n))) < 0.0115
+    q, _ = np.linalg.qr(RngStream(90 + n).generator().standard_normal((count, n, n)))
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    assert largest_angle_gap(n, q) > 0.0115
 
 
 def test_first_column_uniform_on_sphere(so3_haar_million):
@@ -248,7 +329,7 @@ def test_row_norms_within_two_ulp_of_numpy():
         v = gen.standard_normal((4096, 2 * d))
         for rows in (v[:, :d], v[:, ::2]):
             ref = np.linalg.norm(rows, axis=1)
-            assert (np.abs(_row_norms(rows) - ref) <= 2 * np.spacing(ref)).all(), d
+            assert (np.abs(_column_norms(rows.T) - ref) <= 2 * np.spacing(ref)).all(), d
 
 
 @pytest.mark.parametrize("n", range(2, 13))
