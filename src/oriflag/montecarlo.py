@@ -19,7 +19,8 @@ positive norm commutes with the maximum. Estimates carry a standard error
 from a streaming (count, mean, M2) aggregation, and work is split into
 per-worker substreams whose merge is independent of execution order, so a
 fixed (seed, workers, N) reproduces the estimate bit for bit within one
-package version.
+package version. Substream k of a seed is numpy's SFC64 generator seeded by
+``SeedSequence(seed, spawn_key=(k,))`` (``orthogonal.RngStream``).
 """
 
 from __future__ import annotations
@@ -204,6 +205,13 @@ def _chunk_stats(kern: Kernel, seed: int, chunk: int, size: int, two_point: bool
     return functools.reduce(_merge_stats, batches)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunk_sizes(n: int, workers: int) -> list[int]:
     """Sizes of the non-empty chunks; when ``workers`` > ``n`` the rest would be empty."""
     base, extra = divmod(n, workers)
@@ -226,7 +234,8 @@ def estimate_expected_distance(
     work, same mean). ``n_samples`` is split into ``workers`` contiguous
     chunks, each on its own substream of ``seed``, and merged in chunk order,
     so the result is a pure function of (space, n_samples, seed, workers).
-    Only the non-empty chunks run, on at most ``os.cpu_count()`` threads.
+    Only the non-empty chunks run, on at most one thread per CPU this
+    process may run on.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -234,8 +243,8 @@ def estimate_expected_distance(
         raise ValueError("workers must be >= 1")
     kern = classify(space)
     sizes = _chunk_sizes(n_samples, workers)
-    # Chunks fix the result; threads only run them, so never more than cores.
-    threads = 1 if len(sizes) == 1 else min(len(sizes), os.cpu_count() or 1)
+    # Chunks fix the result; threads only run them, so never more than CPUs.
+    threads = 1 if len(sizes) == 1 else min(len(sizes), _usable_cpus())
     chunk_stats = functools.partial(_chunk_stats, kern, seed, two_point=two_point)
     if threads == 1:
         parts = list(map(chunk_stats, range(len(sizes)), sizes))

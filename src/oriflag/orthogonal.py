@@ -91,8 +91,10 @@ class RngStream:
     """A named, reproducible random stream.
 
     The same (seed, stream) pair always produces the same sample sequence;
-    distinct stream ids give statistically independent sequences. Wraps
-    numpy's SeedSequence spawn-key mechanism.
+    distinct stream ids give statistically independent sequences. The
+    generator is numpy's SFC64 seeded by ``SeedSequence(seed,
+    spawn_key=(stream,))``; a change of generator changes every draw, so it
+    is a change of package version.
     """
 
     seed: int
@@ -104,7 +106,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        return np.random.default_rng(ss)
+        return np.random.Generator(np.random.SFC64(ss))
 
 
 def _as_generator(rng) -> np.random.Generator:

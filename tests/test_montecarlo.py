@@ -20,6 +20,7 @@ from oriflag.orthogonal import (
     _distances_to_identity,
     quotient_distance,
     random_special_orthogonal,
+    sample_rotation_matrices,
 )
 from oriflag.quatcover import UnitQuaternion, _lifts, _mul_raw, quaternion_to_rotation
 from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space, space_label
@@ -199,16 +200,26 @@ def test_bit_for_bit_determinism_on_the_matrix_path(text):
             assert a == b
 
 
+def _set_affinity(monkeypatch, cpus):
+    """Make this process appear to run on ``cpus`` CPUs, or on a platform without affinity when None."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def test_one_chunk_does_not_ask_for_the_cpu_count(monkeypatch):
-    def unexpected():
-        raise AssertionError("os.cpu_count called for a single chunk")
+    def unexpected(*args):
+        raise AssertionError("CPU count asked for a single chunk")
 
     monkeypatch.setattr(os, "cpu_count", unexpected)
+    monkeypatch.setattr(os, "sched_getaffinity", unexpected, raising=False)
     for space, workers, n in (("so5", 1, 100), ("so4", 1, 100), ("s2", 4, 1)):
         estimate_expected_distance(parse_space(space), n, seed=2, workers=workers)
 
 
 def test_threads_capped_at_cpu_count(monkeypatch):
+    """Threads are capped by the CPUs this process may use; the host's count only where affinity is unknown."""
     import oriflag.montecarlo as mc
 
     pools = []
@@ -221,12 +232,14 @@ def test_threads_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
     space = SPACE_ALIASES["full-flag"]
     results = []
-    for cpus, threads in ((8, [4]), (2, [2]), (None, [])):
+    cases = [(8, 64, [4]), (2, 64, [2]), (1, 64, []), (None, 8, [4]), (None, 2, [2]), (None, None, [])]
+    for affinity, host, threads in cases:
         pools.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        _set_affinity(monkeypatch, affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda host=host: host)
         results.append(estimate_expected_distance(space, 5_000, seed=6, workers=4))
-        assert pools == threads
-    assert results[0] == results[1] == results[2]
+        assert pools == threads, (affinity, host)
+    assert all(r == results[0] for r in results)
 
 
 def test_only_nonempty_chunks_run(monkeypatch):
@@ -240,7 +253,7 @@ def test_only_nonempty_chunks_run(monkeypatch):
         return real(kern, seed, chunk, size, two_point)
 
     monkeypatch.setattr(mc, "_chunk_stats", counting)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _set_affinity(monkeypatch, 2)
     space = SPACE_ALIASES["s2"]
     many = estimate_expected_distance(space, 5, seed=9, workers=1000)
     assert sorted(chunks) == [0, 1, 2, 3, 4]
@@ -429,6 +442,47 @@ def test_so5_estimate_matches_weyl_value():
 def test_son_estimate_matches_weyl_value(n):
     est = estimate_expected_distance(parse_space(f"so{n}"), 10_000, seed=36 + n)
     assert abs(est.mean - weyl_expected_distance(n)[0]) <= 5 * est.stderr
+
+
+# 1% critical value of the limiting Kolmogorov-Smirnov distribution: one
+# sample of N fails at 1.628 / sqrt(N), two samples of N at 1.628 sqrt(2 / N).
+KS_1PCT = 1.628
+KS_COUNT = 20_000
+
+
+def ks_one_sample(x, cdf):
+    """sup |F_N - F| of the samples ``x`` against the continuous CDF ``cdf``."""
+    f = cdf(np.sort(x))
+    n = len(f)
+    return max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+
+
+def ks_two_sample(a, b):
+    """sup |F_a - F_b| of two samples."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    gap = np.searchsorted(a, grid, side="right") / len(a) - np.searchsorted(b, grid, side="right") / len(b)
+    return np.abs(gap).max()
+
+
+@pytest.mark.parametrize("two_point", [False, True])
+@pytest.mark.parametrize("text, cdf", [
+    ("so3", lambda d: (d - np.sin(d)) / math.pi),
+    ("s2", lambda d: (1.0 - np.cos(d)) / 2.0),
+])
+def test_distances_follow_their_law(text, cdf, two_point):
+    """SO(3) spin-cover and S^2 distances against their closed-form CDFs (Haar angle law; cap area)."""
+    d = sample_distances(parse_space(text), KS_COUNT, RngStream(71, int(two_point)), two_point=two_point)
+    assert ks_one_sample(d, cdf) < KS_1PCT / math.sqrt(KS_COUNT)
+
+
+@pytest.mark.parametrize("two_point", [False, True])
+def test_so4_cover_distances_match_the_matrix_path(two_point):
+    """Two-sample test: the spin cover of SO(4) against Householder matrices measured by eigenvalues."""
+    cover = sample_distances(parse_space("so4"), KS_COUNT, RngStream(72, int(two_point)), two_point=two_point)
+    matrices = sample_rotation_matrices(4, KS_COUNT, RngStream(72, 2))
+    matrix = _distances_to_identity(matrices, np.ones((1, 4)))
+    assert ks_two_sample(cover, matrix) < KS_1PCT * math.sqrt(2 / KS_COUNT)
 
 
 def test_full_flag_two_point_cover_estimate():
