@@ -112,7 +112,7 @@ def expected_distance_full_flag(tol: float) -> QuadratureResult:
     at most ``tol``. Tolerances below 1e-13 are not attainable in double
     precision and are rejected.
     """
-    if tol < FULL_FLAG_MIN_TOL:
+    if not tol >= FULL_FLAG_MIN_TOL:
         raise ValueError(f"tolerance must be >= {FULL_FLAG_MIN_TOL:g}, got {tol:g}")
     scale = 96.0 / math.pi**2
     raw = adaptive_gauss_kronrod(full_flag_integrand, 0.0, 0.25 * math.pi, tol / scale)
@@ -130,7 +130,7 @@ def expected_distance_partial_flag_integral(tol: float) -> QuadratureResult:
     (16/pi) times the integral of arccos(cos a cos t1) cos a sin a over
     a in [0, pi/2], t1 in [0, pi/4]; equals 1 + pi/4.
     """
-    if tol < PARTIAL_FLAG_MIN_TOL:
+    if not tol >= PARTIAL_FLAG_MIN_TOL:
         raise ValueError(f"tolerance must be >= {PARTIAL_FLAG_MIN_TOL:g}, got {tol:g}")
     ranges = ((0.0, 0.25 * math.pi), lambda _theta1: (0.0, 0.5 * math.pi))
     return _scaled(nested_integral(_join_integrand, ranges, tol * math.pi / 16.0), 16.0 / math.pi)

@@ -8,8 +8,9 @@ sphere and projective plane, and otherwise a rotation: for n = 3 and n = 4 a
 point of the spin cover (a unit quaternion q covering x -> q x conj(q), or a
 pair (p, q) covering x -> p x conj(q); Shoemake, Graphics Gems III, 1992;
 Conway & Smith, On Quaternions and Octonions, 2003, ch. 4), for any other n a
-product of Householder reflections, whose distance comes from the eigenvalues
-of its symmetric part. On quotients by a finite isotropy group the distance
+product of Householder reflections, whose distance comes from two traces at
+n = 5 and otherwise, or where the traces cannot vouch for it, from the
+eigenvalues of its symmetric part. On quotients by a finite isotropy group the distance
 is the minimum over the orbit of the sample. A one-point trial on the sphere,
 the projective plane or a spin cover reads only one coordinate of its unit
 vector per orbit element, so it keeps the Gaussian row undivided and divides
@@ -51,8 +52,9 @@ _BATCH = 1 << 17
 # the copy, at most 2.7 stacks with the Gaussians, are alive only inside it. At
 # most three are alive after (the rotations, one orbit product and its
 # symmetric part; or two draws and their product), and a two-point batch's
-# second draw runs beside the first. The few zone samples that the general
-# eigenvalue solve measures are copied as well. _STACKS stays at six: it sets
+# second draw runs beside the first. The samples that the trace route (n = 5)
+# hands on and the few zone samples that the general eigenvalue solve
+# measures are copied as well. _STACKS stays at six: it sets
 # the batch split, and so the bits of the merged statistics.
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
@@ -149,8 +151,8 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
         return cover(kern.lifts, gen, count, two_point)
     n = kern.shape[0]
     # A diag(s) B^T is similar to B^T A diag(s), so the product with B is
-    # taken once, and A and B are dropped before the orbit minimum; one
-    # batched symmetric eigenvalue solve per isotropy element.
+    # taken once, and A and B are dropped before the orbit minimum; two traces
+    # (n = 5) or one batched symmetric eigenvalue solve per isotropy element.
     rel = sample_rotation_matrices(n, count, gen)
     if two_point:
         rel = np.swapaxes(sample_rotation_matrices(n, count, gen), 1, 2) @ rel

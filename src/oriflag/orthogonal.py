@@ -18,7 +18,12 @@ near 0, the angles are ``|arg mu_k|`` of the general eigenvalues instead. A
 rotation is normal, so its eigenvalues are perfectly conditioned (Bauer-Fike;
 Golub & Van Loan, Matrix Computations, 7.2) and their arguments are accurate
 at 0, at pi and where planes crowd together. ``rotation_angles``, which
-returns each angle, always takes that route.
+returns each angle, always takes that route. For n = 4 and 5, which turn
+exactly two planes, the distances skip the symmetric solve: tr m and tr m^2
+give the two planes' cosines in closed form, and the samples whose rounding
+bound exceeds the symmetric route's error, whose planes crowd together, or
+that fall in its zones go on to that route unchanged (about 7.5% of Haar
+draws at n = 4 and 12.4% at n = 5).
 """
 
 from __future__ import annotations
@@ -43,6 +48,27 @@ _MIN_NORM = 1e-8
 # arguments of the general eigenvalues, which stay well-conditioned there.
 _NEAR_PI = 4e-4
 _SHORT = 0.1
+# The trace route's rounding, u = 2^-53, at n = 5 (n = 4 rounds less). t1 sums
+# 5 diagonal entries whose partial sums are at most 2..5 in size: 14u. sigma =
+# (t1 - e) / 2 adds 4u before halving, and forming c = (sigma +- sqrt D) / 2
+# rounds by u, which counts as 2u on sigma: dsigma = 9u + 2u. t2 = sum m_ii^2 +
+# 2 sum m_ij m_ji (i < j) has products whose sizes add up to at most |M|_F^2 =
+# 5, so rounding the products costs 5u, the 4 + 9 additions at most 9 u 5 =
+# 45u, and the last addition 5u; q = (t2 + 4 - e) / 4 adds 8u: dq = 63u / 4.
+# D = 2q - sigma^2 then has 2 dq + 2 |sigma| 9u (|sigma| <= 2) + 4u + 4u, and
+# sqrt D rounding by u relative counts as 2 u D <= 8u on D: dD = 84u. arccos
+# and the last sqrt add a few ulp of d, well inside the budget, which is the
+# eigvalsh route's bound n dc / (4 d) at n = 5 and d = _SHORT. Where the
+# planes' cosines are closer than _CROWDED the difference quotient in the
+# bound is not resolved (sqrt D itself carries sqrt(dD) = 1e-7), so those
+# samples are handed on too.
+_TRACE_DSIGMA = 11 * 2.0**-53
+_TRACE_DD = 84 * 2.0**-53
+_TRACE_BUDGET = 2.5e-14
+_CROWDED = 1e-6
+# The n that have exactly two rotation planes and take the trace route, with
+# the index pairs (i < j) of the products m_ij m_ji that tr M^2 sums.
+_PLANE_PAIRS = {n: np.triu_indices(n, 1) for n in (4, 5)}
 
 
 class Rotation:
@@ -230,27 +256,90 @@ def _angles(m: np.ndarray) -> np.ndarray:
     return np.abs(np.angle(np.linalg.eigvals(m)))
 
 
+def _eigvalsh_distances(ms: np.ndarray) -> np.ndarray:
+    """Geodesic distances to the identity of a (k, n, n) SO(n) stack from its symmetric part.
+
+    The samples in the zones set by ``_NEAR_PI`` and ``_SHORT`` are measured
+    again from the arguments of the general eigenvalues.
+    """
+    cos2 = np.linalg.eigvalsh(ms + np.swapaxes(ms, -1, -2))
+    theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
+    d = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+    # eigvalsh sorts ascending, so column 0 holds the angle nearest pi.
+    redo = (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
+    if redo.any():
+        theta = _angles(ms[redo])
+        d[redo] = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+    return d
+
+
+def _trace_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances to the identity of a (k, n, n) SO(n) stack, n = 4 or 5, from two traces, and the samples to hand on.
+
+    M turns two planes by angles with cosines c1, c2, plus a lone axis
+    (e = 1) when n = 5, so t1 = tr M and t2 = tr M^2 give sigma =
+    (t1 - e) / 2 = c1 + c2, q = (t2 - e + 4) / 4 = c1^2 + c2^2 and D = 2q -
+    sigma^2 = (c1 - c2)^2, and c = (sigma +- sqrt D) / 2. Each trace is summed
+    elementwise in a fixed order, so a sample's value does not depend on the
+    other samples of the call. Samples whose first-order error bound exceeds
+    ``_TRACE_BUDGET``, whose planes crowd together, or that lie in the
+    eigvalsh route's zones are handed on.
+    """
+    n = ms.shape[-1]
+    i, j = _PLANE_PAIRS[n]
+    diag = np.diagonal(ms, axis1=1, axis2=2)
+    pairs = ms[:, i, j] * ms[:, j, i]
+    t1 = diag[:, 0] + diag[:, 1]
+    squares = diag[:, 0] * diag[:, 0] + diag[:, 1] * diag[:, 1]
+    for k in range(2, n):
+        t1 += diag[:, k]
+        squares += diag[:, k] * diag[:, k]
+    cross = pairs[:, 0] + pairs[:, 1]
+    for k in range(2, len(i)):
+        cross += pairs[:, k]
+    sigma = 0.5 * (t1 - (n - 4))
+    q = 0.25 * ((squares + 2.0 * cross) + (8 - n))
+    r = np.sqrt(np.maximum(2.0 * q - sigma * sigma, 0.0))
+    # 2 cos of the far (nearer pi) and the near angle, then the angles.
+    cos2 = np.stack((sigma - r, sigma + r))
+    theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
+    far, near = theta
+    d = np.sqrt(far * far + near * near)
+    # With h = theta / sin theta, d^2 = arccos(c+)^2 + arccos(c-)^2 moves by
+    # (h_far + h_near) dsigma + (h_far - h_near) / (2 sqrt D) dD to first
+    # order, and d by that over 2d; the test is multiplied through by 2r, so
+    # that r = 0 divides nothing.
+    h_far, h_near = 1.0 / np.sinc(theta / np.pi)
+    bound = (h_far + h_near) * (2.0 * r * _TRACE_DSIGMA) + (h_far - h_near) * _TRACE_DD
+    redo = (bound > 4.0 * _TRACE_BUDGET * d * r) | (r < _CROWDED)
+    # The bound alone hands on every sample at the near-pi edge; the _SHORT
+    # edge is widened by both routes' error, so that every sample the eigvalsh
+    # route would measure in a zone is handed on.
+    redo |= (cos2[0] < _NEAR_PI - 2.0) | (d < _SHORT + 2.0 * _TRACE_BUDGET)
+    return d, redo
+
+
 def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Geodesic distances to the identity of a (k, n, n) SO(n) stack, minimized over m diag(s).
 
     ``signs`` are (|SG|, n) det +1 rows; the trivial group is one row of ones.
     Column sign flips leave the LU determinant bit-identical, so m is checked once.
-    Each distance comes from the eigenvalues of the symmetric part alone,
-    except in the zones set by ``_NEAR_PI`` and ``_SHORT``, whose samples are
-    measured again from the arguments of the general eigenvalues.
+    For n = 4 and 5 each distance comes from two traces; the samples that
+    route hands on, and every sample of any other n, are measured by the
+    eigenvalues of the symmetric part, except in the zones set by
+    ``_NEAR_PI`` and ``_SHORT``, whose samples are measured again from the
+    arguments of the general eigenvalues.
     """
     _require_rotations(m)
     best = np.inf
     for s in signs:
         ms = m * s
-        cos2 = np.linalg.eigvalsh(ms + np.swapaxes(ms, -1, -2))
-        theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
-        d = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
-        # eigvalsh sorts ascending, so column 0 holds the angle nearest pi.
-        redo = (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
-        if redo.any():
-            theta = _angles(ms[redo])
-            d[redo] = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+        if ms.shape[-1] in _PLANE_PAIRS:
+            d, redo = _trace_distances(ms)
+            if redo.any():
+                d[redo] = _eigvalsh_distances(ms[redo])
+        else:
+            d = _eigvalsh_distances(ms)
         best = np.minimum(best, d)
     return best
 

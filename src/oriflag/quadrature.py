@@ -107,8 +107,8 @@ def adaptive_gauss_kronrod(
     estimated error is below ``tol``. Raises :class:`QuadratureError` if that
     takes more than ``max_intervals`` subintervals.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     evaluations = 15

@@ -49,6 +49,8 @@ class UnitQuaternion:
     def from_axis_angle(cls, axis, angle: float) -> "UnitQuaternion":
         """The lift cos(angle/2) + sin(angle/2) n of rotation by ``angle`` about ``n``."""
         n = np.asarray(axis, dtype=float)
+        if n.shape != (3,):
+            raise ValueError(f"expected a 3-vector axis, got shape {n.shape}")
         norm = np.linalg.norm(n)
         if not abs(norm - 1.0) <= UNIT_TOL:
             raise ValueError("axis must be a unit 3-vector")

@@ -13,6 +13,7 @@ from oriflag.orthogonal import (
     Rotation,
     _column_norms,
     _distances_to_identity,
+    _trace_distances,
     geodesic_distance,
     quotient_distance,
     random_special_orthogonal,
@@ -416,6 +417,54 @@ def test_angles_of_planes_crowding_zero_or_pi(n):
         assert abs(geodesic_distance(m, np.eye(n)) - math.sqrt(np.sum(angles ** 2))) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_trace_route_against_planted_angles(n):
+    # Just outside the near-pi zone, arccos of the trace route's cosines is
+    # ill-conditioned, most of all where the two planes crowd together; its
+    # error bound must hand those samples on (without it they miss by 1e-12..1e-11).
+    gen = RngStream(29).generator()
+    rows = []
+    for off in (0.021, 0.025, 0.03, 0.05, 0.1, 0.2, 0.3):
+        far = math.pi - off
+        rows += [(far, far - gap) for gap in (0.0, 1e-7, 1e-6, 1e-5, 1e-3, 0.3 * off)]
+        rows += [(far, 1.0), (far, 0.3), (far, 1e-3)]
+    rows += [(a, a + gap) for a in (1e-4, 1e-2, 0.05) for gap in (0.0, 1e-8, 1e-4, 1e-2)]
+    m, exact = planted_stack(gen, (row for row in rows for _ in range(10)), n)
+    assert np.abs(_distances_to_identity(m, np.ones((1, n))) - exact).max() <= 1e-13
+
+
+def eigvalsh_route_distances(m):
+    """Test-only copy of the symmetric eigenvalue route, which every n took before the trace route."""
+    cos2 = np.linalg.eigvalsh(m + np.swapaxes(m, -1, -2))
+    theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
+    d = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+    redo = (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
+    if redo.any():
+        theta = np.abs(np.angle(np.linalg.eigvals(m[redo])))
+        d[redo] = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
+    return d
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_handed_on_samples_keep_the_eigvalsh_route_bits(n):
+    gen = RngStream(30).generator()
+    haar = sample_rotation_matrices(n, 4_000, gen)
+    near_pi, _ = planted_stack(gen, ([math.pi - 0.03, math.pi - gen.uniform(0.0, 0.5)] for _ in range(200)), n)
+    m = np.concatenate([haar, near_pi])
+    _, handed_on = _trace_distances(m)
+    assert handed_on[:len(haar)].any() and not handed_on[:len(haar)].all() and handed_on[len(haar):].all()
+    assert np.array_equal(_distances_to_identity(m, np.ones((1, n)))[handed_on],
+                          eigvalsh_route_distances(m)[handed_on])
+
+
+@pytest.mark.parametrize("text", ["lambda=1,1,1,1,1 P={1,2,3,4,5}", "lambda=1,1,1,1,1 P={1,2}{3,4,5}"])
+def test_orbit_distance_is_the_minimum_of_one_row_calls(text):
+    signs = isotropy_group(parse_flagspec(text)).signs
+    m = sample_rotation_matrices(5, 2_000, RngStream(31).generator())
+    one_row = np.min([_distances_to_identity(m * s, np.ones((1, 5))) for s in signs], axis=0)
+    assert np.array_equal(_distances_to_identity(m, signs), one_row)
+
+
 def test_reflection_is_rejected():
     for n in (2, 3, 4, 5):
         reflection = np.diag([-1.0] + [1.0] * (n - 1))
@@ -451,8 +500,11 @@ NAN = float("nan")
     (lambda: UnitQuaternion(NAN, 0.0, 0.0, 0.0), ValueError),
     (lambda: rotate_vector(UnitQuaternion.identity(), [NAN, 0.0, 0.0]), ValueError),
     (lambda: UnitQuaternion.from_axis_angle([NAN, 0.0, 0.0], 1.0), ValueError),
+    (lambda: UnitQuaternion.from_axis_angle((0.6, 0.8, 0.0, 0.0), 1.0), ValueError),
+    (lambda: UnitQuaternion.from_axis_angle([[1.0, 0.0, 0.0]], 1.0), ValueError),
+    (lambda: UnitQuaternion.from_axis_angle((0.0, 0.0, 0.0, 1.0), 1.0), ValueError),
 ], ids=["geodesic-shear", "quotient-shear", "angles-shear", "angles-stack", "rotation-nan",
-        "quaternion-nan", "rotate-nan", "axis-nan"])
+        "quaternion-nan", "rotate-nan", "axis-nan", "axis-4-vector", "axis-row", "axis-4-unit"])
 def test_outside_input_is_rejected(call, error):
     with pytest.raises(error):
         call()

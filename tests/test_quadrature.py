@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oriflag import quadrature
+from oriflag.analytic import expected_distance_full_flag, expected_distance_partial_flag_integral, numeric_volume
 from oriflag.quadrature import QuadratureError, adaptive_gauss_kronrod, nested_integral
+from oriflag.spaces import parse_space
 
 
 def test_polynomial_is_exact():
@@ -66,6 +69,29 @@ def test_budget_exhaustion_raises():
 def test_invalid_tolerance():
     with pytest.raises(ValueError):
         adaptive_gauss_kronrod(np.sin, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda tol: adaptive_gauss_kronrod(np.sin, 0.0, 1.0, tol),
+    expected_distance_full_flag,
+    expected_distance_partial_flag_integral,
+    lambda tol: numeric_volume(parse_space("so3"), tol),
+], ids=["adaptive", "full-flag", "partial-flag", "numeric-volume"])
+def test_nan_tolerance_is_refused_before_any_evaluation(integrate, monkeypatch):
+    # every integrand is evaluated through the rule, so counting the calls of
+    # each integrand it is handed counts them all
+    calls = []
+    rule = quadrature._gk15
+
+    def counting_rule(f, a, b):
+        return rule(lambda x: calls.append(x) or f(x), a, b)
+
+    monkeypatch.setattr(quadrature, "_gk15", counting_rule)
+    assert integrate(1e-6).value > 0.0 and calls
+    calls.clear()
+    with pytest.raises(ValueError):
+        integrate(float("nan"))
+    assert calls == []
 
 
 def test_nested_double_integral_rectangle():
