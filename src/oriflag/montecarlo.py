@@ -16,12 +16,18 @@ the projective plane or a spin cover reads only one coordinate of its unit
 vector per orbit element, so it keeps the Gaussian row undivided and divides
 just those coordinates by the row's norm: the same bits as normalizing
 first, since each lifted sign picks a coordinate exactly and division by a
-positive norm commutes with the maximum. Estimates carry a standard error
-from a streaming (count, mean, M2) aggregation, and work is split into
-per-worker substreams whose merge is independent of execution order, so a
-fixed (seed, workers, N) reproduces the estimate bit for bit within one
-package version. Substream k of a seed is numpy's SFC64 generator seeded by
-``SeedSequence(seed, spawn_key=(k,))`` (``orthogonal.RngStream``).
+positive norm commutes with the maximum. The spin-cover and sphere kernels
+write every step into the batch's own arrays with ``out=``, and a batch's
+statistics overwrite its distances, so a one-point batch holds its Gaussian
+block and two rows: 6.1 doubles per sample on SO(3)/SG and 5.1 on the sphere
+(traced, the redraw mask included). Two points hold 12 to 13 on SO(3)/SG and
+8 on the sphere, and SO(4)/SG holds 8 to 25, growing with |SG|. Estimates
+carry a standard error from a streaming (count, mean, M2) aggregation, and
+work is split into per-worker substreams whose merge is independent of
+execution order, so a fixed (seed, workers, N) reproduces the estimate bit
+for bit within one package version. Substream k of a seed is numpy's SFC64
+generator seeded by ``SeedSequence(seed, spawn_key=(k,))``
+(``orthogonal.RngStream``).
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .orthogonal import (
     _unit_vectors,
     sample_rotation_matrices,
 )
-from .quatcover import _mul_raw
 from .spaces import Kernel, classify
 
 _BATCH = 1 << 17
@@ -59,6 +64,14 @@ _BATCH = 1 << 17
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+# How coordinate c of conj(b) a adds its terms k = 1, 2, 3: _mul_raw's own
+# signs, with conj(b)'s -1 on b_k (k > 0) folded in.
+_RELATIVE_OPS = (
+    (np.add, np.add, np.add),
+    (np.subtract, np.subtract, np.add),
+    (np.add, np.subtract, np.subtract),
+    (np.subtract, np.add, np.subtract),
+)
 
 
 @dataclass(frozen=True)
@@ -82,19 +95,42 @@ def sphere_point(rng) -> np.ndarray:
     return _unit_vectors(_as_generator(rng), 1, 3)[0]
 
 
-def _cover_points(
-    gen: np.random.Generator, count: int, two_point: bool
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """Quaternions as (4, count) rows, and the norms that scale them to uniform unit quaternions.
+def _gaussian_rows(gen: np.random.Generator, count: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaussian (dim, count) rows viewing (count, dim) draws, their norms, and the spare (count,) row that summed them.
 
-    One point: Gaussian rows and their norms, left undivided, because a
-    kernel reads one signed coordinate per lift and divides only that. Two
-    points: conj(q_b) q_a of unit draws taken in that order, with norm 1.
+    A one-point kernel reads one coordinate of each unit vector per orbit
+    element, so it keeps the rows undivided and divides only what it reads.
     """
-    if not two_point:
-        return _gaussian_columns(gen, gen.standard_normal((count, 4)).T)
-    q = _unit_vectors(gen, count, 4).T
-    return np.array(_mul_raw(_CONJ[:, None] * _unit_vectors(gen, count, 4).T, q)), 1.0
+    spare = np.empty(count)
+    g, norms = _gaussian_columns(gen, gen.standard_normal((count, dim)).T, np.empty(count), spare)
+    return g, norms, spare
+
+
+def _unit_quaternions(gen: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform unit quaternions as a contiguous (4, count) copy of the draws, normalized in place."""
+    v, norms = _gaussian_columns(gen, gen.standard_normal((count, 4)).T.copy())
+    return np.divide(v, norms, out=v)
+
+
+def _relative_points(gen: np.random.Generator, count: int, coords: np.ndarray) -> np.ndarray:
+    """Coordinates ``coords`` of conj(q_b) q_a, for unit draws q_a then q_b, as (len(coords), count) rows.
+
+    Coordinate c sums the terms (q_b)_k (q_a)_(k xor c) of
+    ``_mul_raw(conj(q_b), q_a)`` in its order, with the conjugate's signs
+    folded into the additions (``_RELATIVE_OPS``), which rounds the same.
+    """
+    a, b = _unit_quaternions(gen, count), _unit_quaternions(gen, count)
+    parts, term = np.empty((len(coords), count)), np.empty(count)
+    for out, c in zip(parts, coords):
+        np.multiply(b[0], a[c], out=out)
+        for k, op in enumerate(_RELATIVE_OPS[c], start=1):
+            op(out, np.multiply(b[k], a[k ^ c], out=term), out=out)
+    return parts
+
+
+def _lift_coords(units: np.ndarray) -> np.ndarray:
+    """The coordinates of q that Re(q u) reads for (k, 4) signed units u, one per row."""
+    return np.flatnonzero(units.any(axis=0))
 
 
 def _real_parts(units: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -109,11 +145,38 @@ def _real_parts(units: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _spin3_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
     """n = 3: q covers A, q u covers A diag(s), and d(R(q), I) = 2 arccos |Re q|.
 
-    Dividing by the positive norm is monotone, so it is taken after the maximum.
+    Each lift u is a unit e_c, so |Re(q u)| = |q_c| and the orbit's largest
+    is the largest |q_c| over the lifts' coordinates. One point divides it by
+    the norm after the maximum, which the positive norm leaves in place.
     """
-    q, norms = _cover_points(gen, count, two_point)
-    cos = np.abs(_real_parts(lifts, q)).max(axis=0) / norms
-    return 2.0 * np.arccos(np.minimum(cos, 1.0))
+    coords = _lift_coords(lifts)
+    if two_point:
+        parts = _relative_points(gen, count, coords)
+        cos = np.abs(parts, out=parts).max(axis=0)
+    else:
+        q, norms, cos = _gaussian_rows(gen, count, 4)
+        np.abs(q[coords[0]], out=cos)
+        for c in coords[1:]:
+            np.maximum(cos, np.abs(q[c], out=q[c]), out=cos)
+        np.divide(cos, norms, out=cos)
+    np.arccos(np.minimum(cos, 1.0, out=cos), out=cos)
+    return np.multiply(cos, 2.0, out=cos)
+
+
+def _lift_angles(units: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
+    """arccos(Re(q u) / |q|) for (k, 4) signed units u and ``count`` uniform quaternions q, as a (k, count) array.
+
+    One point: q is a Gaussian row, divided after the pick. Two points: q =
+    conj(q_b) q_a, formed only at the coordinates the units read.
+    """
+    if two_point:
+        coords = _lift_coords(units)
+        x = (units * _CONJ)[:, coords] @ _relative_points(gen, count, coords)
+    else:
+        q, norms, _ = _gaussian_rows(gen, count, 4)
+        x = _real_parts(units, q)
+        np.divide(x, norms, out=x)
+    return np.arccos(np.clip(x, -1.0, 1.0, out=x), out=x)
 
 
 def _spin4_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
@@ -122,13 +185,14 @@ def _spin4_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, tw
     With cos a = Re p and cos b = Re q, the rotation angles of A are a + b,
     reflected into [0, pi], and |a - b|.
     """
-    p, p_norms = _cover_points(gen, count, two_point)
-    q, q_norms = _cover_points(gen, count, two_point)
-    a = np.arccos(np.clip(_real_parts(lifts[:, 0], p) / p_norms, -1.0, 1.0))
-    b = np.arccos(np.clip(_real_parts(lifts[:, 1], q) / q_norms, -1.0, 1.0))
+    a = _lift_angles(lifts[:, 0], gen, count, two_point)
+    b = _lift_angles(lifts[:, 1], gen, count, two_point)
     plus = a + b
-    plus = np.minimum(plus, 2.0 * np.pi - plus)
-    return np.sqrt((plus * plus + (a - b) ** 2).min(axis=0))
+    diff = np.subtract(a, b, out=a)
+    np.minimum(plus, np.subtract(2.0 * np.pi, plus, out=b), out=plus)
+    np.multiply(plus, plus, out=plus)
+    d = np.add(plus, np.multiply(diff, diff, out=diff), out=plus).min(axis=0)
+    return np.sqrt(d, out=d)
 
 
 def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
@@ -138,14 +202,15 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     if len(kern.shape) == 1:
         if two_point:
             v = _unit_vectors(gen, count, 3)
-            cos = (_unit_vectors(gen, count, 3) * v).sum(axis=1)
+            u = _unit_vectors(gen, count, 3)
+            cos = np.multiply(u, v, out=u).sum(axis=1)
         else:
-            g, norms = _gaussian_columns(gen, gen.standard_normal((count, 3)).T)
-            cos = g[2] / norms
+            g, norms, cos = _gaussian_rows(gen, count, 3)
+            np.divide(g[2], norms, out=cos)
         # Nearest point of the orbit {s v}: the largest cosine, |cos| under signs {1, -1}.
         if len(kern.signs) > 1:
-            cos = np.abs(cos)
-        return np.arccos(np.clip(cos, -1.0, 1.0))
+            np.abs(cos, out=cos)
+        return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos)
     if kern.lifts is not None:
         cover = _spin3_distances if kern.lifts.ndim == 2 else _spin4_distances
         return cover(kern.lifts, gen, count, two_point)
@@ -189,8 +254,10 @@ def sample_distances(space: FlagSpec, count: int, rng, *, two_point: bool = Fals
 
 
 def _batch_stats(x: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of a batch; the squared deviations overwrite ``x``."""
     mean = float(x.mean())
-    return len(x), mean, float(((x - mean) ** 2).sum())
+    np.subtract(x, mean, out=x)
+    return len(x), mean, float(np.multiply(x, x, out=x).sum())
 
 
 def _merge_stats(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:

@@ -153,35 +153,43 @@ def random_special_orthogonal(n: int, rng) -> Rotation:
 
 
 def _unit_vectors(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """``count`` uniform points on the unit sphere in R^dim, one per row."""
-    v, norms = _gaussian_columns(gen, gen.standard_normal((count, dim)).T)
-    return (v / norms).T
+    """``count`` uniform points on the unit sphere in R^dim, one per row, divided in place."""
+    g = gen.standard_normal((count, dim))
+    v, norms = _gaussian_columns(gen, g.T)
+    np.divide(v, norms, out=v)
+    return g
 
 
-def _gaussian_columns(gen: np.random.Generator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_columns(
+    gen: np.random.Generator, v: np.ndarray, out: np.ndarray | None = None, spare: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian columns of a (dim, count) ``v`` and their norms, redrawing (in place) those under ``_MIN_NORM``.
 
     ``v`` may be the transpose of (count, dim) rows; a redrawn vector takes
-    ``dim`` consecutive draws either way.
+    ``dim`` consecutive draws either way. ``out`` and ``spare`` are passed to
+    ``_column_norms``.
     """
-    norms = _column_norms(v)
+    norms = _column_norms(v, out, spare)
     while (bad := norms < _MIN_NORM).any():
         v[:, bad] = gen.standard_normal((int(bad.sum()), len(v))).T
         norms[bad] = _column_norms(v[:, bad])
     return v, norms
 
 
-def _column_norms(v: np.ndarray) -> np.ndarray:
+def _column_norms(v: np.ndarray, out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
     """Euclidean norms of the columns of a (d, count) array, squares summed row by row.
 
     Summed in coordinate order, numpy's own order for vectors shorter than 8,
     so this matches ``np.linalg.norm`` of those bit for bit, without its
-    temporary (d, count) array of squares.
+    temporary (d, count) array of squares. The sums and then the norms are
+    written to the (count,) row ``out`` and each square to the row ``spare``,
+    made here when not given.
     """
-    sq = v[0] * v[0]
+    sq = np.multiply(v[0], v[0], out=out)
+    square = np.empty_like(sq) if spare is None else spare
     for row in v[1:]:
-        sq += row * row
-    return np.sqrt(sq)
+        sq += np.multiply(row, row, out=square)
+    return np.sqrt(sq, out=sq)
 
 
 def sample_rotation_matrices(n: int, count: int, rng) -> np.ndarray:
@@ -359,10 +367,14 @@ def rotation_angles(a) -> np.ndarray:
 
 
 def _coset_distance(ma: np.ndarray, mb: np.ndarray, signs: np.ndarray) -> float:
-    """The orbit minimum of b^T a over the (|SG|, n) ``signs``; exactly 0 when b = a diag(s) for a row s."""
+    """The orbit minimum of b^T a over the (|SG|, n) ``signs``; exactly 0 when b = a diag(s) for a row s.
+
+    The orbit is measured as one (|SG|, n, n) stack in a single call, since a
+    sample's distance does not depend on the other samples of its call.
+    """
     if ma.shape != mb.shape or ma.shape[0] != signs.shape[1]:
         raise ValueError(f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={signs.shape[1]}")
-    d = float(_distances_to_identity((mb.T @ ma)[None], signs)[0])
+    d = float(_distances_to_identity((mb.T @ ma)[None] * signs[:, None, :], np.ones((1, len(ma)))).min())
     s = np.where((ma == mb).all(axis=0), 1.0, -1.0)
     return 0.0 if np.array_equal(ma * s, mb) and (signs == s).all(axis=1).any() else d
 

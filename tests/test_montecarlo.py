@@ -7,6 +7,7 @@ import pytest
 
 from oriflag.flagspec import FlagSpec, OrderedPartition, SetPartition, isotropy_group
 from oriflag.montecarlo import (
+    _CONJ,
     Estimate,
     _real_parts,
     _unit_vectors,
@@ -337,16 +338,43 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
 def normalize_first_distances(kern, gen, count):
     """One-point distances as drawn by whole unit rows, the reference for the raw-row kernels."""
     if kern.family in ("s2", "rp2"):
-        cos = _unit_vectors(gen, count, 3)[:, 2]
-        if len(kern.signs) > 1:
-            cos = np.abs(cos)
-        return np.arccos(np.clip(cos, -1.0, 1.0))
+        return sphere_reference(kern, _unit_vectors(gen, count, 3)[:, 2])
     if kern.lifts.ndim == 2:
-        cos = np.abs(_real_parts(kern.lifts, _unit_vectors(gen, count, 4).T)).max(axis=0)
-        return 2.0 * np.arccos(np.minimum(cos, 1.0))
+        return spin3_reference(kern.lifts, _unit_vectors(gen, count, 4).T)
     p, q = _unit_vectors(gen, count, 4).T, _unit_vectors(gen, count, 4).T
-    a = np.arccos(np.clip(_real_parts(kern.lifts[:, 0], p), -1.0, 1.0))
-    b = np.arccos(np.clip(_real_parts(kern.lifts[:, 1], q), -1.0, 1.0))
+    return spin4_reference(kern.lifts, p, q)
+
+
+def full_product_distances(kern, gen, count):
+    """Two-point distances from whole unit rows and whole Hamilton products, the reference for the in-place kernels."""
+    if kern.family in ("s2", "rp2"):
+        v = _unit_vectors(gen, count, 3)
+        return sphere_reference(kern, (_unit_vectors(gen, count, 3) * v).sum(axis=1))
+
+    def relative():
+        qa = _unit_vectors(gen, count, 4).T
+        return np.array(_mul_raw(_CONJ[:, None] * _unit_vectors(gen, count, 4).T, qa))
+
+    if kern.lifts.ndim == 2:
+        return spin3_reference(kern.lifts, relative())
+    p, q = relative(), relative()
+    return spin4_reference(kern.lifts, p, q)
+
+
+def sphere_reference(kern, cos):
+    if len(kern.signs) > 1:
+        cos = np.abs(cos)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def spin3_reference(lifts, q):
+    cos = np.abs(_real_parts(lifts, q)).max(axis=0)
+    return 2.0 * np.arccos(np.minimum(cos, 1.0))
+
+
+def spin4_reference(lifts, p, q):
+    a = np.arccos(np.clip(_real_parts(lifts[:, 0], p), -1.0, 1.0))
+    b = np.arccos(np.clip(_real_parts(lifts[:, 1], q), -1.0, 1.0))
     plus = a + b
     plus = np.minimum(plus, 2.0 * np.pi - plus)
     return np.sqrt((plus * plus + (a - b) ** 2).min(axis=0))
@@ -363,7 +391,7 @@ def set_partitions(k):
         yield p + [(k,)]
 
 
-def test_one_point_kernels_match_normalize_first_draws(monkeypatch):
+def assert_kernels_match(monkeypatch, reference, two_point):
     # every n = 3 and n = 4 lift table, and the sphere and projective plane;
     # the second pass raises the threshold so that about 1-3% of rows are redrawn
     spaces = [SPACE_ALIASES["s2"], SPACE_ALIASES["rp2"]]
@@ -375,13 +403,21 @@ def test_one_point_kernels_match_normalize_first_draws(monkeypatch):
             monkeypatch.setitem(_unit_vectors.__globals__, "_MIN_NORM", min_norm)
         for space in spaces:
             label = space_label(space)
-            got = sample_distances(space, 4000, RngStream(61).generator())
-            want = normalize_first_distances(classify(space), RngStream(61).generator(), 4000)
+            got = sample_distances(space, 4000, RngStream(61).generator(), two_point=two_point)
+            want = reference(classify(space), RngStream(61).generator(), 4000)
             assert np.array_equal(got, want), label
             if min_norm is None:
                 plain[label] = got
             else:
                 assert (got != plain[label]).any(), label
+
+
+def test_one_point_kernels_match_normalize_first_draws(monkeypatch):
+    assert_kernels_match(monkeypatch, normalize_first_distances, two_point=False)
+
+
+def test_two_point_kernels_match_full_product_draws(monkeypatch):
+    assert_kernels_match(monkeypatch, full_product_distances, two_point=True)
 
 
 def test_lift_table_reproduces_every_sign_row():
@@ -514,6 +550,40 @@ def test_qr_batches_sized_by_memory(monkeypatch):
     assert mc._batch_size(classify(so5)) == 1
     assert mc._batch_size(classify(parse_space("so4"))) == mc._BATCH
     assert mc._batch_size(classify(SPACE_ALIASES["s2"])) == mc._BATCH
+
+
+# The most that one 2^14-sample batch and its statistics may hold at once, in
+# doubles per sample. A one-point n = 3 kernel holds its Gaussian block and
+# two (count,) rows (6 to 6.2 with the redraw mask); the rest stay at or under
+# what they held before the kernels computed in place.
+WORKING_SET = {
+    ("so3", False): 7, ("partial-flag-1", False): 7, ("partial-flag-2", False): 7,
+    ("partial-flag-3", False): 7, ("full-flag", False): 7,
+    ("so3", True): 14, ("partial-flag-1", True): 14, ("full-flag", True): 14,
+    ("s2", False): 7, ("rp2", False): 7, ("s2", True): 10.5, ("rp2", True): 10.5,
+    ("so4", False): 16, ("so4", True): 18,
+    ("lambda=1,1,1,1 P={1,2}{3,4}", False): 30, ("lambda=1,1,1,1 P={1,2}{3,4}", True): 28,
+    ("lambda=1,1,1,1 P={1,2,3,4}", False): 50, ("lambda=1,1,1,1 P={1,2,3,4}", True): 48,
+}
+
+
+def test_batch_working_set_in_doubles_per_sample():
+    import tracemalloc
+
+    import oriflag.montecarlo as mc
+
+    count = 1 << 14
+    tracemalloc.start()
+    try:
+        for (text, two_point), limit in WORKING_SET.items():
+            kern, gen = classify(parse_space(text)), RngStream(9).generator()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mc._batch_stats(mc._kernel_distances(kern, gen, count, two_point))
+            peak = (tracemalloc.get_traced_memory()[1] - base) / (8 * count)
+            assert peak <= limit, (text, two_point, peak)
+    finally:
+        tracemalloc.stop()
 
 
 def test_general_dimension_slow_paths():

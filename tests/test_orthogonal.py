@@ -465,6 +465,16 @@ def test_orbit_distance_is_the_minimum_of_one_row_calls(text):
     assert np.array_equal(_distances_to_identity(m, signs), one_row)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_quotient_distance_is_the_minimum_of_one_row_calls(n):
+    # the full flag's orbit in one stacked call against a loop of one call per sign row
+    h = isotropy_group(parse_flagspec(f"lambda={','.join('1' * n)} P={{{','.join(map(str, range(1, n + 1)))}}}"))
+    m = sample_rotation_matrices(n, 400, RngStream(60 + n).generator())
+    for a, b in zip(m[::2], m[1::2]):
+        one_row = min(float(_distances_to_identity((b.T @ a)[None] * s, np.ones((1, n)))[0]) for s in h.signs)
+        assert quotient_distance(a, b, h) == one_row
+
+
 def test_reflection_is_rejected():
     for n in (2, 3, 4, 5):
         reflection = np.diag([-1.0] + [1.0] * (n - 1))
