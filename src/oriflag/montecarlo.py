@@ -49,6 +49,7 @@ from .orthogonal import (
     _unit_vectors,
     sample_rotation_matrices,
 )
+from .quatcover import _conj_mul_coords
 from .spaces import Kernel, classify
 
 _BATCH = 1 << 17
@@ -64,14 +65,6 @@ _BATCH = 1 << 17
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-# How coordinate c of conj(b) a adds its terms k = 1, 2, 3: _mul_raw's own
-# signs, with conj(b)'s -1 on b_k (k > 0) folded in.
-_RELATIVE_OPS = (
-    (np.add, np.add, np.add),
-    (np.subtract, np.subtract, np.add),
-    (np.add, np.subtract, np.subtract),
-    (np.subtract, np.add, np.subtract),
-)
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ def sphere_point(rng) -> np.ndarray:
     return _unit_vectors(_as_generator(rng), 1, 3)[0]
 
 
-def _gaussian_rows(gen: np.random.Generator, count: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _raw_gaussians(gen: np.random.Generator, count: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gaussian (dim, count) rows viewing (count, dim) draws, their norms, and the spare (count,) row that summed them.
 
     A one-point kernel reads one coordinate of each unit vector per orbit
@@ -106,26 +99,10 @@ def _gaussian_rows(gen: np.random.Generator, count: int, dim: int) -> tuple[np.n
     return g, norms, spare
 
 
-def _unit_quaternions(gen: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` uniform unit quaternions as a contiguous (4, count) copy of the draws, normalized in place."""
-    v, norms = _gaussian_columns(gen, gen.standard_normal((count, 4)).T.copy())
-    return np.divide(v, norms, out=v)
-
-
 def _relative_points(gen: np.random.Generator, count: int, coords: np.ndarray) -> np.ndarray:
-    """Coordinates ``coords`` of conj(q_b) q_a, for unit draws q_a then q_b, as (len(coords), count) rows.
-
-    Coordinate c sums the terms (q_b)_k (q_a)_(k xor c) of
-    ``_mul_raw(conj(q_b), q_a)`` in its order, with the conjugate's signs
-    folded into the additions (``_RELATIVE_OPS``), which rounds the same.
-    """
-    a, b = _unit_quaternions(gen, count), _unit_quaternions(gen, count)
-    parts, term = np.empty((len(coords), count)), np.empty(count)
-    for out, c in zip(parts, coords):
-        np.multiply(b[0], a[c], out=out)
-        for k, op in enumerate(_RELATIVE_OPS[c], start=1):
-            op(out, np.multiply(b[k], a[k ^ c], out=term), out=out)
-    return parts
+    """Coordinates ``coords`` of conj(q_b) q_a, for unit draws q_a then q_b, as (len(coords), count) rows."""
+    a = _unit_vectors(gen, count, 4, columns=True)
+    return _conj_mul_coords(_unit_vectors(gen, count, 4, columns=True), a, coords)
 
 
 def _lift_coords(units: np.ndarray) -> np.ndarray:
@@ -154,7 +131,7 @@ def _spin3_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, tw
         parts = _relative_points(gen, count, coords)
         cos = np.abs(parts, out=parts).max(axis=0)
     else:
-        q, norms, cos = _gaussian_rows(gen, count, 4)
+        q, norms, cos = _raw_gaussians(gen, count, 4)
         np.abs(q[coords[0]], out=cos)
         for c in coords[1:]:
             np.maximum(cos, np.abs(q[c], out=q[c]), out=cos)
@@ -173,7 +150,7 @@ def _lift_angles(units: np.ndarray, gen: np.random.Generator, count: int, two_po
         coords = _lift_coords(units)
         x = (units * _CONJ)[:, coords] @ _relative_points(gen, count, coords)
     else:
-        q, norms, _ = _gaussian_rows(gen, count, 4)
+        q, norms, _ = _raw_gaussians(gen, count, 4)
         x = _real_parts(units, q)
         np.divide(x, norms, out=x)
     return np.arccos(np.clip(x, -1.0, 1.0, out=x), out=x)
@@ -205,7 +182,7 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
             u = _unit_vectors(gen, count, 3)
             cos = np.multiply(u, v, out=u).sum(axis=1)
         else:
-            g, norms, cos = _gaussian_rows(gen, count, 3)
+            g, norms, cos = _raw_gaussians(gen, count, 3)
             np.divide(g[2], norms, out=cos)
         # Nearest point of the orbit {s v}: the largest cosine, |cos| under signs {1, -1}.
         if len(kern.signs) > 1:

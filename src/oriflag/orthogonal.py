@@ -69,6 +69,10 @@ _CROWDED = 1e-6
 # The n that have exactly two rotation planes and take the trace route, with
 # the index pairs (i < j) of the products m_ij m_ji that tr M^2 sums.
 _PLANE_PAIRS = {n: np.triu_indices(n, 1) for n in (4, 5)}
+# Bytes of the stack of one chunk of sign rows when quotient_distance measures
+# an orbit; the chunk's symmetric part and eigvalsh's copy of it are alive
+# beside it, so a call holds about three such stacks at most.
+_ORBIT_BYTES = 1 << 22
 
 
 class Rotation:
@@ -152,12 +156,19 @@ def random_special_orthogonal(n: int, rng) -> Rotation:
     return Rotation(sample_rotation_matrices(n, 1, rng)[0])
 
 
-def _unit_vectors(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """``count`` uniform points on the unit sphere in R^dim, one per row, divided in place."""
-    g = gen.standard_normal((count, dim))
-    v, norms = _gaussian_columns(gen, g.T)
+def _unit_vectors(gen: np.random.Generator, count: int, dim: int, *, columns: bool = False) -> np.ndarray:
+    """``count`` uniform points on the unit sphere in R^dim, one per row, divided in place.
+
+    With ``columns`` they are divided in a contiguous (dim, count) copy of
+    the draws instead, one point per column, for kernels that read whole
+    coordinate rows; the values are the same.
+    """
+    v = gen.standard_normal((count, dim)).T
+    if columns:
+        v = v.copy()
+    v, norms = _gaussian_columns(gen, v)
     np.divide(v, norms, out=v)
-    return g
+    return v if columns else v.T
 
 
 def _gaussian_columns(
@@ -341,15 +352,18 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
     _require_rotations(m)
     best = np.inf
     for s in signs:
-        ms = m * s
-        if ms.shape[-1] in _PLANE_PAIRS:
-            d, redo = _trace_distances(ms)
-            if redo.any():
-                d[redo] = _eigvalsh_distances(ms[redo])
-        else:
-            d = _eigvalsh_distances(ms)
-        best = np.minimum(best, d)
+        best = np.minimum(best, _stack_distances(m * s))
     return best
+
+
+def _stack_distances(ms: np.ndarray) -> np.ndarray:
+    """Geodesic distances to the identity of a checked (k, n, n) SO(n) stack: two traces for n = 4 and 5, else eigvalsh."""
+    if ms.shape[-1] not in _PLANE_PAIRS:
+        return _eigvalsh_distances(ms)
+    d, redo = _trace_distances(ms)
+    if redo.any():
+        d[redo] = _eigvalsh_distances(ms[redo])
+    return d
 
 
 def rotation_angles(a) -> np.ndarray:
@@ -369,12 +383,17 @@ def rotation_angles(a) -> np.ndarray:
 def _coset_distance(ma: np.ndarray, mb: np.ndarray, signs: np.ndarray) -> float:
     """The orbit minimum of b^T a over the (|SG|, n) ``signs``; exactly 0 when b = a diag(s) for a row s.
 
-    The orbit is measured as one (|SG|, n, n) stack in a single call, since a
-    sample's distance does not depend on the other samples of its call.
+    The orbit is measured in stacks of as many sign rows as ``_ORBIT_BYTES``
+    holds, one call each, since a sample's distance does not depend on the
+    other samples of its call. b^T a is checked once: column sign flips leave
+    its determinant bit-identical.
     """
     if ma.shape != mb.shape or ma.shape[0] != signs.shape[1]:
         raise ValueError(f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={signs.shape[1]}")
-    d = float(_distances_to_identity((mb.T @ ma)[None] * signs[:, None, :], np.ones((1, len(ma)))).min())
+    m = mb.T @ ma
+    _require_rotations(m)
+    rows = max(1, _ORBIT_BYTES // m.nbytes)
+    d = min(float(_stack_distances(m * signs[i : i + rows, None, :]).min()) for i in range(0, len(signs), rows))
     s = np.where((ma == mb).all(axis=0), 1.0, -1.0)
     return 0.0 if np.array_equal(ma * s, mb) and (signs == s).all(axis=1).any() else d
 

@@ -82,16 +82,37 @@ J = UnitQuaternion(0.0, 0.0, 1.0, 0.0)
 K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
 
 
+# Coordinate c of the Hamilton product p q sums the terms p_k q_(k xor c), k =
+# 0, 1, 2, 3 in that order, with these signs: the order and signs that both
+# _mul_raw and _conj_mul_coords round in.
+_HAMILTON_SIGNS = ((1, -1, -1, -1), (1, 1, 1, -1), (1, -1, 1, 1), (1, 1, -1, 1))
+
+
 def _mul_raw(p: tuple, q: tuple) -> tuple:
-    """Hamilton product on raw 4-tuples, no unit-norm validation."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (
-        a * e - b * f - c * g - d * h,
-        a * f + b * e + c * h - d * g,
-        a * g - b * h + c * e + d * f,
-        a * h + b * g - c * f + d * e,
-    )
+    """Hamilton product on raw 4-tuples (or (4, count) rows), no unit-norm validation."""
+    out = []
+    for c, signs in enumerate(_HAMILTON_SIGNS):
+        x = p[0] * q[c]
+        for k in (1, 2, 3):
+            x = x + p[k] * q[k ^ c] if signs[k] > 0 else x - p[k] * q[k ^ c]
+        out.append(x)
+    return tuple(out)
+
+
+def _conj_mul_coords(b: np.ndarray, a: np.ndarray, coords) -> np.ndarray:
+    """Coordinates ``coords`` of conj(b) a for (4, count) rows b and a, as (len(coords), count) rows.
+
+    The terms of ``_mul_raw(conj(b), a)`` in its order; conj(b)_k = -b_k for
+    k > 0, so those terms are added where _mul_raw subtracts them, which
+    rounds the same. Every step writes into the result or one spare row.
+    """
+    parts, term = np.empty((len(coords), a.shape[1])), np.empty(a.shape[1])
+    for out, c in zip(parts, coords):
+        np.multiply(b[0], a[c], out=out)
+        for k in (1, 2, 3):
+            op = np.subtract if _HAMILTON_SIGNS[c][k] > 0 else np.add
+            op(out, np.multiply(b[k], a[k ^ c], out=term), out=out)
+    return parts
 
 
 def rotate_vector(q: UnitQuaternion, u) -> np.ndarray:

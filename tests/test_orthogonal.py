@@ -465,14 +465,40 @@ def test_orbit_distance_is_the_minimum_of_one_row_calls(text):
     assert np.array_equal(_distances_to_identity(m, signs), one_row)
 
 
+def full_flag_isotropy(n):
+    return isotropy_group(parse_flagspec(f"lambda={','.join('1' * n)} P={{{','.join(map(str, range(1, n + 1)))}}}"))
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3, 1])
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_quotient_distance_is_the_minimum_of_one_row_calls(n):
-    # the full flag's orbit in one stacked call against a loop of one call per sign row
-    h = isotropy_group(parse_flagspec(f"lambda={','.join('1' * n)} P={{{','.join(map(str, range(1, n + 1)))}}}"))
+def test_quotient_distance_is_the_minimum_of_one_row_calls(monkeypatch, n, chunk_rows):
+    # the full flag's orbit in stacked chunks (all |SG| rows at once by
+    # default, or 3 and 1 rows a chunk) against a loop of one call per sign row
+    if chunk_rows is not None:
+        monkeypatch.setattr(orthogonal, "_ORBIT_BYTES", chunk_rows * 8 * n * n)
+    h = full_flag_isotropy(n)
     m = sample_rotation_matrices(n, 400, RngStream(60 + n).generator())
     for a, b in zip(m[::2], m[1::2]):
         one_row = min(float(_distances_to_identity((b.T @ a)[None] * s, np.ones((1, n)))[0]) for s in h.signs)
         assert quotient_distance(a, b, h) == one_row
+
+
+def test_quotient_distance_holds_a_bounded_share_of_the_orbit():
+    # the n = 15 full flag's orbit stack is 29.5 MB; the chunked call holds
+    # a chunk's stack, its symmetric part and eigvalsh's copy at most
+    import tracemalloc
+
+    n = 15
+    h = full_flag_isotropy(n)
+    assert h.signs.shape[0] * 8 * n * n > 6 * orthogonal._ORBIT_BYTES
+    a, b = sample_rotation_matrices(n, 2, RngStream(64).generator())
+    tracemalloc.start()
+    try:
+        d = quotient_distance(a, b, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < d and peak <= 3 * orthogonal._ORBIT_BYTES
 
 
 def test_reflection_is_rejected():
