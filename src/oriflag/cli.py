@@ -277,7 +277,9 @@ def _seed(text: str) -> int:
 
 def _add_seed_workers(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, help="random seed (default: ORIFLAG_SEED env var, else 0)")
-    p.add_argument("--workers", "--streams", type=_positive_int, help="parallel sampling streams")
+    p.add_argument(
+        "--workers", "--streams", type=_positive_int, help="sampling threads; the estimate does not depend on them"
+    )
 
 
 def _add_space_flags(p: argparse.ArgumentParser) -> None:

@@ -22,10 +22,11 @@ statistics overwrite its distances, so a one-point batch holds its Gaussian
 block and two rows: 6.1 doubles per sample on SO(3)/SG and 5.1 on the sphere
 (traced, the redraw mask included). Two points hold 12 to 13 on SO(3)/SG and
 8 on the sphere, and SO(4)/SG holds 8 to 25, growing with |SG|. Estimates
-carry a standard error from a streaming (count, mean, M2) aggregation, and
-work is split into per-worker substreams whose merge is independent of
-execution order, so a fixed (seed, workers, N) reproduces the estimate bit
-for bit within one package version. Substream k of a seed is numpy's SFC64
+carry a standard error from a streaming (count, mean, M2) aggregation. N is
+split into fixed chunks, one batch each: chunk k holds draws [kC, (k + 1)C)
+on substream k and the chunks merge in k order, so a fixed (seed, N)
+reproduces the estimate bit for bit within one package version, whatever the
+number of threads that run the chunks. Substream k of a seed is numpy's SFC64
 generator seeded by ``SeedSequence(seed, spawn_key=(k,))``
 (``orthogonal.RngStream``).
 """
@@ -245,10 +246,9 @@ def _merge_stats(a: tuple[int, float, float], b: tuple[int, float, float]) -> tu
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * (nb / n))
 
 
-def _chunk_stats(kern: Kernel, seed: int, chunk: int, size: int, two_point: bool) -> tuple[int, float, float]:
-    gen = RngStream(seed, chunk).generator()
-    batches = (_batch_stats(_kernel_distances(kern, gen, m, two_point)) for m in _batches(kern, size))
-    return functools.reduce(_merge_stats, batches)
+def _chunk_stats(kern: Kernel, seed: int, two_point: bool, chunk: int, size: int) -> tuple[int, float, float]:
+    """(count, mean, M2) of chunk ``chunk``: one batch of ``size`` draws on substream ``chunk`` of ``seed``."""
+    return _batch_stats(_kernel_distances(kern, RngStream(seed, chunk).generator(), size, two_point))
 
 
 def _usable_cpus() -> int:
@@ -256,12 +256,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _chunk_sizes(n: int, workers: int) -> list[int]:
-    """Sizes of the non-empty chunks; when ``workers`` > ``n`` the rest would be empty."""
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(min(workers, n))]
 
 
 def estimate_expected_distance(
@@ -277,23 +271,23 @@ def estimate_expected_distance(
     By default each trial draws a single random point and measures its
     distance to the base point, which homogeneity makes equivalent to the
     two-point expectation; ``two_point=True`` draws both points (twice the
-    work, same mean). ``n_samples`` is split into ``workers`` contiguous
-    chunks, each on its own substream of ``seed``, and merged in chunk order,
-    so the result is a pure function of (space, n_samples, seed, workers).
-    Only the non-empty chunks run, on at most one thread per CPU this
-    process may run on.
+    work, same mean). ``n_samples`` is split into chunks of one batch
+    (``_batches``), chunk k on substream k of ``seed``, and merged in chunk
+    order, so the result is a pure function of (space, n_samples, seed).
+    ``workers`` only sets how many threads run the chunks: at most one per
+    chunk and per CPU this process may run on.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     kern = classify(space)
-    sizes = _chunk_sizes(n_samples, workers)
+    sizes = list(_batches(kern, n_samples))
     # Chunks fix the result; threads only run them, so never more than CPUs.
-    threads = 1 if len(sizes) == 1 else min(len(sizes), _usable_cpus())
-    chunk_stats = functools.partial(_chunk_stats, kern, seed, two_point=two_point)
+    threads = 1 if workers == 1 or len(sizes) == 1 else min(workers, len(sizes), _usable_cpus())
+    chunk_stats = functools.partial(_chunk_stats, kern, seed, two_point)
     if threads == 1:
-        parts = list(map(chunk_stats, range(len(sizes)), sizes))
+        parts = map(chunk_stats, range(len(sizes)), sizes)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(chunk_stats, range(len(sizes)), sizes))

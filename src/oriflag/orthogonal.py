@@ -69,9 +69,10 @@ _CROWDED = 1e-6
 # The n that have exactly two rotation planes and take the trace route, with
 # the index pairs (i < j) of the products m_ij m_ji that tr M^2 sums.
 _PLANE_PAIRS = {n: np.triu_indices(n, 1) for n in (4, 5)}
-# Bytes of the stack of one chunk of sign rows when quotient_distance measures
-# an orbit; the chunk's symmetric part and eigvalsh's copy of it are alive
-# beside it, so a call holds about three such stacks at most.
+# Bytes of the stack of one chunk of sign rows when an orbit is measured; the
+# chunk's symmetric part and eigvalsh's copy of it are alive beside it, so a
+# call holds about three such stacks at most. A full Monte Carlo batch is
+# larger than this, so it takes one sign row per call.
 _ORBIT_BYTES = 1 << 22
 
 
@@ -347,12 +348,18 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
     route hands on, and every sample of any other n, are measured by the
     eigenvalues of the symmetric part, except in the zones set by
     ``_NEAR_PI`` and ``_SHORT``, whose samples are measured again from the
-    arguments of the general eigenvalues.
+    arguments of the general eigenvalues. The orbit is measured in stacks of
+    as many sign rows as ``_ORBIT_BYTES`` holds, at least one, one call
+    each, since a sample's distance does not depend on the other samples of
+    its call.
     """
     _require_rotations(m)
-    best = np.inf
-    for s in signs:
-        best = np.minimum(best, _stack_distances(m * s))
+    n = m.shape[-1]
+    rows = max(1, _ORBIT_BYTES // m.nbytes)
+    best = np.full(len(m), np.inf)
+    for i in range(0, len(signs), rows):
+        d = _stack_distances((m * signs[i : i + rows, None, None, :]).reshape(-1, n, n))
+        np.minimum(best, d.reshape(-1, len(m)).min(axis=0), out=best)
     return best
 
 
@@ -381,19 +388,10 @@ def rotation_angles(a) -> np.ndarray:
 
 
 def _coset_distance(ma: np.ndarray, mb: np.ndarray, signs: np.ndarray) -> float:
-    """The orbit minimum of b^T a over the (|SG|, n) ``signs``; exactly 0 when b = a diag(s) for a row s.
-
-    The orbit is measured in stacks of as many sign rows as ``_ORBIT_BYTES``
-    holds, one call each, since a sample's distance does not depend on the
-    other samples of its call. b^T a is checked once: column sign flips leave
-    its determinant bit-identical.
-    """
+    """The orbit minimum of b^T a over the (|SG|, n) ``signs``; exactly 0 when b = a diag(s) for a row s."""
     if ma.shape != mb.shape or ma.shape[0] != signs.shape[1]:
         raise ValueError(f"dimension mismatch: a {ma.shape}, b {mb.shape}, isotropy n={signs.shape[1]}")
-    m = mb.T @ ma
-    _require_rotations(m)
-    rows = max(1, _ORBIT_BYTES // m.nbytes)
-    d = min(float(_stack_distances(m * signs[i : i + rows, None, :]).min()) for i in range(0, len(signs), rows))
+    d = float(_distances_to_identity((mb.T @ ma)[None], signs)[0])
     s = np.where((ma == mb).all(axis=0), 1.0, -1.0)
     return 0.0 if np.array_equal(ma * s, mb) and (signs == s).all(axis=1).any() else d
 

@@ -282,10 +282,10 @@ def _check_double_cover_scaling(gen) -> bool:
 
 def _check_reproducibility() -> bool:
     space = SPACE_ALIASES["partial-flag-1"]
-    for workers in (1, 4):
-        a = estimate_expected_distance(space, 40_000, seed=SEED, workers=workers)
-        b = estimate_expected_distance(space, 40_000, seed=SEED, workers=workers)
-        if a != b:
+    # 150 000 draws are two chunks, so workers 4 runs them on threads
+    for n in (40_000, 150_000):
+        runs = [estimate_expected_distance(space, n, seed=SEED, workers=workers) for workers in (1, 1, 4, 4)]
+        if any(r != runs[0] for r in runs):
             return False
     x = sample_distances(space, 10_000, RngStream(SEED).generator())
     y = sample_distances(space, 10_000, RngStream(SEED).generator())

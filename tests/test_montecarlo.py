@@ -182,23 +182,35 @@ def test_refinement_monotonicity_per_sample():
 
 def test_bit_for_bit_determinism():
     space = SPACE_ALIASES["partial-flag-1"]
-    for workers in (1, 3):
-        a = estimate_expected_distance(space, 30_000, seed=9, workers=workers)
-        b = estimate_expected_distance(space, 30_000, seed=9, workers=workers)
-        assert a == b
+    # 300 001 draws are three chunks of _BATCH, so threads run them at workers > 1
+    results = [estimate_expected_distance(space, n, seed=9, workers=w) for n in (30_000, 300_001) for w in (1, 2, 3)]
+    assert results[0] == results[1] == results[2] and results[3] == results[4] == results[5]
+    assert results[0] == estimate_expected_distance(space, 30_000, seed=9)
     arr1 = sample_distances(space, 10_000, RngStream(9).generator())
     arr2 = sample_distances(space, 10_000, RngStream(9).generator())
     assert np.array_equal(arr1, arr2)
 
 
 @pytest.mark.parametrize("text", ["so5", "lambda=1,1,1,1,1 P={1,2}{3,4,5}"])
-def test_bit_for_bit_determinism_on_the_matrix_path(text):
+def test_bit_for_bit_determinism_on_the_matrix_path(text, monkeypatch):
+    import oriflag.montecarlo as mc
+
     space = parse_space(text)
-    for workers in (1, 3):
+    for patched in (False, True):
+        if patched:  # 300 samples a batch, so 2 000 draws are seven chunks
+            monkeypatch.setattr(mc, "_BATCH_BYTES", 8 * 25 * mc._STACKS * 300)
         for two_point in (False, True):
-            a = estimate_expected_distance(space, 2_000, seed=9, workers=workers, two_point=two_point)
-            b = estimate_expected_distance(space, 2_000, seed=9, workers=workers, two_point=two_point)
-            assert a == b
+            a = estimate_expected_distance(space, 2_000, seed=9, two_point=two_point)
+            for workers in (1, 2, 3, 8):
+                assert a == estimate_expected_distance(space, 2_000, seed=9, workers=workers, two_point=two_point)
+
+
+def test_so5_estimate_does_not_depend_on_workers():
+    """Four chunks of the real batch: before the split was fixed, workers 1 and 2 gave different bits."""
+    space = parse_space("so5")
+    assert estimate_expected_distance(space, 100_000, seed=3) == estimate_expected_distance(
+        space, 100_000, seed=3, workers=2
+    )
 
 
 def _set_affinity(monkeypatch, cpus):
@@ -215,14 +227,13 @@ def test_one_chunk_does_not_ask_for_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", unexpected)
     monkeypatch.setattr(os, "sched_getaffinity", unexpected, raising=False)
-    for space, workers, n in (("so5", 1, 100), ("so4", 1, 100), ("s2", 4, 1)):
+    # workers = 1 runs every chunk on this thread, however many there are
+    for space, workers, n in (("so5", 1, 100), ("so4", 1, 100), ("s2", 4, 1), ("s2", 1, 300_001)):
         estimate_expected_distance(parse_space(space), n, seed=2, workers=workers)
 
 
-def test_threads_capped_at_cpu_count(monkeypatch):
-    """Threads are capped by the CPUs this process may use; the host's count only where affinity is unknown."""
-    import oriflag.montecarlo as mc
-
+def _record_pools(monkeypatch, mc):
+    """The ``max_workers`` of every thread pool the estimator opens, in order."""
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -231,39 +242,53 @@ def test_threads_capped_at_cpu_count(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
-    space = SPACE_ALIASES["full-flag"]
-    results = []
+    return pools
+
+
+def test_threads_capped_at_cpu_count(monkeypatch):
+    """Threads are capped by the CPUs this process may use; the host's count only where affinity is unknown."""
+    import oriflag.montecarlo as mc
+
+    pools = _record_pools(monkeypatch, mc)
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 8 * 25 * mc._STACKS * 100)  # so5: five chunks of 450 draws
+    space = parse_space("so5")
+    results = [estimate_expected_distance(space, 450, seed=6)]
     cases = [(8, 64, [4]), (2, 64, [2]), (1, 64, []), (None, 8, [4]), (None, 2, [2]), (None, None, [])]
     for affinity, host, threads in cases:
         pools.clear()
         _set_affinity(monkeypatch, affinity)
         monkeypatch.setattr(os, "cpu_count", lambda host=host: host)
-        results.append(estimate_expected_distance(space, 5_000, seed=6, workers=4))
+        results.append(estimate_expected_distance(space, 450, seed=6, workers=4))
         assert pools == threads, (affinity, host)
     assert all(r == results[0] for r in results)
 
 
 def test_only_nonempty_chunks_run(monkeypatch):
+    """Chunks are the batches of N, whatever ``workers`` asks for, and never get more threads than there are."""
     import oriflag.montecarlo as mc
 
     chunks = []
     real = mc._chunk_stats
 
-    def counting(kern, seed, chunk, size, two_point):
-        chunks.append(chunk)
-        return real(kern, seed, chunk, size, two_point)
+    def counting(kern, seed, two_point, chunk, size):
+        chunks.append((chunk, size))
+        return real(kern, seed, two_point, chunk, size)
 
     monkeypatch.setattr(mc, "_chunk_stats", counting)
-    _set_affinity(monkeypatch, 2)
-    space = SPACE_ALIASES["s2"]
-    many = estimate_expected_distance(space, 5, seed=9, workers=1000)
-    assert sorted(chunks) == [0, 1, 2, 3, 4]
-    assert many == estimate_expected_distance(space, 5, seed=9, workers=5)
+    pools = _record_pools(monkeypatch, mc)
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 8 * 25 * mc._STACKS * 100)
+    _set_affinity(monkeypatch, 64)
+    space = parse_space("so5")
+    many = estimate_expected_distance(space, 450, seed=9, workers=1000)
+    assert sorted(chunks) == [(0, 100), (1, 100), (2, 100), (3, 100), (4, 50)]
+    assert pools == [5]
+    assert many == estimate_expected_distance(space, 450, seed=9, workers=5)
+    assert many == estimate_expected_distance(space, 450, seed=9)
 
 
 def test_workers_split_covers_all_samples():
-    est = estimate_expected_distance(SPACE_ALIASES["s2"], 10_001, seed=3, workers=7)
-    assert est.n_samples == 10_001
+    est = estimate_expected_distance(SPACE_ALIASES["s2"], 300_001, seed=3, workers=7)
+    assert est.n_samples == 300_001
 
 
 def test_estimate_statistics_match_numpy():
@@ -554,16 +579,19 @@ def test_qr_batches_sized_by_memory(monkeypatch):
 
 # The most that one 2^14-sample batch and its statistics may hold at once, in
 # doubles per sample. A one-point n = 3 kernel holds its Gaussian block and
-# two (count,) rows (6 to 6.2 with the redraw mask); the rest stay at or under
-# what they held before the kernels computed in place.
+# two (count,) rows (6 to 6.2 with the redraw mask). The other kernels' traced
+# peaks over seeds 0 to 4 are 5.1 (s2, rp2), 8.0 (two-point s2, rp2; so4),
+# 13.0 (two-point so4), 14.0 and 16.0 (P={1,2}{3,4}, one and two points) and
+# 25.0 (P={1,2,3,4}); their limits sit less than one double above those
+# peaks, so one more (count,) row alive at once fails.
 WORKING_SET = {
     ("so3", False): 7, ("partial-flag-1", False): 7, ("partial-flag-2", False): 7,
     ("partial-flag-3", False): 7, ("full-flag", False): 7,
     ("so3", True): 14, ("partial-flag-1", True): 14, ("full-flag", True): 14,
-    ("s2", False): 7, ("rp2", False): 7, ("s2", True): 10.5, ("rp2", True): 10.5,
-    ("so4", False): 16, ("so4", True): 18,
-    ("lambda=1,1,1,1 P={1,2}{3,4}", False): 30, ("lambda=1,1,1,1 P={1,2}{3,4}", True): 28,
-    ("lambda=1,1,1,1 P={1,2,3,4}", False): 50, ("lambda=1,1,1,1 P={1,2,3,4}", True): 48,
+    ("s2", False): 6, ("rp2", False): 6, ("s2", True): 9, ("rp2", True): 9,
+    ("so4", False): 9, ("so4", True): 14,
+    ("lambda=1,1,1,1 P={1,2}{3,4}", False): 15, ("lambda=1,1,1,1 P={1,2}{3,4}", True): 17,
+    ("lambda=1,1,1,1 P={1,2,3,4}", False): 26, ("lambda=1,1,1,1 P={1,2,3,4}", True): 26,
 }
 
 

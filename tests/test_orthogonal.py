@@ -465,6 +465,17 @@ def test_orbit_distance_is_the_minimum_of_one_row_calls(text):
     assert np.array_equal(_distances_to_identity(m, signs), one_row)
 
 
+@pytest.mark.parametrize("chunk_rows", [3, 1])
+def test_batch_orbit_in_chunks_of_sign_rows(monkeypatch, chunk_rows):
+    # a batch's orbit takes 10 sign rows a call by default (above); 3 and 1
+    # rows a call, with a short last chunk at 3, give the same minimum
+    signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2,3,4,5}")).signs
+    m = sample_rotation_matrices(5, 2_000, RngStream(31).generator())
+    whole = _distances_to_identity(m, signs)
+    monkeypatch.setattr(orthogonal, "_ORBIT_BYTES", chunk_rows * m.nbytes)
+    assert np.array_equal(_distances_to_identity(m, signs), whole)
+
+
 def full_flag_isotropy(n):
     return isotropy_group(parse_flagspec(f"lambda={','.join('1' * n)} P={{{','.join(map(str, range(1, n + 1)))}}}"))
 

@@ -16,7 +16,7 @@ import oriflag
 from oriflag.cli import main
 from oriflag.orthogonal import RngStream, sample_rotation_matrices
 
-LEDGER_VERSION = "0.9.0"
+LEDGER_VERSION = "0.10.0"
 LEDGER = {
     "standard_normal RngStream(0, 0)": [
         "-0x1.19d8ab59737bap-1",
