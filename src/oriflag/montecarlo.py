@@ -20,8 +20,16 @@ positive norm commutes with the maximum. The spin-cover and sphere kernels
 write every step into the batch's own arrays with ``out=``, and a batch's
 statistics overwrite its distances, so a one-point batch holds its Gaussian
 block and two rows: 6.1 doubles per sample on SO(3)/SG and 5.1 on the sphere
-(traced, the redraw mask included). Two points hold 12 to 13 on SO(3)/SG and
-8 on the sphere, and SO(4)/SG holds 8 to 25, growing with |SG|. Estimates
+(traced, the redraw mask included), and SO(4)/SG holds 8 to 25, growing
+with |SG|. A two-point trial instead works in one float64 buffer per thread,
+kept across batches and calls so that repeated estimates do not fault its
+pages in again; only the returned distances are fresh. It holds at most one
+two-point batch, the largest the thread has run: 7 doubles per sample on
+the sphere, 8 + c on SO(3)/SG and k + max(2k, 8 + c) on SO(4)/SG, for the c
+coordinates of a quaternion that the k lifts read. It is freed with its
+thread, a pool thread's when the pool exits. A two-point batch that makes
+the buffer peaks at 8.5 (sphere) to 13.5 (full flag) and 11.5 to 25.5
+(SO(4)/SG) doubles per sample; one that reuses it adds 1.5. Estimates
 carry a standard error from a streaming (count, mean, M2) aggregation. N is
 split into fixed chunks, one batch each: chunk k holds draws [kC, (k + 1)C)
 on substream k and the chunks merge in k order, so a fixed (seed, N)
@@ -36,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,6 +56,7 @@ from .orthogonal import (
     _as_generator,
     _distances_to_identity,
     _gaussian_columns,
+    _unit_columns,
     _unit_vectors,
     sample_rotation_matrices,
 )
@@ -66,6 +76,10 @@ _BATCH = 1 << 17
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+# This thread's two-point buffer, ``doubles``: kept across batches and calls,
+# so repeated estimates do not fault its pages in again, and made larger only
+# when a batch needs more. A pool thread's buffer goes with the thread.
+_two_point = threading.local()
 
 
 @dataclass(frozen=True)
@@ -100,10 +114,29 @@ def _raw_gaussians(gen: np.random.Generator, count: int, dim: int) -> tuple[np.n
     return g, norms, spare
 
 
-def _relative_points(gen: np.random.Generator, count: int, coords: np.ndarray) -> np.ndarray:
-    """Coordinates ``coords`` of conj(q_b) q_a, for unit draws q_a then q_b, as (len(coords), count) rows."""
-    a = _unit_vectors(gen, count, 4, columns=True)
-    return _conj_mul_coords(_unit_vectors(gen, count, 4, columns=True), a, coords)
+def _scratch(rows: int, count: int) -> np.ndarray:
+    """(rows, count) doubles of this thread's two-point buffer."""
+    size = rows * count
+    buf = getattr(_two_point, "doubles", None)
+    if buf is None or len(buf) < size:
+        _two_point.doubles = None  # the old buffer goes before the larger one is made
+        buf = _two_point.doubles = np.empty(size)
+    return buf[:size].reshape(rows, count)
+
+
+def _relative_points(gen: np.random.Generator, coords: np.ndarray, rows: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Coordinates ``coords`` of conj(q_b) q_a, for unit draws q_a then q_b, in the last len(coords) rows of ``rows``.
+
+    ``rows`` is (8 + len(coords), count). Each draw fills the Gaussian block
+    in rows[4:8]: q_a is divided into rows[:4] as it leaves the block, q_b
+    in place. The norms take the first product row, and the squares and
+    the product's terms take the (count,) row ``term``.
+    """
+    a, raw, parts = rows[:4], rows[4:8].reshape(-1, 4), rows[8:]
+    b = raw.T
+    for q in (a, b):
+        _unit_columns(gen, raw, q, parts[0], term)
+    return _conj_mul_coords(b, a, coords, parts, term)
 
 
 def _lift_coords(units: np.ndarray) -> np.ndarray:
@@ -129,8 +162,9 @@ def _spin3_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, tw
     """
     coords = _lift_coords(lifts)
     if two_point:
-        parts = _relative_points(gen, count, coords)
-        cos = np.abs(parts, out=parts).max(axis=0)
+        cos = np.empty(count)
+        parts = _relative_points(gen, coords, _scratch(8 + len(coords), count), cos)
+        np.abs(parts, out=parts).max(axis=0, out=cos)
     else:
         q, norms, cos = _raw_gaussians(gen, count, 4)
         np.abs(q[coords[0]], out=cos)
@@ -141,35 +175,45 @@ def _spin3_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, tw
     return np.multiply(cos, 2.0, out=cos)
 
 
-def _lift_angles(units: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
-    """arccos(Re(q u) / |q|) for (k, 4) signed units u and ``count`` uniform quaternions q, as a (k, count) array.
-
-    One point: q is a Gaussian row, divided after the pick. Two points: q =
-    conj(q_b) q_a, formed only at the coordinates the units read.
-    """
-    if two_point:
-        coords = _lift_coords(units)
-        x = (units * _CONJ)[:, coords] @ _relative_points(gen, count, coords)
-    else:
-        q, norms, _ = _raw_gaussians(gen, count, 4)
-        x = _real_parts(units, q)
-        np.divide(x, norms, out=x)
+def _arccos(x: np.ndarray) -> np.ndarray:
+    """arccos of ``x`` clipped to [-1, 1], in place."""
     return np.arccos(np.clip(x, -1.0, 1.0, out=x), out=x)
+
+
+def _lift_angles(units: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
+    """arccos(Re(q u) / |q|) for (k, 4) signed units u and ``count`` Gaussian rows q, divided after the pick, as (k, count)."""
+    q, norms, _ = _raw_gaussians(gen, count, 4)
+    x = _real_parts(units, q)
+    return _arccos(np.divide(x, norms, out=x))
 
 
 def _spin4_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
     """n = 4: (p, q) covers A x = p x conj(q), and (p u, q v) covers A diag(s).
 
     With cos a = Re p and cos b = Re q, the rotation angles of A are a + b,
-    reflected into [0, pi], and |a - b|.
+    reflected into [0, pi], and |a - b|. Two points: p = conj(p_b) p_a and
+    q = conj(q_b) q_a, formed only at the coordinates the lifts read.
     """
-    a = _lift_angles(lifts[:, 0], gen, count, two_point)
-    b = _lift_angles(lifts[:, 1], gen, count, two_point)
-    plus = a + b
+    d = None
+    if two_point:
+        k, coords = len(lifts), [_lift_coords(lifts[:, i]) for i in (0, 1)]
+        # a stays put while q's relative points run in rows[k:]; b and a + b
+        # then take the rows those points are done with. |SG| <= 8 at n = 4,
+        # so b is clear of the product rows it is computed from.
+        rows = _scratch(k + max(2 * k, 8 + max(map(len, coords))), count)
+        a, b, plus, d = rows[:k], rows[k:2 * k], rows[2 * k:3 * k], np.empty(count)
+        for x, units, c in zip((a, b), (lifts[:, 0], lifts[:, 1]), coords):
+            rel = _relative_points(gen, c, rows[k:k + 8 + len(c)], d)
+            _arccos(np.matmul((units * _CONJ)[:, c], rel, out=x))
+        np.add(a, b, out=plus)
+    else:
+        a = _lift_angles(lifts[:, 0], gen, count)
+        b = _lift_angles(lifts[:, 1], gen, count)
+        plus = a + b
     diff = np.subtract(a, b, out=a)
     np.minimum(plus, np.subtract(2.0 * np.pi, plus, out=b), out=plus)
     np.multiply(plus, plus, out=plus)
-    d = np.add(plus, np.multiply(diff, diff, out=diff), out=plus).min(axis=0)
+    d = np.add(plus, np.multiply(diff, diff, out=diff), out=plus).min(axis=0, out=d)
     return np.sqrt(d, out=d)
 
 
@@ -179,16 +223,19 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
         return np.zeros(count)
     if len(kern.shape) == 1:
         if two_point:
-            v = _unit_vectors(gen, count, 3)
-            u = _unit_vectors(gen, count, 3)
-            cos = np.multiply(u, v, out=u).sum(axis=1)
+            # v and u are divided in place; the squares go to the returned row
+            cos, rows = np.empty(count), _scratch(7, count)
+            v, u = rows[:3].reshape(count, 3), rows[3:6].reshape(count, 3)
+            for w in (v, u):
+                _unit_columns(gen, w, w.T, rows[6], cos)
+            np.multiply(u, v, out=u).sum(axis=1, out=cos)
         else:
             g, norms, cos = _raw_gaussians(gen, count, 3)
             np.divide(g[2], norms, out=cos)
         # Nearest point of the orbit {s v}: the largest cosine, |cos| under signs {1, -1}.
         if len(kern.signs) > 1:
             np.abs(cos, out=cos)
-        return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos)
+        return _arccos(cos)
     if kern.lifts is not None:
         cover = _spin3_distances if kern.lifts.ndim == 2 else _spin4_distances
         return cover(kern.lifts, gen, count, two_point)

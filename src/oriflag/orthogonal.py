@@ -157,19 +157,27 @@ def random_special_orthogonal(n: int, rng) -> Rotation:
     return Rotation(sample_rotation_matrices(n, 1, rng)[0])
 
 
-def _unit_vectors(gen: np.random.Generator, count: int, dim: int, *, columns: bool = False) -> np.ndarray:
-    """``count`` uniform points on the unit sphere in R^dim, one per row, divided in place.
+def _unit_vectors(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` uniform points on the unit sphere in R^dim, one per row, divided in place."""
+    v = np.empty((count, dim))
+    _unit_columns(gen, v, v.T)
+    return v
 
-    With ``columns`` they are divided in a contiguous (dim, count) copy of
-    the draws instead, one point per column, for kernels that read whole
-    coordinate rows; the values are the same.
+
+def _unit_columns(
+    gen: np.random.Generator, raw: np.ndarray, out: np.ndarray, norms: np.ndarray | None = None,
+    spare: np.ndarray | None = None,
+) -> np.ndarray:
+    """Fill the (count, dim) block ``raw`` with Gaussians and write each row over its norm to a column of ``out``.
+
+    ``out`` is (dim, count): ``raw.T`` itself, dividing in place, or a
+    contiguous array, dividing as it transposes. ``norms`` and ``spare``
+    are passed to ``_column_norms``. Draws and values are those of
+    ``_unit_vectors``.
     """
-    v = gen.standard_normal((count, dim)).T
-    if columns:
-        v = v.copy()
-    v, norms = _gaussian_columns(gen, v)
-    np.divide(v, norms, out=v)
-    return v if columns else v.T
+    gen.standard_normal(out=raw)
+    v, n = _gaussian_columns(gen, raw.T, norms, spare)
+    return np.divide(v, n, out=out)
 
 
 def _gaussian_columns(

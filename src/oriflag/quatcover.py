@@ -99,20 +99,20 @@ def _mul_raw(p: tuple, q: tuple) -> tuple:
     return tuple(out)
 
 
-def _conj_mul_coords(b: np.ndarray, a: np.ndarray, coords) -> np.ndarray:
-    """Coordinates ``coords`` of conj(b) a for (4, count) rows b and a, as (len(coords), count) rows.
+def _conj_mul_coords(b: np.ndarray, a: np.ndarray, coords, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Coordinates ``coords`` of conj(b) a for (4, count) rows b and a, written to the (len(coords), count) ``out``.
 
     The terms of ``_mul_raw(conj(b), a)`` in its order; conj(b)_k = -b_k for
     k > 0, so those terms are added where _mul_raw subtracts them, which
-    rounds the same. Every step writes into the result or one spare row.
+    rounds the same. Every step writes into ``out`` or the (count,) row
+    ``term``, neither of which may overlap b or a.
     """
-    parts, term = np.empty((len(coords), a.shape[1])), np.empty(a.shape[1])
-    for out, c in zip(parts, coords):
-        np.multiply(b[0], a[c], out=out)
+    for row, c in zip(out, coords):
+        np.multiply(b[0], a[c], out=row)
         for k in (1, 2, 3):
             op = np.subtract if _HAMILTON_SIGNS[c][k] > 0 else np.add
-            op(out, np.multiply(b[k], a[k ^ c], out=term), out=out)
-    return parts
+            op(row, np.multiply(b[k], a[k ^ c], out=term), out=row)
+    return out
 
 
 def rotate_vector(q: UnitQuaternion, u) -> np.ndarray:

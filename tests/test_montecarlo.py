@@ -578,12 +578,14 @@ def test_qr_batches_sized_by_memory(monkeypatch):
 
 
 # The most that one 2^14-sample batch and its statistics may hold at once, in
-# doubles per sample. A one-point n = 3 kernel holds its Gaussian block and
-# two (count,) rows (6 to 6.2 with the redraw mask). The other kernels' traced
-# peaks over seeds 0 to 4 are 5.1 (s2, rp2), 8.0 (two-point s2, rp2; so4),
-# 13.0 (two-point so4), 14.0 and 16.0 (P={1,2}{3,4}, one and two points) and
-# 25.0 (P={1,2,3,4}); their limits sit less than one double above those
-# peaks, so one more (count,) row alive at once fails.
+# doubles per sample, counting the thread's two-point buffer when the batch
+# makes it. A one-point n = 3 kernel holds its Gaussian block and two (count,)
+# rows (6 to 6.2 with the redraw mask). The other one-point kernels' traced
+# peaks over seeds 0 to 4 are 5.1 (s2, rp2), 8.0 (so4), 14.0 (P={1,2}{3,4})
+# and 25.0 (P={1,2,3,4}). Two points with the buffer made in the batch: 8.5
+# (s2, rp2), 10.5 to 13.5 (so3 to full-flag), 11.5 (so4), 15.5
+# (P={1,2}{3,4}) and 25.5 (P={1,2,3,4}); half a double of that is numpy's
+# iteration buffer for the in-place division of q_b.
 WORKING_SET = {
     ("so3", False): 7, ("partial-flag-1", False): 7, ("partial-flag-2", False): 7,
     ("partial-flag-3", False): 7, ("full-flag", False): 7,
@@ -595,6 +597,13 @@ WORKING_SET = {
 }
 
 
+def _drop_two_point_buffer():
+    """Let this thread's two-point buffer go, so the next two-point batch makes it again."""
+    import oriflag.montecarlo as mc
+
+    vars(mc._two_point).clear()
+
+
 def test_batch_working_set_in_doubles_per_sample():
     import tracemalloc
 
@@ -604,14 +613,81 @@ def test_batch_working_set_in_doubles_per_sample():
     tracemalloc.start()
     try:
         for (text, two_point), limit in WORKING_SET.items():
-            kern, gen = classify(parse_space(text)), RngStream(9).generator()
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            mc._batch_stats(mc._kernel_distances(kern, gen, count, two_point))
-            peak = (tracemalloc.get_traced_memory()[1] - base) / (8 * count)
-            assert peak <= limit, (text, two_point, peak)
+            kern = classify(parse_space(text))
+            _drop_two_point_buffer()
+            peaks = []
+            for seed in (9, 10):
+                gen = RngStream(seed).generator()
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                mc._batch_stats(mc._kernel_distances(kern, gen, count, two_point))
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / (8 * count))
+            assert peaks[0] <= limit, (text, two_point, peaks[0])
+            # a repeated two-point batch reuses the buffer: its distances and the redraw mask
+            assert peaks[1] <= (2 if two_point else limit), (text, two_point, peaks[1])
     finally:
         tracemalloc.stop()
+
+
+TWO_POINT_BUFFER_SPACES = ("so3", "full-flag", "so4", "s2")
+
+
+@pytest.mark.parametrize("text", TWO_POINT_BUFFER_SPACES)
+def test_two_point_estimates_do_not_depend_on_workers(text):
+    """300 001 draws are three chunks: each pool thread draws into its own buffer."""
+    space = parse_space(text)
+    one = estimate_expected_distance(space, 300_001, seed=4, two_point=True)
+    for workers in (2, 3):
+        assert estimate_expected_distance(space, 300_001, seed=4, workers=workers, two_point=True) == one
+
+
+def test_concurrent_two_point_batches_keep_their_own_buffers():
+    """More threads than cores, switching often: a buffer shared between threads would mix their batches."""
+    import sys
+
+    import oriflag.montecarlo as mc
+
+    kerns = [classify(parse_space(text)) for text in TWO_POINT_BUFFER_SPACES]
+    jobs = [(kern, seed) for seed in range(4) for kern in kerns]
+
+    def run(job):
+        kern, seed = job
+        return mc._kernel_distances(kern, RngStream(seed).generator(), 20_000, True)
+
+    serial = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=min(16, (os.cpu_count() or 1) + 2)) as pool:
+            threaded = [f.result(timeout=60) for f in [pool.submit(run, job) for job in jobs * 3]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got, want) for got, want in zip(threaded, serial * 3))
+
+
+@pytest.mark.parametrize("text", TWO_POINT_BUFFER_SPACES + ("lambda=1,1,1,1 P={1,2,3,4}",))
+def test_two_point_batches_reuse_the_buffer(text, monkeypatch):
+    """Batches after the first reuse the buffer's stale rows, a shorter last batch at a different row length."""
+    import oriflag.montecarlo as mc
+
+    kern = classify(parse_space(text))
+    monkeypatch.setattr(mc, "_BATCH", 1000)
+    _drop_two_point_buffer()
+    whole = sample_distances(parse_space(text), 2500, RngStream(6).generator(), two_point=True)
+    gen, batches = RngStream(6).generator(), []
+    for count in (1000, 1000, 500):
+        _drop_two_point_buffer()
+        batches.append(mc._kernel_distances(kern, gen, count, True))
+    assert np.array_equal(whole, np.concatenate(batches))
+
+
+@pytest.mark.parametrize("text", TWO_POINT_BUFFER_SPACES + ("rp2", "lambda=1,1,1,1 P={1,2,3,4}"))
+def test_two_point_distances_are_not_views_of_the_buffer(text):
+    import oriflag.montecarlo as mc
+
+    kern = classify(parse_space(text))
+    d = mc._kernel_distances(kern, RngStream(7).generator(), 3000, True)
+    assert not np.shares_memory(d, mc._two_point.doubles)
 
 
 def test_general_dimension_slow_paths():
