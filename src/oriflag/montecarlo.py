@@ -3,40 +3,43 @@
 Every supported space is homogeneous, so the expected distance between two
 random points equals the expected distance from one random point to a fixed
 base point (the identity coset, or the north pole on the sphere); that single
-random point is what gets sampled. A trial draws a unit 3-vector on the
-sphere and projective plane, and otherwise a rotation: for n = 3 and n = 4 a
-point of the spin cover (a unit quaternion q covering x -> q x conj(q), or a
-pair (p, q) covering x -> p x conj(q); Shoemake, Graphics Gems III, 1992;
-Conway & Smith, On Quaternions and Octonions, 2003, ch. 4), for any other n a
-product of Householder reflections, whose distance comes from two traces at
-n = 5 and otherwise, or where the traces cannot vouch for it, from the
-eigenvalues of its symmetric part. On quotients by a finite isotropy group the distance
-is the minimum over the orbit of the sample. A one-point trial on the sphere,
-the projective plane or a spin cover reads only one coordinate of its unit
-vector per orbit element, so it keeps the Gaussian row undivided and divides
-just those coordinates by the row's norm: the same bits as normalizing
-first, since each lifted sign picks a coordinate exactly and division by a
-positive norm commutes with the maximum. The spin-cover and sphere kernels
-write every step into the batch's own arrays with ``out=``, and a batch's
-statistics overwrite its distances, so a one-point batch holds its Gaussian
-block and two rows: 6.1 doubles per sample on SO(3)/SG and 5.1 on the sphere
-(traced, the redraw mask included), and SO(4)/SG holds 8 to 25, growing
-with |SG|. A two-point trial instead works in one float64 buffer per thread,
-kept across batches and calls so that repeated estimates do not fault its
-pages in again; only the returned distances are fresh. It holds at most one
-two-point batch, the largest the thread has run: 7 doubles per sample on
-the sphere, 8 + c on SO(3)/SG and k + max(2k, 8 + c) on SO(4)/SG, for the c
-coordinates of a quaternion that the k lifts read. It is freed with its
-thread, a pool thread's when the pool exits. A two-point batch that makes
-the buffer peaks at 8.5 (sphere) to 13.5 (full flag) and 11.5 to 25.5
-(SO(4)/SG) doubles per sample; one that reuses it adds 1.5. Estimates
-carry a standard error from a streaming (count, mean, M2) aggregation. N is
-split into fixed chunks, one batch each: chunk k holds draws [kC, (k + 1)C)
-on substream k and the chunks merge in k order, so a fixed (seed, N)
-reproduces the estimate bit for bit within one package version, whatever the
-number of threads that run the chunks. Substream k of a seed is numpy's SFC64
-generator seeded by ``SeedSequence(seed, spawn_key=(k,))``
-(``orthogonal.RngStream``).
+random point is what gets sampled. On the sphere and projective plane a trial
+draws uniforms: by Archimedes' hat-box theorem the height of a uniform point
+of S^2 is uniform on [-1, 1], so one point is one uniform u at height
+z = 1 - 2u, whose arccos is its distance to the pole, and two points are a
+(height, longitude) pair each. Otherwise a trial draws a rotation: for n = 3
+and n = 4 a point of the spin cover (a unit quaternion q covering
+x -> q x conj(q), or a pair (p, q) covering x -> p x conj(q); Shoemake,
+Graphics Gems III, 1992; Conway & Smith, On Quaternions and Octonions, 2003,
+ch. 4), for any other n a product of Householder reflections, whose distance
+comes from two traces at n = 5 and otherwise, or where the traces cannot
+vouch for it, from the eigenvalues of its symmetric part. On quotients by a
+finite isotropy group the distance is the minimum over the orbit of the
+sample. A one-point trial on a spin cover reads only one coordinate of its
+unit vector per orbit element, so it keeps the Gaussian row undivided and
+divides just those coordinates by the row's norm: the same bits as
+normalizing first, since each lifted sign picks a coordinate exactly and
+division by a positive norm commutes with the maximum. The spin-cover and
+sphere kernels write every step into the batch's own arrays with ``out=``,
+and a batch's statistics overwrite its distances, so a one-point batch
+holds 6.1 doubles per sample on SO(3)/SG (its Gaussian block and two rows,
+traced, the redraw mask included), one on the sphere, and 7 to 25 on
+SO(4)/SG, growing with |SG|. A two-point trial instead works in one float64
+buffer per thread, kept across batches and calls so that repeated estimates
+do not fault its pages in again; only the returned distances are fresh. It
+holds at most one two-point batch, the largest the thread has run: 4
+doubles per sample on the sphere, 8 + c on SO(3)/SG and k + max(2k, 8 + c)
+on SO(4)/SG, for the c coordinates of a quaternion that the k lifts read. It
+is freed with its thread, a pool thread's when the pool exits. A two-point
+batch that makes the buffer peaks at 5 (sphere) to 13.5 (full flag) and
+11.5 to 25.5 (SO(4)/SG) doubles per sample; one that reuses it adds 1 on
+the sphere and 1.5 elsewhere. Estimates carry a standard error from a
+streaming (count, mean, M2) aggregation. N is split into fixed chunks, one
+batch each: chunk k holds draws [kC, (k + 1)C) on substream k and the
+chunks merge in k order, so a fixed (seed, N) reproduces the estimate bit
+for bit within one package version, whatever the number of threads that
+run the chunks. Substream k of a seed is numpy's SFC64 generator seeded by
+``SeedSequence(seed, spawn_key=(k,))`` (``orthogonal.RngStream``).
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ _BATCH = 1 << 17
 # the batch split, and so the bits of the merged statistics.
 _BATCH_BYTES = 1 << 25
 _STACKS = 6
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # This thread's two-point buffer, ``doubles``: kept across batches and calls,
 # so repeated estimates do not fault its pages in again, and made larger only
 # when a batch needs more. A pool thread's buffer goes with the thread.
@@ -139,28 +141,15 @@ def _relative_points(gen: np.random.Generator, coords: np.ndarray, rows: np.ndar
     return _conj_mul_coords(b, a, coords, parts, term)
 
 
-def _lift_coords(units: np.ndarray) -> np.ndarray:
-    """The coordinates of q that Re(q u) reads for (k, 4) signed units u, one per row."""
-    return np.flatnonzero(units.any(axis=0))
-
-
-def _real_parts(units: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Re(q u) for (k, 4) units u and (4, count) quaternions q, as a (k, count) array.
-
-    Each lift u is a signed unit, so each entry is a signed coordinate of q,
-    without rounding.
-    """
-    return (units * _CONJ) @ q
-
-
-def _spin3_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
+def _spin3_distances(columns: tuple, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
     """n = 3: q covers A, q u covers A diag(s), and d(R(q), I) = 2 arccos |Re q|.
 
     Each lift u is a unit e_c, so |Re(q u)| = |q_c| and the orbit's largest
-    is the largest |q_c| over the lifts' coordinates. One point divides it by
-    the norm after the maximum, which the positive norm leaves in place.
+    is the largest |q_c| over the lifts' coordinates (``columns``, the
+    kernel's one lift column). One point divides it by the norm after the
+    maximum, which the positive norm leaves in place.
     """
-    coords = _lift_coords(lifts)
+    coords, _ = columns[0]
     if two_point:
         cos = np.empty(count)
         parts = _relative_points(gen, coords, _scratch(8 + len(coords), count), cos)
@@ -175,19 +164,60 @@ def _spin3_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, tw
     return np.multiply(cos, 2.0, out=cos)
 
 
+def _sphere_heights(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The heights z = 1 - 2u of ``count`` uniform points of S^2, one uniform u each, as a fresh row.
+
+    By Archimedes' hat-box theorem the height of a uniform point of S^2 is
+    uniform on [-1, 1]. ``gen.random`` gives u = k 2^-53, so both steps are
+    exact and z lies in (-1, 1], with no clip needed before arccos.
+    """
+    z = gen.random(count)
+    np.multiply(z, 2.0, out=z)
+    return np.subtract(1.0, z, out=z)
+
+
+def _sphere_cosines(gen: np.random.Generator, count: int) -> np.ndarray:
+    """<a, b> of two uniform points of S^2 per sample, clipped to [-1, 1], as a fresh row.
+
+    Each point takes two uniforms of its own, (u, w): height z = 1 - 2u and
+    longitude 2 pi w. The four rows u_a, w_a, u_b, w_b are drawn in that
+    order into this thread's two-point buffer, and <a, b> = z_a z_b +
+    r_a r_b cos 2 pi (w_a - w_b). The squared radius r^2 = 1 - z^2 is
+    formed as (1 - z)(1 + z) = 2u (2 - 2u), whose factors are exact, so it
+    keeps its precision near the poles; r_a r_b = sqrt(r_a^2 r_b^2).
+    """
+    cos, rows = np.empty(count), _scratch(4, count)
+    gen.random(out=rows)
+    h, w = rows[0::2], rows[1::2]
+    np.subtract(w[0], w[1], out=cos)
+    np.cos(np.multiply(cos, 2.0 * np.pi, out=cos), out=cos)
+    np.multiply(h, 2.0, out=h)
+    np.multiply(np.subtract(2.0, h, out=w), h, out=w)
+    np.subtract(1.0, h, out=h)
+    r = np.sqrt(np.multiply(w[0], w[1], out=w[0]), out=w[0])
+    np.add(np.multiply(cos, r, out=cos), np.multiply(h[0], h[1], out=h[0]), out=cos)
+    return np.clip(cos, -1.0, 1.0, out=cos)
+
+
 def _arccos(x: np.ndarray) -> np.ndarray:
     """arccos of ``x`` clipped to [-1, 1], in place."""
     return np.arccos(np.clip(x, -1.0, 1.0, out=x), out=x)
 
 
-def _lift_angles(units: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
-    """arccos(Re(q u) / |q|) for (k, 4) signed units u and ``count`` Gaussian rows q, divided after the pick, as (k, count)."""
-    q, norms, _ = _raw_gaussians(gen, count, 4)
-    x = _real_parts(units, q)
+def _lift_angles(column: tuple, gen: np.random.Generator, count: int) -> np.ndarray:
+    """arccos(Re(q u) / |q|) for a lift column's k signed units u and ``count`` Gaussian rows q, divided after the pick, as (k, count).
+
+    The column's coordinates of q are copied out of the Gaussian block,
+    which goes before the product is made.
+    """
+    coords, rows = column
+    q, norms = _raw_gaussians(gen, count, 4)[:2]
+    q = q[coords]
+    x = rows @ q
     return _arccos(np.divide(x, norms, out=x))
 
 
-def _spin4_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
+def _spin4_distances(columns: tuple, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
     """n = 4: (p, q) covers A x = p x conj(q), and (p u, q v) covers A diag(s).
 
     With cos a = Re p and cos b = Re q, the rotation angles of A are a + b,
@@ -196,19 +226,19 @@ def _spin4_distances(lifts: np.ndarray, gen: np.random.Generator, count: int, tw
     """
     d = None
     if two_point:
-        k, coords = len(lifts), [_lift_coords(lifts[:, i]) for i in (0, 1)]
+        k, widest = len(columns[0][1]), max(len(coords) for coords, _ in columns)
         # a stays put while q's relative points run in rows[k:]; b and a + b
         # then take the rows those points are done with. |SG| <= 8 at n = 4,
         # so b is clear of the product rows it is computed from.
-        rows = _scratch(k + max(2 * k, 8 + max(map(len, coords))), count)
+        rows = _scratch(k + max(2 * k, 8 + widest), count)
         a, b, plus, d = rows[:k], rows[k:2 * k], rows[2 * k:3 * k], np.empty(count)
-        for x, units, c in zip((a, b), (lifts[:, 0], lifts[:, 1]), coords):
-            rel = _relative_points(gen, c, rows[k:k + 8 + len(c)], d)
-            _arccos(np.matmul((units * _CONJ)[:, c], rel, out=x))
+        for x, (coords, picks) in zip((a, b), columns):
+            rel = _relative_points(gen, coords, rows[k:k + 8 + len(coords)], d)
+            _arccos(np.matmul(picks, rel, out=x))
         np.add(a, b, out=plus)
     else:
-        a = _lift_angles(lifts[:, 0], gen, count)
-        b = _lift_angles(lifts[:, 1], gen, count)
+        a = _lift_angles(columns[0], gen, count)
+        b = _lift_angles(columns[1], gen, count)
         plus = a + b
     diff = np.subtract(a, b, out=a)
     np.minimum(plus, np.subtract(2.0 * np.pi, plus, out=b), out=plus)
@@ -222,23 +252,14 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
     if kern.family == "point":
         return np.zeros(count)
     if len(kern.shape) == 1:
-        if two_point:
-            # v and u are divided in place; the squares go to the returned row
-            cos, rows = np.empty(count), _scratch(7, count)
-            v, u = rows[:3].reshape(count, 3), rows[3:6].reshape(count, 3)
-            for w in (v, u):
-                _unit_columns(gen, w, w.T, rows[6], cos)
-            np.multiply(u, v, out=u).sum(axis=1, out=cos)
-        else:
-            g, norms, cos = _raw_gaussians(gen, count, 3)
-            np.divide(g[2], norms, out=cos)
+        cos = _sphere_cosines(gen, count) if two_point else _sphere_heights(gen, count)
         # Nearest point of the orbit {s v}: the largest cosine, |cos| under signs {1, -1}.
         if len(kern.signs) > 1:
             np.abs(cos, out=cos)
-        return _arccos(cos)
-    if kern.lifts is not None:
-        cover = _spin3_distances if kern.lifts.ndim == 2 else _spin4_distances
-        return cover(kern.lifts, gen, count, two_point)
+        return np.arccos(cos, out=cos)
+    if kern.lift_columns:
+        cover = _spin3_distances if len(kern.lift_columns) == 1 else _spin4_distances
+        return cover(kern.lift_columns, gen, count, two_point)
     n = kern.shape[0]
     # A diag(s) B^T is similar to B^T A diag(s), so the product with B is
     # taken once, and A and B are dropped before the orbit minimum; two traces

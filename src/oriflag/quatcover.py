@@ -207,6 +207,21 @@ def _spin_lifts(signs: np.ndarray) -> np.ndarray:
     return np.stack([u, np.abs(u)], axis=1)
 
 
+# Re(q u) = q . (u * _CONJ) for quaternions q and u, as 4-vectors.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _lift_columns(lifts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per column of a lift table (one at n = 3, two at n = 4): the coordinates of q that Re(q u) reads, and the rows of u * _CONJ there.
+
+    Each u is a signed unit, so each row has one nonzero entry, and ``rows @
+    q[coords]`` gives Re(q u) for (4, count) quaternions q without rounding.
+    """
+    columns = [lifts] if lifts.ndim == 2 else [lifts[:, 0], lifts[:, 1]]
+    coords = [np.flatnonzero(units.any(axis=0)) for units in columns]
+    return tuple((c, (units * _CONJ)[:, c]) for c, units in zip(coords, columns))
+
+
 def _lifted_orbits(q: np.ndarray, lifts: np.ndarray) -> np.ndarray:
     """The lifted orbits +-(q u) of (k, 4) quaternions q and (|SG|, 4) units u, as (k, 2|SG|, 4)."""
     qu = np.stack(_mul_raw(q.T[:, :, None], lifts.T[:, None, :]), axis=-1)

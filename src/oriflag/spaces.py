@@ -27,7 +27,7 @@ from .flagspec import (
     isotropy_group,
     parse_flagspec,
 )
-from .quatcover import _spin_lifts
+from .quatcover import _lift_columns, _spin_lifts
 
 
 # In the order of the ``expected --all`` comparison table.
@@ -93,6 +93,10 @@ class Kernel:
     with diag(s) the rotation x -> u x conj(u). For n = 4 it is the
     (|SG|, 2, 4) pairs (u, v) of signed units with diag(s) x = u x conj(v),
     where A x = p x conj(q) covers SO(4) by S^3 x S^3. It is None otherwise.
+    ``lift_columns`` holds, per column of ``lifts`` (one at n = 3, two at
+    n = 4), the coordinates of q that Re(q u) reads and the (|SG|, c) rows
+    that pick them (``quatcover._lift_columns``), fixed here so that the
+    cover kernels do not rebuild them per batch; it is empty without lifts.
     ``shape`` is the shape of one drawn point: (3,) for the unit 3-vectors of
     the sphere and projective plane, (n, n) for the rotations of every
     rotation space (SO(1) included), and () for a point quotient, which draws
@@ -103,9 +107,10 @@ class Kernel:
     signs: np.ndarray | None = None
     lifts: np.ndarray | None = None
     shape: tuple[int, ...] = ()
+    lift_columns: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self) -> None:
-        for array in (self.signs, self.lifts):
+        for array in (self.signs, self.lifts, *(a for column in self.lift_columns for a in column)):
             if array is not None:
                 array.setflags(write=False)
 
@@ -134,7 +139,8 @@ def _classify(space: FlagSpec) -> Kernel:
         signs = isotropy_group(space).signs
         n = signs.shape[1]
         lifts = _spin_lifts(signs) if n in (3, 4) else None
-        return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, lifts, (n, n))
+        columns = () if lifts is None else _lift_columns(lifts)
+        return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, lifts, (n, n), columns)
     if len(parts) == 1:
         return Kernel("point")
     if sorted(parts) == [1, 2]:

@@ -7,9 +7,7 @@ import pytest
 
 from oriflag.flagspec import FlagSpec, OrderedPartition, SetPartition, isotropy_group
 from oriflag.montecarlo import (
-    _CONJ,
     Estimate,
-    _real_parts,
     _unit_vectors,
     estimate_expected_distance,
     sample_distances,
@@ -23,7 +21,7 @@ from oriflag.orthogonal import (
     random_special_orthogonal,
     sample_rotation_matrices,
 )
-from oriflag.quatcover import UnitQuaternion, _lifts, _mul_raw, quaternion_to_rotation
+from oriflag.quatcover import _CONJ, UnitQuaternion, _lifts, _mul_raw, quaternion_to_rotation
 from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space, space_label
 from oriflag.analytic import analytic_expected_distance
 from weyl import expected_distance as weyl_expected_distance
@@ -361,9 +359,9 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
 
 
 def normalize_first_distances(kern, gen, count):
-    """One-point distances as drawn by whole unit rows, the reference for the raw-row kernels."""
+    """One-point distances as drawn by whole unit rows and uniform heights, the reference for the in-place kernels."""
     if kern.family in ("s2", "rp2"):
-        return sphere_reference(kern, _unit_vectors(gen, count, 3)[:, 2])
+        return sphere_reference(kern, 1.0 - 2.0 * gen.random(count))
     if kern.lifts.ndim == 2:
         return spin3_reference(kern.lifts, _unit_vectors(gen, count, 4).T)
     p, q = _unit_vectors(gen, count, 4).T, _unit_vectors(gen, count, 4).T
@@ -373,8 +371,11 @@ def normalize_first_distances(kern, gen, count):
 def full_product_distances(kern, gen, count):
     """Two-point distances from whole unit rows and whole Hamilton products, the reference for the in-place kernels."""
     if kern.family in ("s2", "rp2"):
-        v = _unit_vectors(gen, count, 3)
-        return sphere_reference(kern, (_unit_vectors(gen, count, 3) * v).sum(axis=1))
+        # each point is (height 1 - 2u, longitude 2 pi w), with r^2 = 1 - z^2 = 4 u (1 - u)
+        ua, wa, ub, wb = gen.random((4, count))
+        ra2, rb2 = 4.0 * ua * (1.0 - ua), 4.0 * ub * (1.0 - ub)
+        cos = (1.0 - 2.0 * ua) * (1.0 - 2.0 * ub) + np.sqrt(ra2 * rb2) * np.cos(2.0 * np.pi * (wa - wb))
+        return sphere_reference(kern, cos)
 
     def relative():
         qa = _unit_vectors(gen, count, 4).T
@@ -384,6 +385,11 @@ def full_product_distances(kern, gen, count):
         return spin3_reference(kern.lifts, relative())
     p, q = relative(), relative()
     return spin4_reference(kern.lifts, p, q)
+
+
+def _real_parts(units, q):
+    """Re(q u) for (k, 4) units u and (4, count) quaternions q, as a (k, count) array."""
+    return (units * _CONJ) @ q
 
 
 def sphere_reference(kern, cos):
@@ -418,7 +424,8 @@ def set_partitions(k):
 
 def assert_kernels_match(monkeypatch, reference, two_point):
     # every n = 3 and n = 4 lift table, and the sphere and projective plane;
-    # the second pass raises the threshold so that about 1-3% of rows are redrawn
+    # the second pass raises the threshold so that about 1-3% of Gaussian rows
+    # are redrawn, which leaves the sphere's uniform draws as they were
     spaces = [SPACE_ALIASES["s2"], SPACE_ALIASES["rp2"]]
     spaces += [spec((1,) * k, blocks) for k in (3, 4) for blocks in set_partitions(k)]
     assert sum(classify(s).lifts is not None for s in spaces) == 5 + 15
@@ -433,6 +440,8 @@ def assert_kernels_match(monkeypatch, reference, two_point):
             assert np.array_equal(got, want), label
             if min_norm is None:
                 plain[label] = got
+            elif classify(space).lifts is None:
+                assert np.array_equal(got, plain[label]), label
             else:
                 assert (got != plain[label]).any(), label
 
@@ -530,9 +539,10 @@ def ks_two_sample(a, b):
 @pytest.mark.parametrize("text, cdf", [
     ("so3", lambda d: (d - np.sin(d)) / math.pi),
     ("s2", lambda d: (1.0 - np.cos(d)) / 2.0),
+    ("rp2", lambda d: 1.0 - np.cos(d)),
 ])
 def test_distances_follow_their_law(text, cdf, two_point):
-    """SO(3) spin-cover and S^2 distances against their closed-form CDFs (Haar angle law; cap area)."""
+    """SO(3) spin-cover, S^2 and RP^2 distances against their closed-form CDFs (Haar angle law; cap area)."""
     d = sample_distances(parse_space(text), KS_COUNT, RngStream(71, int(two_point)), two_point=two_point)
     assert ks_one_sample(d, cdf) < KS_1PCT / math.sqrt(KS_COUNT)
 
@@ -580,19 +590,20 @@ def test_qr_batches_sized_by_memory(monkeypatch):
 # The most that one 2^14-sample batch and its statistics may hold at once, in
 # doubles per sample, counting the thread's two-point buffer when the batch
 # makes it. A one-point n = 3 kernel holds its Gaussian block and two (count,)
-# rows (6 to 6.2 with the redraw mask). The other one-point kernels' traced
-# peaks over seeds 0 to 4 are 5.1 (s2, rp2), 8.0 (so4), 14.0 (P={1,2}{3,4})
-# and 25.0 (P={1,2,3,4}). Two points with the buffer made in the batch: 8.5
-# (s2, rp2), 10.5 to 13.5 (so3 to full-flag), 11.5 (so4), 15.5
-# (P={1,2}{3,4}) and 25.5 (P={1,2,3,4}); half a double of that is numpy's
-# iteration buffer for the in-place division of q_b.
+# rows (6 to 6.2 with the redraw mask), and a one-point sphere batch its one
+# row of heights. The other one-point kernels' traced peaks over seeds 0 to
+# 4 are 1.0 (s2, rp2), 7.1 (so4), 13.0 (P={1,2}{3,4}) and 25.0
+# (P={1,2,3,4}). Two points with the buffer made in the batch: 5.0 (s2,
+# rp2: four rows of uniforms and the cosines), 10.5 to 13.5 (so3 to
+# full-flag), 11.5 (so4), 15.5 (P={1,2}{3,4}) and 25.5 (P={1,2,3,4}); half a
+# double of that is numpy's iteration buffer for the in-place division of q_b.
 WORKING_SET = {
     ("so3", False): 7, ("partial-flag-1", False): 7, ("partial-flag-2", False): 7,
     ("partial-flag-3", False): 7, ("full-flag", False): 7,
     ("so3", True): 14, ("partial-flag-1", True): 14, ("full-flag", True): 14,
-    ("s2", False): 6, ("rp2", False): 6, ("s2", True): 9, ("rp2", True): 9,
-    ("so4", False): 9, ("so4", True): 14,
-    ("lambda=1,1,1,1 P={1,2}{3,4}", False): 15, ("lambda=1,1,1,1 P={1,2}{3,4}", True): 17,
+    ("s2", False): 1.1, ("rp2", False): 1.1, ("s2", True): 6, ("rp2", True): 6,
+    ("so4", False): 8, ("so4", True): 14,
+    ("lambda=1,1,1,1 P={1,2}{3,4}", False): 14, ("lambda=1,1,1,1 P={1,2}{3,4}", True): 17,
     ("lambda=1,1,1,1 P={1,2,3,4}", False): 26, ("lambda=1,1,1,1 P={1,2,3,4}", True): 26,
 }
 

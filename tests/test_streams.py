@@ -2,10 +2,10 @@
 
 A change of random stream is a change of version: the same version gives the
 same bits. Every entry is built from IEEE-exact operations only (the
-ziggurat and uniform draws, sqrt, divide, copysign, sums in a fixed order and
-shortest-repr or ``%.17g`` printing), so it should read the same on every
-platform and numpy version; estimates, which pass through arccos and LAPACK,
-are not pinned here.
+ziggurat and uniform draws, the sphere heights 1 - 2u, sqrt, divide,
+copysign, sums in a fixed order and shortest-repr or ``%.17g`` printing), so
+it should read the same on every platform and numpy version; estimates,
+which pass through arccos and LAPACK, are not pinned here.
 """
 
 import contextlib
@@ -14,9 +14,10 @@ import io
 
 import oriflag
 from oriflag.cli import main
+from oriflag.montecarlo import _sphere_heights
 from oriflag.orthogonal import RngStream, sample_rotation_matrices
 
-LEDGER_VERSION = "0.10.0"
+LEDGER_VERSION = "0.11.0"
 LEDGER = {
     "standard_normal RngStream(0, 0)": [
         "-0x1.19d8ab59737bap-1",
@@ -27,6 +28,7 @@ LEDGER = {
         "-0x1.98ecb2dee7c17p+0",
     ],
     "random RngStream(0, 0)": ["0x1.18ca5a4e027f3p-1", "0x1.9e8c016ca2be2p-2"],
+    "sphere heights RngStream(0, 0)": ["-0x1.8ca5a4e027f30p-4", "0x1.85cffa4d75078p-3"],
     "standard_normal RngStream(7, 3)": [
         "-0x1.469655dc32dc5p-4",
         "-0x1.2c6f63be5b064p-1",
@@ -36,6 +38,7 @@ LEDGER = {
         "0x1.e6f5d686608e7p-1",
     ],
     "random RngStream(7, 3)": ["0x1.0083108f5fec0p-7", "0x1.3de6a8f782600p-4"],
+    "sphere heights RngStream(7, 3)": ["0x1.f7fbe77b8500ap-1", "0x1.b08655c21f680p-1"],
     "sample_rotation_matrices n=2": "7f475b6746eda5d9c4f46d242273030464e9d43f848a36e9738e2907f41a3823",
     "sample_rotation_matrices n=3": "d68da0a1a4b71bfc63cf2af44bb92cabf68ad9a38c8939e8939d06763fc76d11",
     "sample_rotation_matrices n=5": "6491f235f4df73e276dcbd62dfb228f5f69c23f3e8744b00bed9ad40c03f2348",
@@ -64,6 +67,7 @@ def _ledger():
     for seed, k in ((0, 0), (7, 3)):
         ledger[f"standard_normal RngStream({seed}, {k})"] = _hexes(RngStream(seed, k).generator().standard_normal(6))
         ledger[f"random RngStream({seed}, {k})"] = _hexes(RngStream(seed, k).generator().random(2))
+        ledger[f"sphere heights RngStream({seed}, {k})"] = _hexes(_sphere_heights(RngStream(seed, k).generator(), 2))
     for n in (2, 3, 5, 8):
         stack = sample_rotation_matrices(n, 3, RngStream(1, 0))
         ledger[f"sample_rotation_matrices n={n}"] = hashlib.sha256(stack.tobytes()).hexdigest()
