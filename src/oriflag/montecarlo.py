@@ -272,7 +272,7 @@ def _kernel_distances(kern: Kernel, gen: np.random.Generator, count: int, two_po
 
 def _batch_size(kern: Kernel) -> int:
     """``_BATCH`` samples, or on the matrix path as many as ``_BATCH_BYTES`` holds."""
-    if kern.lifts is not None or len(kern.shape) < 2:
+    if kern.lift_columns or len(kern.shape) < 2:
         return _BATCH
     return max(1, min(_BATCH, _BATCH_BYTES // (8 * math.prod(kern.shape) * _STACKS)))
 

@@ -76,22 +76,29 @@ _PLANE_PAIRS = {n: np.triu_indices(n, 1) for n in (4, 5)}
 _ORBIT_BYTES = 1 << 22
 
 
+def _require_special_orthogonal(m: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """``m`` after the package's one SO(n) membership test, applied where a matrix enters.
+
+    ValueError unless ``m`` is one square matrix; else ``error`` unless it is
+    orthogonal to ``ORTHOGONALITY_TOL`` and its determinant is within
+    ``DETERMINANT_TOL`` of +1 (a NaN fails both).
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected one square matrix, got shape {m.shape}")
+    if not (defect := np.abs(m.T @ m - np.eye(len(m))).max()) <= ORTHOGONALITY_TOL:
+        raise error(f"max |Q^T Q - I| = {defect:.3e}; matrix is not in SO(n)")
+    if not abs((det := float(np.linalg.det(m))) - 1.0) <= DETERMINANT_TOL:
+        raise error(f"determinant {det!r}, expected +1; matrix is not in SO(n)")
+    return m
+
+
 class Rotation:
     """An n x n real special orthogonal matrix, validated at construction."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"rotation matrix must be square, got shape {m.shape}")
-        n = m.shape[0]
-        defect = np.abs(m.T @ m - np.eye(n)).max()
-        if not defect <= ORTHOGONALITY_TOL:
-            raise ValueError(f"matrix is not orthogonal: max |Q^T Q - I| = {defect:.3e}")
-        det = float(np.linalg.det(m))
-        if not abs(det - 1.0) <= DETERMINANT_TOL:
-            raise ValueError(f"matrix has determinant {det!r}, expected +1")
+        m = _require_special_orthogonal(np.array(matrix, dtype=float), ValueError)
         m.setflags(write=False)
         self.matrix = m
 
@@ -262,21 +269,10 @@ def sample_rotation_matrices(n: int, count: int, rng) -> np.ndarray:
 
 
 def _matrix_of(a) -> np.ndarray:
-    """A Rotation's matrix, or an outside array checked to be one orthogonal n x n matrix (NaN fails)."""
+    """A Rotation's matrix, or an outside array checked to be in SO(n), raising ArithmeticError if it is not."""
     if isinstance(a, Rotation):
         return a.matrix
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected one square matrix, got shape {m.shape}")
-    if not (defect := np.abs(m.T @ m - np.eye(len(m))).max()) <= ORTHOGONALITY_TOL:
-        raise ArithmeticError(f"max |Q^T Q - I| = {defect:.3e}; input is not in SO(n)")
-    return m
-
-
-def _require_rotations(m: np.ndarray) -> None:
-    """Raise ArithmeticError unless the matrix, or each of a stack, has determinant +1."""
-    if not (np.abs(np.linalg.det(m) - 1.0) <= DETERMINANT_TOL).all():
-        raise ArithmeticError("determinant is not +1; input is not in SO(n)")
+    return _require_special_orthogonal(np.asarray(a, dtype=float), ArithmeticError)
 
 
 def _angles(m: np.ndarray) -> np.ndarray:
@@ -351,7 +347,7 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Geodesic distances to the identity of a (k, n, n) SO(n) stack, minimized over m diag(s).
 
     ``signs`` are (|SG|, n) det +1 rows; the trivial group is one row of ones.
-    Column sign flips leave the LU determinant bit-identical, so m is checked once.
+    Nothing here checks membership: the stack must already be in SO(n).
     For n = 4 and 5 each distance comes from two traces; the samples that
     route hands on, and every sample of any other n, are measured by the
     eigenvalues of the symmetric part, except in the zones set by
@@ -361,7 +357,6 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
     each, since a sample's distance does not depend on the other samples of
     its call.
     """
-    _require_rotations(m)
     n = m.shape[-1]
     rows = max(1, _ORBIT_BYTES // m.nbytes)
     best = np.full(len(m), np.inf)
@@ -372,7 +367,7 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def _stack_distances(ms: np.ndarray) -> np.ndarray:
-    """Geodesic distances to the identity of a checked (k, n, n) SO(n) stack: two traces for n = 4 and 5, else eigvalsh."""
+    """Geodesic distances to the identity of a (k, n, n) SO(n) stack: two traces for n = 4 and 5, else eigvalsh."""
     if ms.shape[-1] not in _PLANE_PAIRS:
         return _eigvalsh_distances(ms)
     d, redo = _trace_distances(ms)
@@ -390,7 +385,6 @@ def rotation_angles(a) -> np.ndarray:
     is one angle per plane.
     """
     m = _matrix_of(a)
-    _require_rotations(m)
     theta = np.sort(_angles(m))[::-1]
     return theta[: 2 * (m.shape[0] // 2) : 2]
 

@@ -195,7 +195,7 @@ _CONJUGATIONS = np.array([
 
 
 def _spin_lifts(signs: np.ndarray) -> np.ndarray:
-    """The lift table of ``spaces.Kernel`` for (|SG|, n) det +1 sign rows, n = 3 or 4.
+    """The spin-cover lifts of (|SG|, n) det +1 sign rows: (|SG|, 4) units u for n = 3, (|SG|, 2, 4) pairs (u, v) for n = 4.
 
     Every such row is a row of H = ``_CONJUGATIONS`` up to sign. For n = 3 it
     is H[c] on the imaginary axes, so (1, s) H / 4 = e_c. For n = 4 it is

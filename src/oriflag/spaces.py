@@ -87,16 +87,16 @@ class Kernel:
     SO(3)-derived cases with a closed form or quadrature ("point", "so3",
     "partial-flag", "full-flag", "s2", "rp2") and is None for every other space.
 
-    ``lifts`` is the sign rows' lift table on the spin cover, present exactly
-    for rotation spaces with n = 3 or 4, whose samples are drawn there. For
-    n = 3 it is the (|SG|, 4) unit quaternions u, one of {1, i, j, k} per row,
-    with diag(s) the rotation x -> u x conj(u). For n = 4 it is the
-    (|SG|, 2, 4) pairs (u, v) of signed units with diag(s) x = u x conj(v),
-    where A x = p x conj(q) covers SO(4) by S^3 x S^3. It is None otherwise.
-    ``lift_columns`` holds, per column of ``lifts`` (one at n = 3, two at
-    n = 4), the coordinates of q that Re(q u) reads and the (|SG|, c) rows
-    that pick them (``quatcover._lift_columns``), fixed here so that the
-    cover kernels do not rebuild them per batch; it is empty without lifts.
+    ``lift_columns`` describes the sign rows on the spin cover, where the
+    rotation spaces with n = 3 or 4 draw their samples, and is empty for
+    every other space. Each sign row lifts to signed unit quaternions
+    (``quatcover._spin_lifts``): for n = 3 one u, one of {1, i, j, k}, with
+    diag(s) the rotation x -> u x conj(u); for n = 4 a pair (u, v) with
+    diag(s) x = u x conj(v), where A x = p x conj(q) covers SO(4) by S^3 x
+    S^3. Per lift column (one at n = 3, two at n = 4) it holds the
+    coordinates of q that Re(q u) reads and the (|SG|, c) rows that pick
+    them (``quatcover._lift_columns``), fixed here so that the cover kernels
+    do not rebuild them per batch.
     ``shape`` is the shape of one drawn point: (3,) for the unit 3-vectors of
     the sphere and projective plane, (n, n) for the rotations of every
     rotation space (SO(1) included), and () for a point quotient, which draws
@@ -105,12 +105,11 @@ class Kernel:
 
     family: str | None
     signs: np.ndarray | None = None
-    lifts: np.ndarray | None = None
     shape: tuple[int, ...] = ()
     lift_columns: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self) -> None:
-        for array in (self.signs, self.lifts, *(a for column in self.lift_columns for a in column)):
+        for array in (self.signs, *(a for column in self.lift_columns for a in column)):
             if array is not None:
                 array.setflags(write=False)
 
@@ -123,7 +122,7 @@ def classify(space: FlagSpec) -> Kernel:
     """Map a space to its sampling/distance kernel, or raise if unsupported.
 
     The only place that decides what a space is: callers read the returned
-    ``family``, ``signs``, ``lifts`` and ``shape`` instead of inspecting the
+    ``family``, ``signs``, ``shape`` and ``lift_columns`` instead of inspecting the
     space themselves. Each space's Kernel is built once and cached.
     """
     if not isinstance(space, FlagSpec):
@@ -138,9 +137,8 @@ def _classify(space: FlagSpec) -> Kernel:
     if all(p == 1 for p in parts):
         signs = isotropy_group(space).signs
         n = signs.shape[1]
-        lifts = _spin_lifts(signs) if n in (3, 4) else None
-        columns = () if lifts is None else _lift_columns(lifts)
-        return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, lifts, (n, n), columns)
+        columns = _lift_columns(_spin_lifts(signs)) if n in (3, 4) else ()
+        return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, (n, n), columns)
     if len(parts) == 1:
         return Kernel("point")
     if sorted(parts) == [1, 2]:

@@ -21,7 +21,7 @@ from oriflag.orthogonal import (
     random_special_orthogonal,
     sample_rotation_matrices,
 )
-from oriflag.quatcover import _CONJ, UnitQuaternion, _lifts, _mul_raw, quaternion_to_rotation
+from oriflag.quatcover import _CONJ, UnitQuaternion, _lifts, _mul_raw, _spin_lifts, quaternion_to_rotation
 from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, classify, parse_space, space_label
 from oriflag.analytic import analytic_expected_distance
 from weyl import expected_distance as weyl_expected_distance
@@ -203,6 +203,26 @@ def test_bit_for_bit_determinism_on_the_matrix_path(text, monkeypatch):
                 assert a == estimate_expected_distance(space, 2_000, seed=9, workers=workers, two_point=two_point)
 
 
+def test_sampled_rotations_are_not_checked_again(monkeypatch):
+    """The sampler's draws are in SO(n) by construction, so no Monte Carlo path takes a determinant."""
+    spaces = [parse_space(t) for t in ("so2", "so5", "so6", "lambda=1,1,1,1,1 P={1,2}{3,4,5}")]
+    runs = [(space, two_point) for space in spaces for two_point in (False, True)]
+
+    def run(space, two_point):
+        d = sample_distances(space, 300, RngStream(5).generator(), two_point=two_point)
+        return d, estimate_expected_distance(space, 300, seed=5, two_point=two_point)
+
+    plain = [run(*r) for r in runs]
+
+    def no_det(m):
+        raise AssertionError("a determinant was taken")
+
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    for (space, two_point), (d, est) in zip(runs, plain):
+        got_d, got_est = run(space, two_point)
+        assert np.array_equal(got_d, d) and got_est == est, (space.to_text(), two_point)
+
+
 def test_so5_estimate_does_not_depend_on_workers():
     """Four chunks of the real batch: before the split was fixed, workers 1 and 2 gave different bits."""
     space = parse_space("so5")
@@ -362,10 +382,11 @@ def normalize_first_distances(kern, gen, count):
     """One-point distances as drawn by whole unit rows and uniform heights, the reference for the in-place kernels."""
     if kern.family in ("s2", "rp2"):
         return sphere_reference(kern, 1.0 - 2.0 * gen.random(count))
-    if kern.lifts.ndim == 2:
-        return spin3_reference(kern.lifts, _unit_vectors(gen, count, 4).T)
+    lifts = _spin_lifts(kern.signs)
+    if lifts.ndim == 2:
+        return spin3_reference(lifts, _unit_vectors(gen, count, 4).T)
     p, q = _unit_vectors(gen, count, 4).T, _unit_vectors(gen, count, 4).T
-    return spin4_reference(kern.lifts, p, q)
+    return spin4_reference(lifts, p, q)
 
 
 def full_product_distances(kern, gen, count):
@@ -381,10 +402,11 @@ def full_product_distances(kern, gen, count):
         qa = _unit_vectors(gen, count, 4).T
         return np.array(_mul_raw(_CONJ[:, None] * _unit_vectors(gen, count, 4).T, qa))
 
-    if kern.lifts.ndim == 2:
-        return spin3_reference(kern.lifts, relative())
+    lifts = _spin_lifts(kern.signs)
+    if lifts.ndim == 2:
+        return spin3_reference(lifts, relative())
     p, q = relative(), relative()
-    return spin4_reference(kern.lifts, p, q)
+    return spin4_reference(lifts, p, q)
 
 
 def _real_parts(units, q):
@@ -428,7 +450,7 @@ def assert_kernels_match(monkeypatch, reference, two_point):
     # are redrawn, which leaves the sphere's uniform draws as they were
     spaces = [SPACE_ALIASES["s2"], SPACE_ALIASES["rp2"]]
     spaces += [spec((1,) * k, blocks) for k in (3, 4) for blocks in set_partitions(k)]
-    assert sum(classify(s).lifts is not None for s in spaces) == 5 + 15
+    assert sum(bool(classify(s).lift_columns) for s in spaces) == 5 + 15
     plain = {}
     for min_norm in (None, 0.5):
         if min_norm is not None:
@@ -440,7 +462,7 @@ def assert_kernels_match(monkeypatch, reference, two_point):
             assert np.array_equal(got, want), label
             if min_norm is None:
                 plain[label] = got
-            elif classify(space).lifts is None:
+            elif not classify(space).lift_columns:
                 assert np.array_equal(got, plain[label]), label
             else:
                 assert (got != plain[label]).any(), label
@@ -458,21 +480,21 @@ def test_lift_table_reproduces_every_sign_row():
     # the full flags list every det +1 diagonal sign matrix of SO(3) and SO(4)
     kern3 = classify(SPACE_ALIASES["full-flag"])
     assert kern3.signs.shape == (4, 3)
-    for s, u in zip(kern3.signs, kern3.lifts):
+    for s, u in zip(kern3.signs, _spin_lifts(kern3.signs)):
         lift = _lifts(np.diag(s)[None])[0]
         assert np.array_equal(np.abs(lift), np.abs(u))
         assert np.array_equal(quaternion_to_rotation(UnitQuaternion(*u)).matrix, np.diag(s))
     kern4 = classify(parse_space("lambda=1,1,1,1 P={1,2,3,4}"))
     assert kern4.signs.shape == (8, 4)
-    for s, (u, v) in zip(kern4.signs, kern4.lifts):
+    for s, (u, v) in zip(kern4.signs, _spin_lifts(kern4.signs)):
         assert np.array_equal(_cover_rotation(u, v), np.diag(s))
     # the smaller groups keep each row's own lift
     for text in ("so4", "lambda=1,1,1,1 P={1,2}{3,4}", "lambda=1,1,1,1 P={1}{2,3,4}"):
         kern = classify(parse_space(text))
-        for s, (u, v) in zip(kern.signs, kern.lifts):
+        for s, (u, v) in zip(kern.signs, _spin_lifts(kern.signs)):
             assert np.array_equal(_cover_rotation(u, v), np.diag(s)), text
-    assert classify(parse_space("so5")).lifts is None
-    assert classify(parse_space("so2")).lifts is None
+    assert classify(parse_space("so5")).lift_columns == ()
+    assert classify(parse_space("so2")).lift_columns == ()
 
 
 # E d(I, A) on SO(n) from an earlier, independent product-rule computation.

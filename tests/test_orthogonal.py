@@ -536,11 +536,15 @@ def test_geodesic_distance_is_the_trivial_group_quotient_distance(n):
 
 SHEAR = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 NAN = float("nan")
+# Two reflections: each is orthogonal with det -1, and their product is in SO(3).
+FLIP_X, FLIP_Y = np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, 1.0])
 
 
 @pytest.mark.parametrize("call, error", [
     (lambda: geodesic_distance(SHEAR, np.eye(3)), ArithmeticError),
     (lambda: quotient_distance(SHEAR, np.eye(3), isotropy_group(parse_space("full-flag"))), ArithmeticError),
+    (lambda: geodesic_distance(FLIP_X, FLIP_Y), ArithmeticError),
+    (lambda: quotient_distance(FLIP_X, FLIP_Y, isotropy_group(parse_space("full-flag"))), ArithmeticError),
     (lambda: rotation_angles(SHEAR), ArithmeticError),
     (lambda: rotation_angles(np.stack([np.eye(3)] * 4)), ValueError),
     (lambda: Rotation(np.full((3, 3), NAN)), ValueError),
@@ -550,8 +554,9 @@ NAN = float("nan")
     (lambda: UnitQuaternion.from_axis_angle((0.6, 0.8, 0.0, 0.0), 1.0), ValueError),
     (lambda: UnitQuaternion.from_axis_angle([[1.0, 0.0, 0.0]], 1.0), ValueError),
     (lambda: UnitQuaternion.from_axis_angle((0.0, 0.0, 0.0, 1.0), 1.0), ValueError),
-], ids=["geodesic-shear", "quotient-shear", "angles-shear", "angles-stack", "rotation-nan",
-        "quaternion-nan", "rotate-nan", "axis-nan", "axis-4-vector", "axis-row", "axis-4-unit"])
+], ids=["geodesic-shear", "quotient-shear", "geodesic-reflections", "quotient-reflections", "angles-shear",
+        "angles-stack", "rotation-nan", "quaternion-nan", "rotate-nan", "axis-nan", "axis-4-vector", "axis-row",
+        "axis-4-unit"])
 def test_outside_input_is_rejected(call, error):
     with pytest.raises(error):
         call()
