@@ -15,15 +15,16 @@ ch. 4), for any other n a product of Householder reflections, whose distance
 comes from two traces at n = 5 and otherwise, or where the traces cannot
 vouch for it, from the eigenvalues of its symmetric part. On quotients by a
 finite isotropy group the distance is the minimum over the orbit of the
-sample. A one-point trial on a spin cover reads only one coordinate of its
-unit vector per orbit element, so it keeps the Gaussian row undivided and
-divides just those coordinates by the row's norm: the same bits as
-normalizing first, since each lifted sign picks a coordinate exactly and
-division by a positive norm commutes with the maximum. The spin-cover and
-sphere kernels write every step into the batch's own arrays with ``out=``,
-and a batch's statistics overwrite its distances, so a one-point batch
-holds 6.1 doubles per sample on SO(3)/SG (its Gaussian block and two rows,
-traced, the redraw mask included), one on the sphere, and 7 to 25 on
+sample, and each lifted sign picks a coordinate of the unit quaternion. A
+one-point trial on a spin cover draws its quaternion from a pair of uniform
+points of the unit disk (Marsaglia; see ``_DISK_OVERSAMPLE``), the second
+only when a lift reads coordinate 2 or 3; a two-point trial draws
+normalized Gaussians. The spin-cover and sphere kernels write their steps
+into the batch's own arrays, and a batch's statistics overwrite its
+distances, so a one-point batch holds, traced, 5.0 doubles per sample on
+so3 and partial-flag-1 (a block of disk candidates, two rows and their s
+at 4/3 of a double each, and the distances), 6.0 on the other SO(3)/SG
+spaces (and the row of sqrt(1 - s1)), one on the sphere, and 6 to 25 on
 SO(4)/SG, growing with |SG|. A two-point trial instead works in one float64
 buffer per thread, kept across batches and calls so that repeated estimates
 do not fault its pages in again; only the returned distances are fresh. It
@@ -58,7 +59,6 @@ from .orthogonal import (
     RngStream,
     _as_generator,
     _distances_to_identity,
-    _gaussian_columns,
     _unit_columns,
     _unit_vectors,
     sample_rotation_matrices,
@@ -82,6 +82,25 @@ _STACKS = 6
 # so repeated estimates do not fault its pages in again, and made larger only
 # when a batch needs more. A pool thread's buffer goes with the thread.
 _two_point = threading.local()
+# One-point spin-cover trials draw q by Marsaglia's method (Choosing a point
+# from the surface of a sphere, Ann. Math. Statist. 43, 1972): for (x_0, x_1)
+# and (x_2, x_3) uniform in the open unit disk, with squared radii s1 and s2,
+# q = (x_0, x_1, x_2 t, x_3 t) with t = sqrt((1 - s1) / s2) is uniform on
+# S^3. Disk points are drawn by rejection from [-1, 1)^2: pi/4 of a block's
+# candidates are kept, so its _DISK_OVERSAMPLE per point plus 64 come up short
+# of the points needed 13.6 standard deviations out at 2^14 points (6.7 at
+# 500), and then a further block is drawn for the rest. A block holds at most
+# _DISK_BLOCK candidates, so a larger batch takes several, whose temporaries
+# (about 1 MB) stay in cache and are reused from the heap: at 2^17 points a
+# disk in one block ran slower and faulted more pages. The first disk is
+# drawn first, so one stream gives the SO(3)/SG spaces the same x_0 and x_1,
+# and the second only when a lift reads coordinate 2 or 3.
+# Precision: x_0 and x_1 are exact, and x_c t is formed as (x_c / sqrt(s2))
+# sqrt(1 - s1). The rounding of s1 (at most u = 2^-53) reaches it through
+# 1 - s1: an absolute error of about u / sqrt(1 - s1), largest where x_c t
+# itself is smallest, while |q|^2 = s1 + (1 - s1) stays within a few u of 1.
+_DISK_OVERSAMPLE = 4 / 3
+_DISK_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -103,17 +122,6 @@ class Estimate:
 def sphere_point(rng) -> np.ndarray:
     """A uniform random point on the unit 2-sphere (normalized Gaussian draw)."""
     return _unit_vectors(_as_generator(rng), 1, 3)[0]
-
-
-def _raw_gaussians(gen: np.random.Generator, count: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gaussian (dim, count) rows viewing (count, dim) draws, their norms, and the spare (count,) row that summed them.
-
-    A one-point kernel reads one coordinate of each unit vector per orbit
-    element, so it keeps the rows undivided and divides only what it reads.
-    """
-    spare = np.empty(count)
-    g, norms = _gaussian_columns(gen, gen.standard_normal((count, dim)).T, np.empty(count), spare)
-    return g, norms, spare
 
 
 def _scratch(rows: int, count: int) -> np.ndarray:
@@ -141,13 +149,105 @@ def _relative_points(gen: np.random.Generator, coords: np.ndarray, rows: np.ndar
     return _conj_mul_coords(b, a, coords, parts, term)
 
 
+def _disk_blocks(gen: np.random.Generator, count: int, read: tuple, signed: bool):
+    """Blocks of candidate points of the open unit disk, drawn until ``count`` are accepted.
+
+    A block draws (2, m) uniforms u, a row of first coordinates and a row of
+    second ones, for m = _DISK_OVERSAMPLE per point still needed plus 64 (at
+    most _DISK_BLOCK), and makes them x = 2u - 1, which is exact. It yields
+    (rows, s, kept, seg): ``kept`` indexes in draw order the candidates with
+    0 < s < 1, s = x_0^2 + x_1^2 (the second disk is divided by s), that
+    fill positions ``seg`` of the batch. ``rows`` holds the coordinates in
+    ``read`` as drawn when ``signed``, and otherwise one row, their largest
+    |x_c|; s takes the block's other row when that is not read.
+    """
+    done = 0
+    while done < count:
+        need = count - done
+        x = gen.random((2, min(math.ceil(need * _DISK_OVERSAMPLE) + 64, _DISK_BLOCK)))
+        np.subtract(np.multiply(x, 2.0, out=x), 1.0, out=x)
+        a, b = x[read[0]], x[1 - read[0]]
+        s = np.multiply(a, a)
+        if signed and len(read) == 2:
+            rows = (a, b)
+            np.add(s, b * b, out=s)
+        else:
+            rows = (a,)
+            if not signed:
+                np.abs(a, out=a)
+                if len(read) == 2:
+                    np.maximum(a, np.abs(b, out=b), out=a)
+            s = np.add(s, np.multiply(b, b, out=b), out=b)
+        kept = np.flatnonzero((s < 1.0) & (s > 0.0))[:need]
+        yield rows, s, kept, slice(done, done + len(kept))
+        done += len(kept)
+
+
+def _first_disk(gen: np.random.Generator, count: int, read: tuple, signed: bool, out, w: np.ndarray | None) -> None:
+    """The first disk of ``count`` quaternions: its rows for ``read`` into ``out``, and sqrt(1 - s1) into ``w`` if given.
+
+    ``take`` in clip mode writes into its ``out`` directly, where the
+    default mode would write a copy first; ``kept`` is always in range.
+    """
+    for rows, s, kept, seg in _disk_blocks(gen, count, read, signed):
+        for row, x in zip(out, rows):
+            np.take(x, kept, out=row[seg], mode="clip")
+        if w is not None:
+            part = np.take(s, kept, out=w[seg], mode="clip")
+            np.sqrt(np.subtract(1.0, part, out=part), out=part)
+
+
+def _second_disk(gen: np.random.Generator, count: int, read: tuple, w: np.ndarray, out=None) -> None:
+    """The second disk of ``count`` quaternions, given w = sqrt(1 - s1) of the first: x_c t = (x_c / sqrt(s2)) w.
+
+    With ``out``, each coordinate in ``read`` gets its row of x_c t.
+    Without it, w becomes the largest |x_c| t, formed over the whole block
+    and then gathered into the row s that it has done with.
+    """
+    for rows, s, kept, seg in _disk_blocks(gen, count, read, signed=out is not None):
+        if out is None:
+            a = rows[0]
+            with np.errstate(invalid="ignore"):  # a rejected origin is 0 / 0
+                np.divide(a, np.sqrt(s, out=s), out=a)
+            np.multiply(w[seg], np.take(a, kept, out=s[:len(kept)], mode="clip"), out=w[seg])
+            continue
+        root = np.sqrt(s[kept])
+        for row, x in zip(out, rows):
+            part = np.take(x, kept, out=row[seg], mode="clip")
+            np.multiply(np.divide(part, root, out=part), w[seg], out=part)
+
+
+def _cover_cosines(gen: np.random.Generator, count: int, coords: tuple) -> np.ndarray:
+    """max |q_c| over ``coords`` for ``count`` Marsaglia quaternions q, as a fresh row.
+
+    The largest |q_c| over coordinates 2 and 3 is t times their largest
+    |x_c|, so the second disk folds into the row of w.
+    """
+    near, far = tuple(c for c in coords if c < 2), tuple(c - 2 for c in coords if c > 1)
+    cos, w = np.empty(count), np.empty(count) if far else None
+    _first_disk(gen, count, near, False, (cos,), w)
+    if far:
+        _second_disk(gen, count, far, w)
+        np.maximum(cos, w, out=cos)
+    return cos
+
+
+def _cover_coords(gen: np.random.Generator, count: int, coords: tuple) -> np.ndarray:
+    """Coordinates ``coords`` (ascending from 0) of ``count`` Marsaglia quaternions, as fresh (len(coords), count) rows."""
+    near, far = tuple(c for c in coords if c < 2), tuple(c - 2 for c in coords if c > 1)
+    q, w = np.empty((len(coords), count)), np.empty(count) if far else None
+    _first_disk(gen, count, near, True, q[:len(near)], w)
+    if far:
+        _second_disk(gen, count, far, w, q[len(near):])
+    return q
+
+
 def _spin3_distances(columns: tuple, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
     """n = 3: q covers A, q u covers A diag(s), and d(R(q), I) = 2 arccos |Re q|.
 
     Each lift u is a unit e_c, so |Re(q u)| = |q_c| and the orbit's largest
     is the largest |q_c| over the lifts' coordinates (``columns``, the
-    kernel's one lift column). One point divides it by the norm after the
-    maximum, which the positive norm leaves in place.
+    kernel's one lift column).
     """
     coords, _ = columns[0]
     if two_point:
@@ -155,11 +255,7 @@ def _spin3_distances(columns: tuple, gen: np.random.Generator, count: int, two_p
         parts = _relative_points(gen, coords, _scratch(8 + len(coords), count), cos)
         np.abs(parts, out=parts).max(axis=0, out=cos)
     else:
-        q, norms, cos = _raw_gaussians(gen, count, 4)
-        np.abs(q[coords[0]], out=cos)
-        for c in coords[1:]:
-            np.maximum(cos, np.abs(q[c], out=q[c]), out=cos)
-        np.divide(cos, norms, out=cos)
+        cos = _cover_cosines(gen, count, tuple(coords))
     np.arccos(np.minimum(cos, 1.0, out=cos), out=cos)
     return np.multiply(cos, 2.0, out=cos)
 
@@ -204,17 +300,18 @@ def _arccos(x: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(x, -1.0, 1.0, out=x), out=x)
 
 
-def _lift_angles(column: tuple, gen: np.random.Generator, count: int) -> np.ndarray:
-    """arccos(Re(q u) / |q|) for a lift column's k signed units u and ``count`` Gaussian rows q, divided after the pick, as (k, count).
+def _lift_angles(columns: tuple, gen: np.random.Generator, count: int) -> list:
+    """arccos Re(p u) and arccos Re(q v) for the lift columns' k units and ``count`` Marsaglia pairs (p, q), as two (k, count).
 
-    The column's coordinates of q are copied out of the Gaussian block,
-    which goes before the product is made.
+    Both columns read the same coordinates (v = |u|). With two disks p and q
+    are one draw of 2 count quaternions, which halves the blocks a batch
+    draws; with one disk each is its own draw, which holds half the memory.
     """
-    coords, rows = column
-    q, norms = _raw_gaussians(gen, count, 4)[:2]
-    q = q[coords]
-    x = rows @ q
-    return _arccos(np.divide(x, norms, out=x))
+    coords = tuple(columns[0][0])
+    if coords[-1] < 2:
+        return [_arccos(rows @ _cover_coords(gen, count, coords)) for _, rows in columns]
+    q = _cover_coords(gen, 2 * count, coords)
+    return [_arccos(rows @ q[:, k * count:(k + 1) * count]) for k, (_, rows) in enumerate(columns)]
 
 
 def _spin4_distances(columns: tuple, gen: np.random.Generator, count: int, two_point: bool) -> np.ndarray:
@@ -237,8 +334,7 @@ def _spin4_distances(columns: tuple, gen: np.random.Generator, count: int, two_p
             _arccos(np.matmul(picks, rel, out=x))
         np.add(a, b, out=plus)
     else:
-        a = _lift_angles(columns[0], gen, count)
-        b = _lift_angles(columns[1], gen, count)
+        a, b = _lift_angles(columns, gen, count)
         plus = a + b
     diff = np.subtract(a, b, out=a)
     np.minimum(plus, np.subtract(2.0 * np.pi, plus, out=b), out=plus)

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import oriflag.montecarlo as mc
 from oriflag.flagspec import FlagSpec, OrderedPartition, SetPartition, isotropy_group
 from oriflag.montecarlo import (
     Estimate,
@@ -351,7 +352,7 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
         iso = isotropy_group(space)
         d = sample_distances(space, 64, RngStream(88).generator())
         d2 = sample_distances(space, 64, RngStream(89).generator(), two_point=True)
-        q = _unit_vectors(RngStream(88).generator(), 64, 4)
+        q = marsaglia_quaternions(RngStream(88).generator(), 64, disks_read(_spin_lifts(iso.signs))).T
         gen = RngStream(89).generator()
         qa, qb = _unit_vectors(gen, 64, 4), _unit_vectors(gen, 64, 4)
         for i in range(64):
@@ -366,8 +367,8 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
         signs = iso.signs
         d = sample_distances(space, 64, RngStream(88).generator())
         d2 = sample_distances(space, 64, RngStream(89).generator(), two_point=True)
-        gen = RngStream(88).generator()
-        p, q = _unit_vectors(gen, 64, 4), _unit_vectors(gen, 64, 4)
+        lifts = _spin_lifts(signs)
+        p, q = (x.T for x in marsaglia_pairs(RngStream(88).generator(), 64, disks_read(lifts[:, 0])))
         gen = RngStream(89).generator()
         pa, pb, qa, qb = (_unit_vectors(gen, 64, 4) for _ in range(4))
         for i in range(64):
@@ -378,15 +379,61 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
             assert abs(d2[i] - quotient_distance(a, b, iso)) <= 1e-12, text
 
 
+def disk_points(gen, count):
+    """``count`` uniform points (x0, x1) of the open unit disk and their s = x0^2 + x1^2, drawn as the kernels draw them.
+
+    Rejection from 2u - 1 in blocks of _DISK_OVERSAMPLE per point still
+    needed plus 64 (at most _DISK_BLOCK), first coordinates then second,
+    keeping 0 < s < 1.
+    """
+    xs, ss, done = [], [], 0
+    while done < count:
+        need = count - done
+        x = 2.0 * gen.random((2, min(math.ceil(need * mc._DISK_OVERSAMPLE) + 64, mc._DISK_BLOCK))) - 1.0
+        s = x[0] * x[0] + x[1] * x[1]
+        keep = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
+        xs.append(x[:, keep])
+        ss.append(s[keep])
+        done += len(keep)
+    return np.concatenate(xs, axis=1), np.concatenate(ss)
+
+
+def marsaglia_quaternions(gen, count, disks):
+    """(4, count) unit quaternions q = (x0, x1, x2 t, x3 t), t = sqrt(1 - s1) / sqrt(s2), from one or two disks.
+
+    With one disk (``disks`` = 1) only x0 and x1 are drawn, and the
+    coordinates that the kernel does not read are completed as
+    (sqrt(1 - s1), 0).
+    """
+    (x0, x1), s1 = disk_points(gen, count)
+    w = np.sqrt(1.0 - s1)
+    if disks == 1:
+        return np.array([x0, x1, w, np.zeros(count)])
+    (x2, x3), s2 = disk_points(gen, count)
+    return np.array([x0, x1, x2 / np.sqrt(s2) * w, x3 / np.sqrt(s2) * w])
+
+
+def marsaglia_pairs(gen, count, disks):
+    """The (p, q) of one-point SO(4) draws: two draws of ``count``, or with two disks one draw of 2 ``count`` split in half."""
+    if disks == 1:
+        return marsaglia_quaternions(gen, count, 1), marsaglia_quaternions(gen, count, 1)
+    pq = marsaglia_quaternions(gen, 2 * count, 2)
+    return pq[:, :count], pq[:, count:]
+
+
+def disks_read(units):
+    """How many disks a one-point draw takes for the (k, 4) lift units: two if any reads coordinate 2 or 3."""
+    return 2 if units[:, 2:].any() else 1
+
+
 def normalize_first_distances(kern, gen, count):
-    """One-point distances as drawn by whole unit rows and uniform heights, the reference for the in-place kernels."""
+    """One-point distances from whole Marsaglia quaternions and uniform heights, the reference for the in-place kernels."""
     if kern.family in ("s2", "rp2"):
         return sphere_reference(kern, 1.0 - 2.0 * gen.random(count))
     lifts = _spin_lifts(kern.signs)
     if lifts.ndim == 2:
-        return spin3_reference(lifts, _unit_vectors(gen, count, 4).T)
-    p, q = _unit_vectors(gen, count, 4).T, _unit_vectors(gen, count, 4).T
-    return spin4_reference(lifts, p, q)
+        return spin3_reference(lifts, marsaglia_quaternions(gen, count, disks_read(lifts)))
+    return spin4_reference(lifts, *marsaglia_pairs(gen, count, disks_read(lifts[:, 0])))
 
 
 def full_product_distances(kern, gen, count):
@@ -447,7 +494,8 @@ def set_partitions(k):
 def assert_kernels_match(monkeypatch, reference, two_point):
     # every n = 3 and n = 4 lift table, and the sphere and projective plane;
     # the second pass raises the threshold so that about 1-3% of Gaussian rows
-    # are redrawn, which leaves the sphere's uniform draws as they were
+    # are redrawn, which leaves the uniform draws (the sphere's, and the
+    # one-point covers' disk points) as they were
     spaces = [SPACE_ALIASES["s2"], SPACE_ALIASES["rp2"]]
     spaces += [spec((1,) * k, blocks) for k in (3, 4) for blocks in set_partitions(k)]
     assert sum(bool(classify(s).lift_columns) for s in spaces) == 5 + 15
@@ -462,7 +510,7 @@ def assert_kernels_match(monkeypatch, reference, two_point):
             assert np.array_equal(got, want), label
             if min_norm is None:
                 plain[label] = got
-            elif not classify(space).lift_columns:
+            elif not classify(space).lift_columns or not two_point:
                 assert np.array_equal(got, plain[label]), label
             else:
                 assert (got != plain[label]).any(), label
@@ -578,6 +626,103 @@ def test_so4_cover_distances_match_the_matrix_path(two_point):
     assert ks_two_sample(cover, matrix) < KS_1PCT * math.sqrt(2 / KS_COUNT)
 
 
+ONE_POINT_COVER_FLAGS = (
+    "partial-flag-1", "partial-flag-2", "partial-flag-3", "full-flag",
+    "lambda=1,1,1,1 P={1,2}{3,4}", "lambda=1,1,1,1 P={1,2,3,4}",
+)
+
+
+@pytest.mark.parametrize("text", ONE_POINT_COVER_FLAGS)
+def test_one_point_cover_distances_match_the_matrix_path(text):
+    """Two-sample test: one-point disk-pair draws on the spin cover against Householder matrices over the sign rows.
+
+    Between them the spaces read every shape of lift column: coordinates
+    {0, 1} (one disk), {0, 2}, {0, 3} and {0, 1, 2, 3} (two disks).
+    """
+    space = parse_space(text)
+    kern = classify(space)
+    cover = sample_distances(space, KS_COUNT, RngStream(73, 0))
+    matrices = sample_rotation_matrices(kern.shape[0], KS_COUNT, RngStream(73, 1))
+    matrix = _distances_to_identity(matrices, kern.signs)
+    assert ks_two_sample(cover, matrix) < KS_1PCT * math.sqrt(2 / KS_COUNT)
+
+
+class UniformStub:
+    """Stands in for a Generator: ``random`` returns ``gen``'s uniforms and counts its calls.
+
+    The k-th block of disk candidates, (2, m) uniforms, gets ``firsts[k]``
+    as its first candidate's two uniforms when that is given.
+    """
+
+    def __init__(self, gen, firsts=()):
+        self.gen, self.firsts, self.calls = gen, list(firsts), 0
+
+    def random(self, size):
+        u = self.gen.random(size)
+        if self.calls < len(self.firsts):
+            u[:, 0] = self.firsts[self.calls]
+        self.calls += 1
+        return u
+
+
+DISK_SPACES = ("so3", "full-flag", "so4", "lambda=1,1,1,1 P={1,2,3,4}")
+
+
+@pytest.mark.parametrize("name, value", [("_DISK_OVERSAMPLE", 0.25), ("_DISK_BLOCK", 1000)])
+@pytest.mark.parametrize("text", DISK_SPACES)
+def test_short_disk_blocks_are_topped_up(text, name, value, monkeypatch):
+    # a quarter of a candidate per point still needed, or blocks of at most
+    # 1000 candidates: every block but the last few comes up short, and the
+    # draws go on in order
+    monkeypatch.setattr(mc, name, value)
+    kern, count = classify(parse_space(text)), 5000
+    gen = UniformStub(RngStream(74).generator())
+    d = mc._kernel_distances(kern, gen, count, False)
+    assert gen.calls > 2  # a batch draws at most two disks, one block each, when none comes up short
+    assert d.shape == (count,) and np.isfinite(d).all()
+    assert np.array_equal(d, mc._kernel_distances(kern, RngStream(74).generator(), count, False))
+    assert np.array_equal(d, normalize_first_distances(kern, RngStream(74).generator(), count))
+
+
+@pytest.mark.parametrize("text", DISK_SPACES)
+def test_disk_origin_is_redrawn(text):
+    # u = 1/2 gives 2u - 1 = 0: the first candidate of every block is the
+    # origin, which must be passed over, never divided by
+    count, origins = 1000, [(0.5, 0.5)] * 4
+    kern = classify(parse_space(text))
+    with np.errstate(all="raise"):
+        d = mc._kernel_distances(kern, UniformStub(RngStream(75).generator(), origins), count, False)
+    assert d.shape == (count,) and np.isfinite(d).all()
+    want = normalize_first_distances(kern, UniformStub(RngStream(75).generator(), origins), count)
+    assert np.array_equal(d, want)
+
+
+def _rim_uniforms():
+    """(u0, u1) whose disk point x = 2u - 1 has s = x0^2 + x1^2 = 1 - 2^-40 in floating point, with x0 near 0.6."""
+    target = 1.0 - 2.0**-40
+    for j in range(64):
+        x0 = (round(0.6 * 2**52) + j) / 2**52
+        k = round(math.sqrt(target - x0 * x0) * 2**52)
+        for x1 in ((k + step) / 2**52 for step in range(-8, 9)):
+            if x0 * x0 + x1 * x1 == target:
+                return (x0 + 1.0) / 2.0, (x1 + 1.0) / 2.0
+    raise AssertionError("no rim point found")
+
+
+def test_disk_rim_gives_a_unit_quaternion():
+    # s1 = 1 - 2^-40: x2 t and x3 t are about 2^-20, carrying the rounding of
+    # s1 through 1 - s1, and q must still be a unit vector
+    count, rim = 100, [_rim_uniforms()]
+    q = mc._cover_coords(UniformStub(RngStream(76).generator(), rim), count, (0, 1, 2, 3))
+    assert q[0, 0] ** 2 + q[1, 0] ** 2 == 1.0 - 2.0**-40
+    assert 0.0 < np.abs(q[2:, 0]).max() <= 2.0**-20
+    assert np.abs(np.linalg.norm(q, axis=0) - 1.0).max() <= 1e-15
+    space = SPACE_ALIASES["full-flag"]
+    d = mc._kernel_distances(classify(space), UniformStub(RngStream(76).generator(), rim), count, False)
+    rotation = quaternion_to_rotation(UnitQuaternion(*q[:, 0]))
+    assert abs(d[0] - quotient_distance(rotation, Rotation.identity(3), isotropy_group(space))) <= 1e-12
+
+
 def test_full_flag_two_point_cover_estimate():
     space = SPACE_ALIASES["full-flag"]
     est = estimate_expected_distance(space, 200_000, seed=33, two_point=True)
@@ -611,10 +756,12 @@ def test_qr_batches_sized_by_memory(monkeypatch):
 
 # The most that one 2^14-sample batch and its statistics may hold at once, in
 # doubles per sample, counting the thread's two-point buffer when the batch
-# makes it. A one-point n = 3 kernel holds its Gaussian block and two (count,)
-# rows (6 to 6.2 with the redraw mask), and a one-point sphere batch its one
-# row of heights. The other one-point kernels' traced peaks over seeds 0 to
-# 4 are 1.0 (s2, rp2), 7.1 (so4), 13.0 (P={1,2}{3,4}) and 25.0
+# makes it. A one-point spin-cover batch holds a block of disk candidates
+# (two rows and s, 4/3 of a double per sample each) and its distances, and
+# the row of sqrt(1 - s1) when it draws a second disk; a one-point sphere
+# batch holds its one row of heights. The one-point traced peaks over seeds
+# 0 to 4 are 5.0 (so3, partial-flag-1), 6.0 (partial-flag-2 and -3,
+# full-flag, so4), 1.0 (s2, rp2), 13.0 (P={1,2}{3,4}) and 25.0
 # (P={1,2,3,4}). Two points with the buffer made in the batch: 5.0 (s2,
 # rp2: four rows of uniforms and the cosines), 10.5 to 13.5 (so3 to
 # full-flag), 11.5 (so4), 15.5 (P={1,2}{3,4}) and 25.5 (P={1,2,3,4}); half a
