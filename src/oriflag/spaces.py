@@ -47,6 +47,13 @@ SPACE_ALIASES: dict[str, FlagSpec] = {
 
 _SON_RE = re.compile(r"^so(\d+)$")
 
+# A matrix batch holds about _STACKS (count, n, n) float stacks at once
+# (``montecarlo._BATCH_BYTES``), so one drawn rotation takes about _STACKS 8
+# n^2 bytes. A rotation space whose one sample would take more than
+# _MATRIX_BYTES (n > 1672) is refused before anything is drawn.
+_STACKS = 6
+_MATRIX_BYTES = 1 << 27
+
 
 def parse_space(text: str) -> FlagSpec:
     """Resolve a CLI space argument: alias, soN, or flag spec text.
@@ -123,7 +130,9 @@ def classify(space: FlagSpec) -> Kernel:
 
     The only place that decides what a space is: callers read the returned
     ``family``, ``signs``, ``shape`` and ``lift_columns`` instead of inspecting the
-    space themselves. Each space's Kernel is built once and cached.
+    space themselves. Each space's Kernel is built once and cached. A
+    rotation space whose one sample would take more than ``_MATRIX_BYTES``
+    of matrix stacks is unsupported, as is an isotropy table over its budget.
     """
     if not isinstance(space, FlagSpec):
         raise UnsupportedSpaceError(f"not a space: {space!r}")
@@ -135,8 +144,13 @@ def _classify(space: FlagSpec) -> Kernel:
     parts = space.lam.parts
     # All ones first, so lambda = (1,) is SO(1): a rotation kernel of family "point".
     if all(p == 1 for p in parts):
+        n = len(parts)
+        if (sample := _STACKS * 8 * n * n) > _MATRIX_BYTES:
+            raise UnsupportedSpaceError(
+                f"a sample of SO({n}) takes about {sample / 2**20:.1f} MiB of rotation stacks, "
+                f"over the {_MATRIX_BYTES >> 20} MiB budget"
+            )
         signs = isotropy_group(space).signs
-        n = signs.shape[1]
         columns = _lift_columns(_spin_lifts(signs)) if n in (3, 4) else ()
         return Kernel(_ROTATION_FAMILIES.get(signs.shape), signs, (n, n), columns)
     if len(parts) == 1:

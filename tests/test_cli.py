@@ -489,6 +489,18 @@ def test_oversized_isotropy_group_exits_3_before_it_is_built(command):
     assert int(peak_kb) < 150 * 1024
 
 
+@pytest.mark.parametrize("command", [("estimate", "--n", "1"), ("sample", "--n", "1")], ids=["estimate", "sample"])
+def test_oversized_rotation_space_exits_3_before_it_is_drawn(command):
+    # One sample of SO(20000) would take about 18 GB of rotation stacks.
+    argv = [sys.executable, "-m", "oriflag.cli", command[0], "--space", "so20000", *command[1:]]
+    proc = subprocess.run([sys.executable, "-c", _RUSAGE_SCRIPT, *argv], env=_env_importing_src(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, cpu_s, peak_kb = proc.stdout.split()
+    assert code == "3"
+    assert float(cpu_s) < 2.0
+    assert int(peak_kb) < 150 * 1024
+
+
 @pytest.mark.parametrize("argv, lines", [
     (("sample", "--space", "so3", "--n", "100000"), 1),  # far more than a pipe buffer holds
     (("expected", "--space", "so3"), 0),  # closed before the one small report is written

@@ -120,3 +120,10 @@ def test_kernels_are_cached_and_read_only():
     # not a space, and unhashable: still the space error
     with pytest.raises(UnsupportedSpaceError):
         classify([1])
+
+
+def test_rotation_space_over_the_matrix_budget_is_unsupported():
+    # 6 stacks of 8 n^2 bytes: SO(1672) fits 128 MiB a sample, SO(1673) does not.
+    assert classify(parse_space("so1672")).shape == (1672, 1672)
+    with pytest.raises(UnsupportedSpaceError, match="budget"):
+        classify(parse_space("so1673"))
