@@ -20,7 +20,9 @@ import numpy as np
 
 from .symbolic import PiExpression
 
-_ISOTROPY_BYTES = 1 << 27
+# The memory that one isotropy sign table here, or the matrix stacks of one
+# drawn sample (``spaces``), may take; a space over it is unsupported.
+_BUDGET_BYTES = 1 << 27
 
 
 class FlagSpecParseError(ValueError):
@@ -311,7 +313,7 @@ def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:
     block of P; there are 2^(k - |P|) of them, listed identity first in
     descending order of their diagonals. Every sign but the last of each block
     is free, taken from the bits of the row number, and the last is their
-    parity. A table over ``_ISOTROPY_BYTES`` (the n = 20 full flag fits, n = 21
+    parity. A table over ``_BUDGET_BYTES`` (the n = 20 full flag fits, n = 21
     does not) raises UnsupportedSpaceError before it is allocated. Any lambda
     with a part larger than 1 has a continuous isotropy group and is rejected.
     """
@@ -320,7 +322,7 @@ def isotropy_group(spec: FlagSpec) -> FiniteIsotropy:
             f"isotropy group is finite only for lambda = (1,...,1), got lambda = ({spec.lam})"
         )
     free = sorted(i - 1 for b in spec.p.blocks for i in b[:-1])
-    if (8 * spec.lam.k << len(free)) > _ISOTROPY_BYTES:
+    if (8 * spec.lam.k << len(free)) > _BUDGET_BYTES:
         raise UnsupportedSpaceError(f"the 2^{len(free)} isotropy sign rows of {spec} exceed the table budget")
     # Row r's free signs are its bits, the lowest free index on top, set for -1.
     # A block's last index is its largest, so two rows first differ in a free

@@ -72,13 +72,10 @@ _BATCH = 1 << 17
 # the copy, at most 2.7 stacks with the Gaussians, are alive only inside it. At
 # most three are alive after (the rotations, one orbit product and its
 # symmetric part; or two draws and their product), and a two-point batch's
-# second draw runs beside the first. At n = 5 the orbit takes about 40
-# doubles a sample in place of a stack per sign row, and the samples that the
-# trace route hands on and may still be the minimum, and the few zone samples
-# that the general eigenvalue solve measures, are copied as well. _STACKS
-# (``spaces``, which refuses a space whose one sample would outgrow its budget)
-# stays at six: it sets the batch split, and so the bits of the merged
-# statistics.
+# second draw runs beside the first. The samples that the trace route (n = 5)
+# hands on and the few zone samples that the general eigenvalue solve
+# measures are copied as well. _STACKS (``spaces``) stays at six: it sets the
+# batch split, and so the bits of the merged statistics.
 _BATCH_BYTES = 1 << 25
 # This thread's two-point buffer, ``doubles``: kept across batches and calls,
 # so repeated estimates do not fault its pages in again, and made larger only

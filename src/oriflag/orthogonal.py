@@ -23,12 +23,9 @@ exactly two planes, the distances skip the symmetric solve: tr m and tr m^2
 give the two planes' cosines in closed form, and the samples whose rounding
 bound exceeds the symmetric route's error, whose planes crowd together, or
 that fall in its zones go on to that route unchanged (about 7.5% of Haar
-draws at n = 4 and 12.4% at n = 5). On an orbit m diag(s) the traces read
-only s_i m_ii and s_i s_j m_ij m_ji, so the diagonal and those products are
-read once per sample and give every sign row's traces by exact sign flips;
-a handed-on (sample, sign row) is measured only where it can still be the
-orbit minimum, and one deep in the near-pi zone goes straight to the general
-eigenvalues, which the symmetric route would call for it anyway.
+draws at n = 4 and 12.4% at n = 5). The handed-on samples that lie deep in
+the near-pi zone go straight to the general eigenvalues, which the symmetric
+route would call for them anyway.
 """
 
 from __future__ import annotations
@@ -72,25 +69,16 @@ _TRACE_DSIGMA = 11 * 2.0**-53
 _TRACE_DD = 84 * 2.0**-53
 _TRACE_BUDGET = 2.5e-14
 _CROWDED = 1e-6
-# How far a handed-on sample's trace d can lie from its exact value. The
-# route's 2 cos are sigma -+ sqrt D, with sigma within dsigma and sqrt D
-# within sqrt(dD) (|sqrt a - sqrt b| <= sqrt |a - b|; the max with 0 and the
-# clip only move a value towards its exact one), so each cos is within
-# (dsigma + sqrt(dD)) / 2 = 4.9e-8. arccos is Hoelder: |arccos x - arccos y|
-# <= 2 arcsin sqrt(|x - y| / 2) <= pi sqrt(|x - y| / 2), so each angle is
-# within 4.9e-4 and d, the norm of the two, within sqrt 2 times that, 6.9e-4;
-# the exact route's own error is far smaller. A matrix from outside is in
-# SO(n) only to ORTHOGONALITY_TOL: for b^T a of two such matrices, orthogonal
-# to about 2e-12 an entry, t1 and t2 lie up to about 5e-11 and 1e-10 from a
-# rotation's traces, so D moves by up to 1.5e-10, 2 cos by 1.2e-5 and d by
-# 8e-3. A handed-on (sample, sign row) is measured exactly only if d -
-# _TRACE_SLACK is at most the smallest d of the sample's rows not handed on
-# plus _TRACE_BUDGET: any other can not be the orbit minimum.
-_TRACE_SLACK = 1e-2
 # A handed-on sample whose far 2 cos lies below the eigvalsh route's near-pi
-# zone edge by more than the trace route's error, dsigma + sqrt(dD) (or the
-# 1.2e-5 of a matrix from outside, above), plus this margin goes straight to
-# the general eigenvalues, which the eigvalsh route would call for it anyway.
+# zone edge by more than the trace route's error on it, plus _ZONE_MARGIN,
+# goes straight to the general eigenvalues, which the eigvalsh route would
+# call for it anyway. 2 cos is sigma -+ sqrt D, with sigma within dsigma and
+# sqrt D within sqrt(dD) (|sqrt a - sqrt b| <= sqrt |a - b|, and the max with
+# 0 only moves D towards its exact value). A matrix from outside is in SO(n)
+# only to ORTHOGONALITY_TOL: for b^T a of two such matrices, orthogonal to
+# about 2e-12 an entry, t1 and t2 lie up to about 5e-11 and 1e-10 from a
+# rotation's traces, so D moves by up to 1.5e-10 and 2 cos by 1.2e-5, which
+# the margin covers.
 _ZONE_MARGIN = 5e-5
 _DEEP_PI = _NEAR_PI - 2.0 - (_TRACE_DSIGMA + math.sqrt(_TRACE_DD)) - _ZONE_MARGIN
 # The n that have exactly two rotation planes and take the trace route, with
@@ -102,15 +90,11 @@ _PLANE_ENTRIES = {
     n: np.concatenate((np.arange(n) * (n + 1), n * i + j, np.arange(n) * (n + 1), n * j + i))
     for n, (i, j) in _PLANE_PAIRS.items()
 }
-# (sample, sign row) pairs of one block of the trace route's orbit: its
-# working rows and np.sinc's temporaries are about twelve doubles a pair, so a
-# block of a full Monte Carlo batch is one sign row, and a small batch or one
-# pair takes its whole orbit in one block.
-_TRACE_PAIRS = 1 << 14
-# For n >= 6, bytes of the stack of one chunk of sign rows when an orbit is
-# measured; the chunk's symmetric part and eigvalsh's copy of it are alive
-# beside it, so a call holds about three such stacks at most. A full Monte
-# Carlo batch is larger than this, so it takes one sign row per call.
+# Bytes of the stack of one chunk of sign rows when an orbit is measured; the
+# chunk's symmetric part and eigvalsh's copy of it, or the trace route's rows
+# (n = 4, 5), are alive beside it, so a call holds about three such stacks at
+# most. A full Monte Carlo batch is larger than this, so it takes one sign row
+# per call. The trivial group measures the stack it is given, with no copy.
 _ORBIT_BYTES = 1 << 22
 
 
@@ -337,77 +321,55 @@ def _symmetric_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
 
 
-def _eigvalsh_distances(ms: np.ndarray) -> np.ndarray:
-    """Geodesic distances to the identity of a (k, n, n) SO(n) stack: its symmetric part, then the zone samples again."""
-    d, zone = _symmetric_distances(ms)
-    if zone.any():
-        d[zone] = _angle_distances(ms[zone])
-    return d
+def _trace_sums(ms: np.ndarray) -> np.ndarray:
+    """The (3, k) rows sum m_ii^2, t1 = sum m_ii and sum m_ij m_ji (i < j) of a (k, n, n) stack, n = 4 or 5.
 
-
-def _plane_terms(m: np.ndarray, plain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The trace route's sign-free rows of a (k, n, n) stack, n = 4 or 5: (diag, pairs).
-
-    diag is the (n, k) diagonal m_ii and pairs the (n(n-1)/2, k) products
-    m_ij m_ji (i < j). The (2, k) ``plain`` gets the sums of m_ii^2 and of
-    m_ii (tr m), both in i order, one addition a step for the two. In M = m
-    diag(s), M_ii = s_i m_ii and M_ij M_ji = s_i s_j m_ij m_ji, and a sign
-    flip is exact, so these give every sign row's traces bit for bit.
+    The entries are gathered once, in ``_PLANE_ENTRIES`` order, and each sum
+    runs in index order, elementwise, so a sample's sums do not depend on
+    the other samples of the call.
     """
-    n = m.shape[-1]
-    terms = m.reshape(len(m), n * n).T[_PLANE_ENTRIES[n]]
+    n = ms.shape[-1]
+    out = np.empty((3, len(ms)))
+    terms = ms.reshape(len(ms), n * n).T[_PLANE_ENTRIES[n]]
     half = len(terms) // 2
     np.multiply(terms[:half], terms[half:], out=terms[:half])
-    # Rows k and half + k are now m_kk^2 and m_kk.
-    np.add(terms[0::half], terms[1::half], out=plain)
+    # Rows k and half + k are now m_kk^2 and m_kk, and rows n to half the products.
+    np.add(terms[0::half], terms[1::half], out=out[:2])
     for k in range(2, n):
-        np.add(plain, terms[k::half], out=plain)
-    return terms[half:half + n], terms[n:half]
-
-
-def _signed_sum(terms: np.ndarray, signs: np.ndarray | None, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """sum_k s_k terms[k], summed in k order, for each row s of the (R, len(terms)) ``signs``, into (R k,) ``out``.
-
-    ``signs`` None is the one row of ones, which adds the rows as they are.
-    """
-    if signs is None:
-        np.add(terms[0], terms[1], out=out)
-        for k in range(2, len(terms)):
-            np.add(out, terms[k], out=out)
-        return out
-    out, spare = out.reshape(len(signs), -1), spare.reshape(len(signs), -1)
-    np.multiply(signs[:, :1], terms[0], out=out)
-    for k in range(1, len(terms)):
-        np.add(out, np.multiply(signs[:, k:k + 1], terms[k], out=spare), out=out)
+        np.add(out[:2], terms[k::half], out=out[:2])
+    np.add(terms[n], terms[n + 1], out=out[2])
+    for k in range(n + 2, half):
+        np.add(out[2], terms[k], out=out[2])
     return out
 
 
-def _trace_distances(work: np.ndarray, squares: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distances to the identity of SO(n) matrices M, n = 4 or 5, from two traces: (d, the far 2 cos, hand on).
+def _trace_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distances to the identity of a (k, n, n) SO(n) stack, n = 4 or 5, from two traces: (d, the far 2 cos, hand on).
 
     M turns two planes by angles with cosines c1, c2, plus a lone axis
     (e = 1) when n = 5, so t1 = tr M and t2 = tr M^2 give sigma =
     (t1 - e) / 2 = c1 + c2, q = (t2 - e + 4) / 4 = c1^2 + c2^2 and D = 2q -
-    sigma^2 = (c1 - c2)^2, and c = (sigma +- sqrt D) / 2. The matrices are
-    R sign rows of k samples, flattened: the (7, R k) ``work`` comes in
-    with their t1 in row 0 and their cross sum in row 1, t2 = squares + 2
-    cross for the (k,) row ``squares``, each summed elementwise in a fixed
-    order, so a matrix's value does not depend on the others of the call.
-    The matrices whose first-order error bound exceeds ``_TRACE_BUDGET``,
-    whose planes crowd together, or that lie in the eigvalsh route's zones
-    are handed on.
+    sigma^2 = (c1 - c2)^2, and c = (sigma +- sqrt D) / 2. The traces come
+    from ``_trace_sums``, t2 = sum m_ii^2 + 2 sum m_ij m_ji, and the rest is
+    worked in place in their rows and five more, made once the gathered
+    entries are gone. Samples whose first-order error bound exceeds
+    ``_TRACE_BUDGET``, whose planes crowd together, or that lie in the
+    eigvalsh route's zones are handed on.
     """
-    sigma, q, spare, cos2, theta = work[0], work[1], work[2], work[3:5], work[5:7]
+    n = ms.shape[-1]
+    squares, sigma, q = _trace_sums(ms)
+    work = np.empty((5, len(ms)))
+    spare, cos2, theta = work[0], work[1:3], work[3:5]
     np.multiply(np.subtract(sigma, n - 4, out=sigma), 0.5, out=sigma)
-    per_sample = q.reshape(-1, len(squares))
-    np.add(squares, np.multiply(per_sample, 2.0, out=per_sample), out=per_sample)
+    np.add(squares, np.multiply(q, 2.0, out=q), out=q)
     np.multiply(np.add(q, 8 - n, out=q), 0.25, out=q)
     r = np.subtract(np.multiply(q, 2.0, out=q), np.multiply(sigma, sigma, out=spare), out=q)
     np.sqrt(np.maximum(r, 0.0, out=r), out=r)
     # 2 cos of the far (nearer pi) and the near angle, then the angles.
     far, near = np.subtract(sigma, r, out=cos2[0]), np.add(sigma, r, out=cos2[1])
     np.arccos(np.clip(np.multiply(cos2, 0.5, out=theta), -1.0, 1.0, out=theta), out=theta)
-    d = np.multiply(theta[0], theta[0], out=sigma)
+    # d gets a row of its own, so that the work rows go once the call returns.
+    d = theta[0] * theta[0]
     np.sqrt(np.add(d, np.multiply(theta[1], theta[1], out=spare), out=d), out=d)
     # With h = theta / sin theta, d^2 = arccos(c+)^2 + arccos(c-)^2 moves by
     # (h_far + h_near) dsigma + (h_far - h_near) / (2 sqrt D) dD to first
@@ -425,95 +387,49 @@ def _trace_distances(work: np.ndarray, squares: np.ndarray, n: int) -> tuple[np.
     return d, far, redo
 
 
-def _can_win(handed: tuple, best: np.ndarray) -> tuple:
-    """The handed-on (sign row, sample, trace d, far 2 cos) whose exact d can still be at most their sample's ``best``.
-
-    An exact d lies within ``_TRACE_SLACK`` of the trace d.
-    """
-    row, col, d, far = handed
-    live = d - _TRACE_SLACK <= best[col] + _TRACE_BUDGET
-    return row[live], col[live], d[live], far[live]
-
-
-def _trace_orbit_distances(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """``_distances_to_identity`` for n = 4 and 5: two traces per (sample, sign row), exact values only where they can win.
-
-    The rows of ``_plane_terms`` are formed once per sample, and each sign
-    row's sums from them, in blocks of about ``_TRACE_PAIRS`` pairs; the
-    trivial group, the one group of one row, takes them as they are. A pair
-    the trace route hands on is measured exactly, as M = m diag(s), only if
-    it can still be the orbit minimum (``_TRACE_SLACK``): by the general
-    eigenvalues if it lies deep in the near-pi zone (``_ZONE_MARGIN``), else
-    by the eigvalsh route.
-    """
-    count, n = len(m), m.shape[-1]
-    signed = len(signs) > 1
-    rows = min(len(signs), max(1, _TRACE_PAIRS // max(count, 1)))
-    # Row 0 holds the squares, and rows 1: are the trace route's work rows.
-    work = np.empty((8, rows * count))
-    squares = work[0, :count]
-    diag, pairs = _plane_terms(m, work[:2, :count])
-    i, j = _PLANE_PAIRS[n]
-    pair_signs = signs[:, i] * signs[:, j] if signed else None
-    best, flagged = None, []
-    for start in range(0, len(signs), rows):
-        block = slice(start, min(start + rows, len(signs)))
-        trace_rows = work[1:, :(block.stop - start) * count]
-        t1, cross, spare = trace_rows[:3]
-        if signed:
-            _signed_sum(diag, signs[block], t1, spare)
-        _signed_sum(pairs, pair_signs[block] if signed else None, cross, spare)
-        d, far, redo = _trace_distances(trace_rows, squares, n)
-        at = np.flatnonzero(redo)
-        row, col = np.divmod(at, count)
-        handed = (row + start, col, d[at], far[at])
-        # best: the smallest d of each sample's rows that are not handed on.
-        d[at] = np.inf
-        least = d.reshape(-1, count).min(axis=0)
-        best = least if best is None else np.minimum(best, least, out=best)
-        flagged.append(_can_win(handed, best) if signed else handed)
-    row, col, d, far = flagged[0] if len(flagged) == 1 else (np.concatenate(part) for part in zip(*flagged))
-    if signed:
-        # best only falls from block to block, so the last one decides.
-        row, col, d, far = _can_win((row, col, d, far), best)
-    ms = m[col]
-    if signed:
-        ms *= signs[row][:, None, :]
-    # The eigvalsh route's own zone samples join those known to be deep in it,
-    # so the general eigenvalues take one call.
-    exact = np.empty(len(col))
-    zone = far < _DEEP_PI
-    rest = ~zone
-    if rest.any():
-        exact[rest], zone[rest] = _symmetric_distances(ms[rest])
-    if zone.any():
-        exact[zone] = _angle_distances(ms[zone])
-    np.minimum.at(best, col, exact)
-    return best
-
-
 def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Geodesic distances to the identity of a (k, n, n) SO(n) stack, minimized over m diag(s).
 
     ``signs`` are (|SG|, n) det +1 rows; the trivial group is one row of ones.
     Nothing here checks membership: the stack must already be in SO(n).
-    For n = 4 and 5 the orbit comes from two traces per sign row
-    (``_trace_orbit_distances``). Every other n is measured by the
+    For n = 4 and 5 each distance comes from two traces; the samples that
+    route hands on, and every sample of any other n, are measured by the
     eigenvalues of the symmetric part, except in the zones set by
     ``_NEAR_PI`` and ``_SHORT``, whose samples are measured again from the
-    arguments of the general eigenvalues, in stacks of as many sign rows as
+    arguments of the general eigenvalues. The trivial group measures m
+    itself. A larger orbit is measured in stacks of as many sign rows as
     ``_ORBIT_BYTES`` holds, at least one, one call each, since a sample's
     distance does not depend on the other samples of its call.
     """
+    if len(signs) == 1:
+        return _stack_distances(m)
     n = m.shape[-1]
-    if n in _PLANE_PAIRS:
-        return _trace_orbit_distances(m, signs)
     rows = max(1, _ORBIT_BYTES // m.nbytes)
     best = np.full(len(m), np.inf)
     for i in range(0, len(signs), rows):
-        d = _eigvalsh_distances((m * signs[i : i + rows, None, None, :]).reshape(-1, n, n))
+        d = _stack_distances((m * signs[i : i + rows, None, None, :]).reshape(-1, n, n))
         np.minimum(best, d.reshape(-1, len(m)).min(axis=0), out=best)
     return best
+
+
+def _stack_distances(ms: np.ndarray) -> np.ndarray:
+    """Geodesic distances to the identity of a (k, n, n) SO(n) stack: two traces for n = 4 and 5, else eigvalsh.
+
+    The samples the trace route hands on take the eigvalsh route, except
+    those deep in its near-pi zone (``_DEEP_PI``), which join its zone
+    samples in one call of the general eigenvalues.
+    """
+    if ms.shape[-1] in _PLANE_PAIRS:
+        d, far, redo = _trace_distances(ms)
+        zone = far < _DEEP_PI
+        rest = redo & ~zone
+        if rest.any():
+            d[rest], zone[rest] = _symmetric_distances(ms[rest])
+    else:
+        d, zone = _symmetric_distances(ms)
+    if zone.any():
+        d[zone] = _angle_distances(ms[zone])
+    return d
 
 
 def rotation_angles(a) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flagspec import (
+    _BUDGET_BYTES,
     FlagSpec,
     FlagSpecParseError,
     OrderedPartition,
@@ -47,12 +48,11 @@ SPACE_ALIASES: dict[str, FlagSpec] = {
 
 _SON_RE = re.compile(r"^so(\d+)$")
 
-# A matrix batch holds about _STACKS (count, n, n) float stacks at once
-# (``montecarlo._BATCH_BYTES``), so one drawn rotation takes about _STACKS 8
-# n^2 bytes. A rotation space whose one sample would take more than
-# _MATRIX_BYTES (n > 1672) is refused before anything is drawn.
+# The (count, n, n) float stacks that a Monte Carlo matrix batch holds at
+# once, which ``montecarlo`` sizes its batches by: one drawn rotation takes
+# about _STACKS 8 n^2 bytes, and a rotation space whose one sample would take
+# more than _BUDGET_BYTES (n > 1672) is refused before anything is drawn.
 _STACKS = 6
-_MATRIX_BYTES = 1 << 27
 
 
 def parse_space(text: str) -> FlagSpec:
@@ -131,8 +131,8 @@ def classify(space: FlagSpec) -> Kernel:
     The only place that decides what a space is: callers read the returned
     ``family``, ``signs``, ``shape`` and ``lift_columns`` instead of inspecting the
     space themselves. Each space's Kernel is built once and cached. A
-    rotation space whose one sample would take more than ``_MATRIX_BYTES``
-    of matrix stacks is unsupported, as is an isotropy table over its budget.
+    rotation space whose one sample would take more than ``_BUDGET_BYTES``
+    of matrix stacks is unsupported, as is one whose isotropy sign table would.
     """
     if not isinstance(space, FlagSpec):
         raise UnsupportedSpaceError(f"not a space: {space!r}")
@@ -145,10 +145,10 @@ def _classify(space: FlagSpec) -> Kernel:
     # All ones first, so lambda = (1,) is SO(1): a rotation kernel of family "point".
     if all(p == 1 for p in parts):
         n = len(parts)
-        if (sample := _STACKS * 8 * n * n) > _MATRIX_BYTES:
+        if (sample := _STACKS * 8 * n * n) > _BUDGET_BYTES:
             raise UnsupportedSpaceError(
                 f"a sample of SO({n}) takes about {sample / 2**20:.1f} MiB of rotation stacks, "
-                f"over the {_MATRIX_BYTES >> 20} MiB budget"
+                f"over the {_BUDGET_BYTES >> 20} MiB budget"
             )
         signs = isotropy_group(space).signs
         columns = _lift_columns(_spin_lifts(signs)) if n in (3, 4) else ()

@@ -13,6 +13,7 @@ from oriflag.orthogonal import (
     Rotation,
     _column_norms,
     _distances_to_identity,
+    _trace_distances,
     geodesic_distance,
     quotient_distance,
     random_special_orthogonal,
@@ -445,7 +446,7 @@ def eigvalsh_route_distances(m):
 
 
 def per_row_trace_distances(ms):
-    """Test-only copy of the trace route on a (k, n, n) stack, n = 4 or 5, as it was before per-sample invariants.
+    """Test-only copy of the trace route on a (k, n, n) stack, n = 4 or 5, with plain indexing and no work in place.
 
     Returns the distances and the samples to hand on to the eigvalsh route.
     """
@@ -475,12 +476,11 @@ def per_row_trace_distances(ms):
     return d, redo
 
 
-def per_sign_row_distances(m, signs, measured=None):
-    """Test-only copy of the n = 4, 5 orbit loop before per-sample invariants: the oracle of its bits.
+def per_sign_row_distances(m, signs):
+    """Test-only oracle of the bits of an n = 4, 5 orbit: one sign row at a time, every handed-on sample by eigvalsh.
 
     Each sign row s makes the whole stack m diag(s) and takes the trace route;
-    every sample it hands on gets the eigvalsh route's value. ``measured``,
-    a list, gets the number of rows each eigvalsh call took.
+    every sample it hands on gets the eigvalsh route's value.
     """
     best = np.full(len(m), np.inf)
     for s in signs:
@@ -488,8 +488,6 @@ def per_sign_row_distances(m, signs, measured=None):
         d, redo = per_row_trace_distances(ms)
         if redo.any():
             d[redo] = eigvalsh_route_distances(ms[redo])
-            if measured is not None:
-                measured.append(int(redo.sum()))
         best = np.minimum(best, d)
     return best
 
@@ -542,7 +540,7 @@ def test_handed_on_samples_keep_the_eigvalsh_route_bits(n):
     haar = sample_rotation_matrices(n, 4_000, gen)
     near_pi, _ = planted_stack(gen, ([math.pi - 0.03, math.pi - gen.uniform(0.0, 0.5)] for _ in range(200)), n)
     m = np.concatenate([haar, near_pi])
-    _, handed_on = per_row_trace_distances(m)
+    _, _, handed_on = _trace_distances(m)
     assert handed_on[:len(haar)].any() and not handed_on[:len(haar)].all() and handed_on[len(haar):].all()
     assert np.array_equal(_distances_to_identity(m, np.ones((1, n)))[handed_on],
                           eigvalsh_route_distances(m)[handed_on])
@@ -552,13 +550,9 @@ def test_handed_on_samples_keep_the_eigvalsh_route_bits(n):
 def test_handed_on_orbit_minimum_is_measured_exactly(n):
     # m diag(s) turns two planes by equal angles a, which the trace route
     # hands on as crowded, or by small angles (d < _SHORT), and that row is
-    # the orbit minimum, at its eigvalsh-route value. For the crowded ones the
-    # row that flips the first plane turns it by pi - a instead, is not handed
-    # on, and lies less than 1 above the minimum.
+    # the orbit minimum, at its eigvalsh-route value
     text = "lambda=1,1,1,1 P={1,2}{3,4}" if n == 4 else "lambda=1,1,1,1,1 P={1,2}{3,4,5}"
     signs = isotropy_group(parse_flagspec(text)).signs
-    flip = np.array([-1.0, -1.0] + [1.0] * (n - 2))
-    assert (signs == flip).all(axis=1).any()
     gen = RngStream(33).generator()
     angles = [(a, a) for a in (1.2, 1.3, 1.4, 1.5)] + [(0.02, 0.03), (0.04, 0.05)]
     ms, exact = [], []
@@ -566,9 +560,7 @@ def test_handed_on_orbit_minimum_is_measured_exactly(n):
         block = np.eye(n)
         for k, t in enumerate((a, b)):
             block[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
-        d_trace, handed_on = per_row_trace_distances(np.array([block, block * flip]))
-        assert handed_on[0]
-        assert a != b or (not handed_on[1] and d_trace[1] < d_trace[0] + 1.0)
+        assert _trace_distances(block[None])[2][0]
         for s in signs[gen.choice(len(signs), 3, replace=False)]:
             ms.append(block * s)
             exact.append(math.hypot(a, b))
@@ -577,32 +569,12 @@ def test_handed_on_orbit_minimum_is_measured_exactly(n):
     assert np.array_equal(d, per_sign_row_distances(m, signs))
     assert np.abs(d - exact).max() <= 1e-13
     # the same orbits off SO(n) by as much as a matrix from outside may be
-    # (ORTHOGONALITY_TOL), which the slack covers too
+    # (ORTHOGONALITY_TOL)
     sym = gen.standard_normal((len(m), n, n)) * 5e-14
     off = m @ (np.eye(n) + sym + np.swapaxes(sym, 1, 2))
     defect = np.abs(np.swapaxes(off, 1, 2) @ off - np.eye(n)).max(axis=(1, 2))
     assert defect.max() > 1e-13 and (defect <= orthogonal.ORTHOGONALITY_TOL).all()
     assert np.array_equal(_distances_to_identity(off, signs), per_sign_row_distances(off, signs))
-
-
-def test_flag_orbits_measure_few_rows_exactly(monkeypatch):
-    # the per-sign-row loop sends about 12% of the (sample, sign row) pairs of
-    # the n = 5 full flag to eigvalsh; only those that can be the minimum go now
-    signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2,3,4,5}")).signs
-    m = sample_rotation_matrices(5, 4_000, RngStream(34).generator())
-    before = []
-    expected = per_sign_row_distances(m, signs, before)
-    rows = []
-    real = orthogonal._symmetric_distances
-
-    def counting(ms):
-        rows.append(len(ms))
-        return real(ms)
-
-    monkeypatch.setattr(orthogonal, "_symmetric_distances", counting)
-    assert np.array_equal(_distances_to_identity(m, signs), expected)
-    assert sum(before) > 0.1 * len(signs) * len(m)
-    assert sum(rows) < sum(before) / 100
 
 
 @pytest.mark.parametrize("text", ["lambda=1,1,1,1,1 P={1,2,3,4,5}", "lambda=1,1,1,1,1 P={1,2}{3,4,5}"])
@@ -613,25 +585,12 @@ def test_orbit_distance_is_the_minimum_of_one_row_calls(text):
     assert np.array_equal(_distances_to_identity(m, signs), one_row)
 
 
-@pytest.mark.parametrize("rows", [5, 1])
-def test_trace_orbit_in_blocks_of_sign_rows(monkeypatch, rows):
-    # 2 000 samples take 8 of the n = 5 full flag's 16 sign rows a block by
-    # default; 5 and 1 rows a block, with a short last block at 5, give the
-    # same minimum, that of the per-sign-row loop
-    signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2,3,4,5}")).signs
-    m = sample_rotation_matrices(5, 2_000, RngStream(31).generator())
-    whole = _distances_to_identity(m, signs)
-    assert np.array_equal(whole, per_sign_row_distances(m, signs))
-    monkeypatch.setattr(orthogonal, "_TRACE_PAIRS", rows * len(m))
-    assert np.array_equal(_distances_to_identity(m, signs), whole)
-
-
 @pytest.mark.parametrize("chunk_rows", [3, 1])
 def test_batch_orbit_in_chunks_of_sign_rows(monkeypatch, chunk_rows):
-    # at n = 6 a batch's orbit takes 7 sign rows a call by default (above); 3
-    # and 1 rows a call, with a short last chunk at 3, give the same minimum
-    signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1,1 P={1,2,3,4,5,6}")).signs
-    m = sample_rotation_matrices(6, 2_000, RngStream(31).generator())
+    # a batch's orbit takes 10 sign rows a call by default (above); 3 and 1
+    # rows a call, with a short last chunk at 3, give the same minimum
+    signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2,3,4,5}")).signs
+    m = sample_rotation_matrices(5, 2_000, RngStream(31).generator())
     whole = _distances_to_identity(m, signs)
     monkeypatch.setattr(orthogonal, "_ORBIT_BYTES", chunk_rows * m.nbytes)
     assert np.array_equal(_distances_to_identity(m, signs), whole)
@@ -645,11 +604,9 @@ def full_flag_isotropy(n):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_quotient_distance_is_the_minimum_of_one_row_calls(monkeypatch, n, chunk_rows):
     # the full flag's orbit in stacked chunks (all |SG| rows at once by
-    # default, or 3 and 1 rows a chunk; blocks of as many rows at n = 4, 5)
-    # against a loop of one call per sign row
+    # default, or 3 and 1 rows a chunk) against a loop of one call per sign row
     if chunk_rows is not None:
         monkeypatch.setattr(orthogonal, "_ORBIT_BYTES", chunk_rows * 8 * n * n)
-        monkeypatch.setattr(orthogonal, "_TRACE_PAIRS", chunk_rows)
     h = full_flag_isotropy(n)
     m = sample_rotation_matrices(n, 400, RngStream(60 + n).generator())
     for a, b in zip(m[::2], m[1::2]):
