@@ -386,7 +386,12 @@ def _point_batches(kern: Kernel, gen: np.random.Generator, count: int):
 
 
 def sample_distances(space: FlagSpec, count: int, rng, *, two_point: bool = False) -> np.ndarray:
-    """Raw distance samples for a space, one random draw (or pair) per entry."""
+    """Raw distance samples for a space, one random draw (or pair) per entry.
+
+    The batches are drawn in order from the one generator ``rng``, whereas an
+    estimate draws chunk k on ``RngStream(seed, k)``; so the samples from
+    ``RngStream(seed)`` are the estimate's draws only up to one batch.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     kern, gen = classify(space), _as_generator(rng)

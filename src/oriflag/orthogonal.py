@@ -18,14 +18,14 @@ near 0, the angles are ``|arg mu_k|`` of the general eigenvalues instead. A
 rotation is normal, so its eigenvalues are perfectly conditioned (Bauer-Fike;
 Golub & Van Loan, Matrix Computations, 7.2) and their arguments are accurate
 at 0, at pi and where planes crowd together. ``rotation_angles``, which
-returns each angle, always takes that route. For n = 4 and 5, which turn
-exactly two planes, the distances skip the symmetric solve: tr m and tr m^2
-give the two planes' cosines in closed form, and the samples whose rounding
-bound exceeds the symmetric route's error, whose planes crowd together, or
-that fall in its zones go on to that route unchanged (about 7.5% of Haar
-draws at n = 4 and 12.4% at n = 5). The handed-on samples that lie deep in
-the near-pi zone go straight to the general eigenvalues, which the symmetric
-route would call for them anyway.
+returns each angle, always takes that route. For n = 5, which turns exactly
+two planes about one fixed axis, the distances skip the symmetric solve: tr m
+and tr m^2 give the two planes' cosines in closed form, and the samples whose
+rounding bound exceeds the symmetric route's error, whose planes crowd
+together, or that fall in its zones go on to that route unchanged (about
+12.4% of Haar draws). The handed-on samples that lie deep in the near-pi zone
+go straight to the general eigenvalues, which the symmetric route would call
+for them anyway.
 """
 
 from __future__ import annotations
@@ -51,13 +51,13 @@ _MIN_NORM = 1e-8
 # arguments of the general eigenvalues, which stay well-conditioned there.
 _NEAR_PI = 4e-4
 _SHORT = 0.1
-# The trace route's rounding, u = 2^-53, at n = 5 (n = 4 rounds less). t1 sums
-# 5 diagonal entries whose partial sums are at most 2..5 in size: 14u. sigma =
-# (t1 - e) / 2 adds 4u before halving, and forming c = (sigma +- sqrt D) / 2
-# rounds by u, which counts as 2u on sigma: dsigma = 9u + 2u. t2 = sum m_ii^2 +
-# 2 sum m_ij m_ji (i < j) has products whose sizes add up to at most |M|_F^2 =
-# 5, so rounding the products costs 5u, the 4 + 9 additions at most 9 u 5 =
-# 45u, and the last addition 5u; q = (t2 + 4 - e) / 4 adds 8u: dq = 63u / 4.
+# The trace route's rounding, u = 2^-53. t1 sums 5 diagonal entries whose
+# partial sums are at most 2..5 in size: 14u. sigma = (t1 - 1) / 2 adds 4u
+# before halving, and forming c = (sigma +- sqrt D) / 2 rounds by u, which
+# counts as 2u on sigma: dsigma = 9u + 2u. t2 = sum m_ii^2 + 2 sum m_ij m_ji
+# (i < j) has products whose sizes add up to at most |M|_F^2 = 5, so rounding
+# the products costs 5u, the 4 + 9 additions at most 9 u 5 = 45u, and the last
+# addition 5u; q = (t2 + 3) / 4 adds 8u: dq = 63u / 4.
 # D = 2q - sigma^2 then has 2 dq + 2 |sigma| 9u (|sigma| <= 2) + 4u + 4u, and
 # sqrt D rounding by u relative counts as 2 u D <= 8u on D: dD = 84u. arccos
 # and the last sqrt add a few ulp of d, well inside the budget, which is the
@@ -81,18 +81,14 @@ _CROWDED = 1e-6
 # the margin covers.
 _ZONE_MARGIN = 5e-5
 _DEEP_PI = _NEAR_PI - 2.0 - (_TRACE_DSIGMA + math.sqrt(_TRACE_DD)) - _ZONE_MARGIN
-# The n that have exactly two rotation planes and take the trace route, with
-# the index pairs (i < j) of the products m_ij m_ji that tr M^2 sums, and the
-# flat indices of the entries it reads in two halves, the diagonal and every
-# m_ij, then the diagonal and every m_ji, whose product is m_ii^2 and m_ij m_ji.
-_PLANE_PAIRS = {n: np.triu_indices(n, 1) for n in (4, 5)}
-_PLANE_ENTRIES = {
-    n: np.concatenate((np.arange(n) * (n + 1), n * i + j, np.arange(n) * (n + 1), n * j + i))
-    for n, (i, j) in _PLANE_PAIRS.items()
-}
+# The flat indices of the 5 x 5 entries that tr M^2 reads, in two halves: the
+# diagonal and every m_ij (i < j), then the diagonal and every m_ji, whose
+# product is m_ii^2 and m_ij m_ji.
+_PLANE_I, _PLANE_J = np.triu_indices(5, 1)
+_PLANE_ENTRIES = np.concatenate((np.arange(5) * 6, 5 * _PLANE_I + _PLANE_J, np.arange(5) * 6, 5 * _PLANE_J + _PLANE_I))
 # Bytes of the stack of one chunk of sign rows when an orbit is measured; the
 # chunk's symmetric part and eigvalsh's copy of it, or the trace route's rows
-# (n = 4, 5), are alive beside it, so a call holds about three such stacks at
+# (n = 5), are alive beside it, so a call holds about three such stacks at
 # most. A full Monte Carlo batch is larger than this, so it takes one sign row
 # per call. The trivial group measures the stack it is given, with no copy.
 _ORBIT_BYTES = 1 << 22
@@ -322,47 +318,44 @@ def _symmetric_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _trace_sums(ms: np.ndarray) -> np.ndarray:
-    """The (3, k) rows sum m_ii^2, t1 = sum m_ii and sum m_ij m_ji (i < j) of a (k, n, n) stack, n = 4 or 5.
+    """The (3, k) rows sum m_ii^2, t1 = sum m_ii and sum m_ij m_ji (i < j) of a (k, 5, 5) stack.
 
     The entries are gathered once, in ``_PLANE_ENTRIES`` order, and each sum
     runs in index order, elementwise, so a sample's sums do not depend on
     the other samples of the call.
     """
-    n = ms.shape[-1]
     out = np.empty((3, len(ms)))
-    terms = ms.reshape(len(ms), n * n).T[_PLANE_ENTRIES[n]]
+    terms = ms.reshape(len(ms), 25).T[_PLANE_ENTRIES]
     half = len(terms) // 2
     np.multiply(terms[:half], terms[half:], out=terms[:half])
-    # Rows k and half + k are now m_kk^2 and m_kk, and rows n to half the products.
+    # Rows k and half + k are now m_kk^2 and m_kk, and rows 5 to half the products.
     np.add(terms[0::half], terms[1::half], out=out[:2])
-    for k in range(2, n):
+    for k in range(2, 5):
         np.add(out[:2], terms[k::half], out=out[:2])
-    np.add(terms[n], terms[n + 1], out=out[2])
-    for k in range(n + 2, half):
+    np.add(terms[5], terms[6], out=out[2])
+    for k in range(7, half):
         np.add(out[2], terms[k], out=out[2])
     return out
 
 
 def _trace_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distances to the identity of a (k, n, n) SO(n) stack, n = 4 or 5, from two traces: (d, the far 2 cos, hand on).
+    """Distances to the identity of a (k, 5, 5) SO(5) stack from two traces: (d, the far 2 cos, hand on).
 
-    M turns two planes by angles with cosines c1, c2, plus a lone axis
-    (e = 1) when n = 5, so t1 = tr M and t2 = tr M^2 give sigma =
-    (t1 - e) / 2 = c1 + c2, q = (t2 - e + 4) / 4 = c1^2 + c2^2 and D = 2q -
-    sigma^2 = (c1 - c2)^2, and c = (sigma +- sqrt D) / 2. The traces come
-    from ``_trace_sums``, t2 = sum m_ii^2 + 2 sum m_ij m_ji, and the rest is
-    worked in place in their rows and five more, made once the gathered
-    entries are gone. Samples whose first-order error bound exceeds
-    ``_TRACE_BUDGET``, whose planes crowd together, or that lie in the
-    eigvalsh route's zones are handed on.
+    M turns two planes by angles with cosines c1, c2 about one fixed axis (e
+    = 1), so t1 = tr M and t2 = tr M^2 give sigma = (t1 - 1) / 2 = c1 + c2,
+    q = (t2 + 3) / 4 = c1^2 + c2^2 and D = 2q - sigma^2 = (c1 - c2)^2, and c
+    = (sigma +- sqrt D) / 2. The traces come from ``_trace_sums``, t2 = sum
+    m_ii^2 + 2 sum m_ij m_ji, and the rest is worked in place in their rows
+    and five more, made once the gathered entries are gone. Samples whose
+    first-order error bound exceeds ``_TRACE_BUDGET``, whose planes crowd
+    together, or that lie in the eigvalsh route's zones are handed on.
     """
-    n = ms.shape[-1]
     squares, sigma, q = _trace_sums(ms)
     work = np.empty((5, len(ms)))
     spare, cos2, theta = work[0], work[1:3], work[3:5]
-    np.multiply(np.subtract(sigma, n - 4, out=sigma), 0.5, out=sigma)
+    np.multiply(np.subtract(sigma, 1.0, out=sigma), 0.5, out=sigma)
     np.add(squares, np.multiply(q, 2.0, out=q), out=q)
-    np.multiply(np.add(q, 8 - n, out=q), 0.25, out=q)
+    np.multiply(np.add(q, 3.0, out=q), 0.25, out=q)
     r = np.subtract(np.multiply(q, 2.0, out=q), np.multiply(sigma, sigma, out=spare), out=q)
     np.sqrt(np.maximum(r, 0.0, out=r), out=r)
     # 2 cos of the far (nearer pi) and the near angle, then the angles.
@@ -392,8 +385,8 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
     ``signs`` are (|SG|, n) det +1 rows; the trivial group is one row of ones.
     Nothing here checks membership: the stack must already be in SO(n).
-    For n = 4 and 5 each distance comes from two traces; the samples that
-    route hands on, and every sample of any other n, are measured by the
+    For n = 5 each distance comes from two traces; the samples that route
+    hands on, and every sample of any other n, are measured by the
     eigenvalues of the symmetric part, except in the zones set by
     ``_NEAR_PI`` and ``_SHORT``, whose samples are measured again from the
     arguments of the general eigenvalues. The trivial group measures m
@@ -413,13 +406,13 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def _stack_distances(ms: np.ndarray) -> np.ndarray:
-    """Geodesic distances to the identity of a (k, n, n) SO(n) stack: two traces for n = 4 and 5, else eigvalsh.
+    """Geodesic distances to the identity of a (k, n, n) SO(n) stack: two traces for n = 5, else eigvalsh.
 
     The samples the trace route hands on take the eigvalsh route, except
     those deep in its near-pi zone (``_DEEP_PI``), which join its zone
     samples in one call of the general eigenvalues.
     """
-    if ms.shape[-1] in _PLANE_PAIRS:
+    if ms.shape[-1] == 5:
         d, far, redo = _trace_distances(ms)
         zone = far < _DEEP_PI
         rest = redo & ~zone

@@ -30,7 +30,12 @@ def _term_value(s: int, q: Fraction) -> float:
     if all(sys.float_info.min <= abs(x) < math.inf for x in (fq, power, value)):
         return value
     # A factor leaves the double range although the term may not: the volume of
-    # SO(46) is pi^529 times a rational near 1e-364. Round the exact product once.
+    # SO(46) is pi^529 times a rational near 1e-364. Round the exact product
+    # once, unless the bit lengths of q and s log2 pi put it below 2^-1076, which
+    # rounds to a signed zero; the exact power's numerator alone has 50 s bits,
+    # 4.5 million for SO(600).
+    if q.numerator.bit_length() - q.denominator.bit_length() + 1 + s * math.log2(math.pi) < -1076:
+        return -0.0 if q < 0 else 0.0
     return float(q * Fraction(math.pi) ** s)
 
 

@@ -318,6 +318,21 @@ def test_estimate_statistics_match_numpy():
     assert est.stderr == pytest.approx(float(d.std(ddof=1) / math.sqrt(len(d))), rel=1e-12)
 
 
+@pytest.mark.parametrize("two_point", [False, True])
+@pytest.mark.parametrize("text", ["so3", "so5", "lambda=1,1,1,1 P={1,2,3,4}"])
+def test_samples_hold_the_estimate_draws_up_to_one_batch(text, two_point):
+    # sample_distances draws its batches in order from one generator, and an
+    # estimate draws chunk k on RngStream(seed, k): up to one batch the two
+    # are the same draws, and a longer sample starts with that batch
+    space = parse_space(text)
+    batch = mc._batch_size(classify(space))
+    for n in (1, 500, batch):
+        d = sample_distances(space, n, RngStream(5), two_point=two_point)
+        assert float(d.mean()) == estimate_expected_distance(space, n, seed=5, two_point=two_point).mean, n
+    longer = sample_distances(space, batch + 3, RngStream(5), two_point=two_point)
+    assert np.array_equal(longer[:batch], d)
+
+
 def test_point_space_and_single_sample():
     est = estimate_expected_distance(SPACE_ALIASES["trivial-flag"], 1000, seed=1)
     assert est.mean == 0.0 and est.stderr == 0.0
@@ -340,9 +355,6 @@ def _cover_rotation(p, q):
     return _left(p) @ _right(q * np.array([1.0, -1.0, -1.0, -1.0]))
 
 
-FLAGS_4 = ("so4", "lambda=1,1,1,1 P={1,2}{3,4}", "lambda=1,1,1,1 P={1,2,3,4}")
-
-
 def test_cover_kernel_matches_eigenvalue_orbit_minimum():
     # common draws: the points the kernel drew, rebuilt as matrices and
     # measured by eigenvalues against explicit orbit minimization
@@ -361,8 +373,11 @@ def test_cover_kernel_matches_eigenvalue_orbit_minimum():
             a = quaternion_to_rotation(UnitQuaternion(*qa[i]))
             b = quaternion_to_rotation(UnitQuaternion(*qb[i]))
             assert abs(d2[i] - quotient_distance(a, b, iso)) <= 1e-12, name
-    for text in FLAGS_4:
-        space = parse_space(text)
+    # all 15 lambda = 1,1,1,1 spaces, so every lift-coordinate layout
+    flags_4 = [spec((1,) * 4, blocks) for blocks in set_partitions(4)]
+    assert len(flags_4) == 15
+    for space in flags_4:
+        text = space_label(space)
         iso = isotropy_group(space)
         signs = iso.signs
         d = sample_distances(space, 64, RngStream(88).generator())

@@ -309,7 +309,7 @@ def test_distances_match_eigenvalue_arguments_on_haar_draws(n):
     assert np.abs(_distances_to_identity(m, np.ones((1, n))) - eigvals_distances(m)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_orbit_distances_match_oracle_on_full_flag_rows(n):
     full_flag = f"lambda={','.join(['1'] * n)} P={{{','.join(map(str, range(1, n + 1)))}}}"
     signs = isotropy_group(parse_flagspec(full_flag)).signs
@@ -446,24 +446,23 @@ def eigvalsh_route_distances(m):
 
 
 def per_row_trace_distances(ms):
-    """Test-only copy of the trace route on a (k, n, n) stack, n = 4 or 5, with plain indexing and no work in place.
+    """Test-only copy of the trace route on a (k, 5, 5) stack, with plain indexing and no work in place.
 
     Returns the distances and the samples to hand on to the eigvalsh route.
     """
-    n = ms.shape[-1]
-    i, j = np.triu_indices(n, 1)
+    i, j = np.triu_indices(5, 1)
     diag = np.diagonal(ms, axis1=1, axis2=2)
     pairs = ms[:, i, j] * ms[:, j, i]
     t1 = diag[:, 0] + diag[:, 1]
     squares = diag[:, 0] * diag[:, 0] + diag[:, 1] * diag[:, 1]
-    for k in range(2, n):
+    for k in range(2, 5):
         t1 += diag[:, k]
         squares += diag[:, k] * diag[:, k]
     cross = pairs[:, 0] + pairs[:, 1]
     for k in range(2, len(i)):
         cross += pairs[:, k]
-    sigma = 0.5 * (t1 - (n - 4))
-    q = 0.25 * ((squares + 2.0 * cross) + (8 - n))
+    sigma = 0.5 * (t1 - 1.0)
+    q = 0.25 * ((squares + 2.0 * cross) + 3.0)
     r = np.sqrt(np.maximum(2.0 * q - sigma * sigma, 0.0))
     cos2 = np.stack((sigma - r, sigma + r))
     theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
@@ -477,7 +476,7 @@ def per_row_trace_distances(ms):
 
 
 def per_sign_row_distances(m, signs):
-    """Test-only oracle of the bits of an n = 4, 5 orbit: one sign row at a time, every handed-on sample by eigvalsh.
+    """Test-only oracle of the bits of an n = 5 orbit: one sign row at a time, every handed-on sample by eigvalsh.
 
     Each sign row s makes the whole stack m diag(s) and takes the trace route;
     every sample it hands on gets the eigvalsh route's value.
@@ -516,9 +515,9 @@ def planted_edge_cases(gen, n):
     return m
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [5])
 def test_orbit_kernel_is_bit_identical_to_the_per_sign_row_loop(n):
-    # every sign group at n = 4 and 5, on Haar draws and on planted samples at
+    # every sign group at n = 5, on Haar draws and on planted samples at
     # the route's edges, each planted one also as m diag(s) for a row s
     gen = RngStream(32 + n).generator()
     planted = planted_edge_cases(gen, n)
@@ -531,10 +530,10 @@ def test_orbit_kernel_is_bit_identical_to_the_per_sign_row_loop(n):
         turned = planted * signs[gen.integers(len(signs), size=len(planted)), None, :]
         m = np.concatenate([sample_rotation_matrices(n, 600, gen), planted, turned])
         assert np.array_equal(_distances_to_identity(m, signs), per_sign_row_distances(m, signs)), text
-    assert len(checked) == {4: 15, 5: 52}[n]
+    assert len(checked) == 52
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [5])
 def test_handed_on_samples_keep_the_eigvalsh_route_bits(n):
     gen = RngStream(30).generator()
     haar = sample_rotation_matrices(n, 4_000, gen)
@@ -546,13 +545,12 @@ def test_handed_on_samples_keep_the_eigvalsh_route_bits(n):
                           eigvalsh_route_distances(m)[handed_on])
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [5])
 def test_handed_on_orbit_minimum_is_measured_exactly(n):
     # m diag(s) turns two planes by equal angles a, which the trace route
     # hands on as crowded, or by small angles (d < _SHORT), and that row is
     # the orbit minimum, at its eigvalsh-route value
-    text = "lambda=1,1,1,1 P={1,2}{3,4}" if n == 4 else "lambda=1,1,1,1,1 P={1,2}{3,4,5}"
-    signs = isotropy_group(parse_flagspec(text)).signs
+    signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2}{3,4,5}")).signs
     gen = RngStream(33).generator()
     angles = [(a, a) for a in (1.2, 1.3, 1.4, 1.5)] + [(0.02, 0.03), (0.04, 0.05)]
     ms, exact = [], []
@@ -575,6 +573,28 @@ def test_handed_on_orbit_minimum_is_measured_exactly(n):
     defect = np.abs(np.swapaxes(off, 1, 2) @ off - np.eye(n)).max(axis=(1, 2))
     assert defect.max() > 1e-13 and (defect <= orthogonal.ORTHOGONALITY_TOL).all()
     assert np.array_equal(_distances_to_identity(off, signs), per_sign_row_distances(off, signs))
+
+
+def test_only_5x5_stacks_take_the_trace_route(monkeypatch):
+    # 4 x 4 distances, one pair or a flag's orbit, take the eigenvalue route
+    trace_distances, seen = _trace_distances, []
+
+    def five_only(ms):
+        if ms.shape[-1] != 5:
+            raise AssertionError(f"a stack of shape {ms.shape} reached the trace route")
+        seen.append(len(ms))
+        return trace_distances(ms)
+
+    monkeypatch.setattr(orthogonal, "_trace_distances", five_only)
+    gen = RngStream(34).generator()
+    a, b = sample_rotation_matrices(4, 2, gen)
+    h = isotropy_group(parse_flagspec("lambda=1,1,1,1 P={1,2}{3,4}"))
+    assert 0.0 < quotient_distance(a, b, h) <= geodesic_distance(a, b)
+    m = sample_rotation_matrices(4, 100, gen)
+    assert (_distances_to_identity(m, h.signs) <= _distances_to_identity(m, np.ones((1, 4)))).all()
+    assert seen == []
+    geodesic_distance(*sample_rotation_matrices(5, 2, gen))
+    assert seen == [1]
 
 
 @pytest.mark.parametrize("text", ["lambda=1,1,1,1,1 P={1,2,3,4,5}", "lambda=1,1,1,1,1 P={1,2}{3,4,5}"])

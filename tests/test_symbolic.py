@@ -67,3 +67,59 @@ def test_volume_of_large_rotation_group_is_not_lost_to_a_factor(n):
     assert math.log(float(flag_volume(spec))) == pytest.approx(log_ref, rel=1e-12)
     # terms of ordinary size keep the plain float(q) * pi**s rounding
     assert float(PiExpression.pi_power(6, Fraction(1, 60))) == float(Fraction(1, 60)) * math.pi**6
+
+
+def test_deep_underflow_is_a_signed_zero_without_the_exact_power(monkeypatch):
+    # Vol SO(600) = q pi^90000 lies far below the double range; its float is
+    # the 0.0 that exact rounding gives, found from bit lengths alone
+    from oriflag import symbolic
+    from oriflag.flagspec import flag_volume
+    from oriflag.spaces import parse_space
+
+    volume = flag_volume(parse_space("so600"))
+    (s, q), = volume.terms
+    monkeypatch.setattr(symbolic, "Fraction", None)
+    assert float(volume) == 0.0
+    for signed in (q, -q):
+        assert math.copysign(1.0, symbolic._term_value(s, signed)) == math.copysign(1.0, float(signed))
+
+
+def exact_rounding(s, q):
+    return float(q * Fraction(math.pi) ** s)
+
+
+def test_volumes_near_the_underflow_edge_keep_their_rounding():
+    # so40 to so62 lie in range, so63 on round to zero; a volume whose q or
+    # pi^s is out of range (so44 on) is rounded once, exactly, and the rest
+    # keep the plain float(q) * pi**s
+    from oriflag.flagspec import flag_volume
+    from oriflag.spaces import parse_space
+
+    exact = 0
+    for n in range(40, 71):
+        (s, q), = flag_volume(parse_space(f"so{n}")).terms
+        try:
+            factors = (float(q), math.pi**s)
+        except OverflowError:
+            factors = (math.inf,)
+        if all(2.0**-1022 <= x < math.inf for x in (*factors, math.prod(factors))):
+            assert float(PiExpression.pi_power(s, q)) == math.prod(factors), n
+        else:
+            assert float(PiExpression.pi_power(s, q)) == exact_rounding(s, q), n
+            exact += 1
+    assert exact == 27
+
+
+def test_terms_at_the_underflow_edge_round_exactly():
+    # q pi^s with log2 from -1085 to -1070, both signs, for powers of pi that
+    # are normal, below the double range and above it
+    from oriflag.symbolic import _term_value
+
+    for s in (-700, -1, 0, 1, 40, 700, 2000):
+        for target in (-1085 + k / 4 for k in range(61)):
+            shift = round(target - s * math.log2(math.pi))
+            for odd in (1, 3, 7, 2**60 + 1):
+                q = odd * Fraction(2) ** (shift - odd.bit_length() + 1)
+                for signed in (q, -q):
+                    got, want = _term_value(s, signed), exact_rounding(s, signed)
+                    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (s, target, odd)
