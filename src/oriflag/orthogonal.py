@@ -20,17 +20,16 @@ Golub & Van Loan, Matrix Computations, 7.2) and their arguments are accurate
 at 0, at pi and where planes crowd together. ``rotation_angles``, which
 returns each angle, always takes that route. For n = 5, which turns exactly
 two planes about one fixed axis, the distances skip the symmetric solve: tr m
-and tr m^2 give the two planes' cosines in closed form, and the samples whose
-rounding bound exceeds the symmetric route's error, whose planes crowd
-together, or that fall in its zones go on to that route unchanged (about
-12.4% of Haar draws). The handed-on samples that lie deep in the near-pi zone
-go straight to the general eigenvalues, which the symmetric route would call
-for them anyway.
+and tr m^2 give the two planes' cosines in closed form. The samples whose
+rounding bound exceeds the symmetric route's error, or whose planes crowd
+together (about 12.5% of Haar draws, nearly all with the far angle near pi),
+take the far angle from det(m + I) = 2 (2 + c_far)(2 + c_near), which stays
+well-conditioned at pi, and the near one from the traces. Only the samples
+that route's own bound hands on (about 0.05%) take the general eigenvalues.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,18 +68,14 @@ _TRACE_DSIGMA = 11 * 2.0**-53
 _TRACE_DD = 84 * 2.0**-53
 _TRACE_BUDGET = 2.5e-14
 _CROWDED = 1e-6
-# A handed-on sample whose far 2 cos lies below the eigvalsh route's near-pi
-# zone edge by more than the trace route's error on it, plus _ZONE_MARGIN,
-# goes straight to the general eigenvalues, which the eigvalsh route would
-# call for it anyway. 2 cos is sigma -+ sqrt D, with sigma within dsigma and
-# sqrt D within sqrt(dD) (|sqrt a - sqrt b| <= sqrt |a - b|, and the max with
-# 0 only moves D towards its exact value). A matrix from outside is in SO(n)
-# only to ORTHOGONALITY_TOL: for b^T a of two such matrices, orthogonal to
-# about 2e-12 an entry, t1 and t2 lie up to about 5e-11 and 1e-10 from a
-# rotation's traces, so D moves by up to 1.5e-10 and 2 cos by 1.2e-5, which
-# the margin covers.
-_ZONE_MARGIN = 5e-5
-_DEEP_PI = _NEAR_PI - 2.0 - (_TRACE_DSIGMA + math.sqrt(_TRACE_DD)) - _ZONE_MARGIN
+# The determinant route's rounding. LU with partial pivoting gives det(M + I
+# + E) with |E| <= gamma_5 |L||U| (Higham, Accuracy and Stability of Numerical
+# Algorithms, Thm 9.3): with no pivot growth, the 2u of forming M + I and the
+# 4u of the pivots' product, ||E|| <= 16u. M + I is normal with singular
+# values 2 and 2 cos(theta / 2), twice for each plane, so E moves det(M + I)
+# by ||E|| (1/2 + 1/cos(theta_far / 2) + 1/cos(theta_near / 2)) relative; the
+# largest ratio measured on handed-on Haar and planted near-pi draws was 0.8u.
+_DET_E = 16 * 2.0**-53
 # The flat indices of the 5 x 5 entries that tr M^2 reads, in two halves: the
 # diagonal and every m_ij (i < j), then the diagonal and every m_ji, whose
 # product is m_ii^2 and m_ij m_ji.
@@ -88,9 +83,10 @@ _PLANE_I, _PLANE_J = np.triu_indices(5, 1)
 _PLANE_ENTRIES = np.concatenate((np.arange(5) * 6, 5 * _PLANE_I + _PLANE_J, np.arange(5) * 6, 5 * _PLANE_J + _PLANE_I))
 # Bytes of the stack of one chunk of sign rows when an orbit is measured; the
 # chunk's symmetric part and eigvalsh's copy of it, or the trace route's rows
-# (n = 5), are alive beside it, so a call holds about three such stacks at
-# most. A full Monte Carlo batch is larger than this, so it takes one sign row
-# per call. The trivial group measures the stack it is given, with no copy.
+# and the copies of its handed-on samples (n = 5), are alive beside it, so a
+# call holds about three such stacks at most. A full Monte Carlo batch is
+# larger than this, so it takes one sign row per call. The trivial group
+# measures the stack it is given, with no copy.
 _ORBIT_BYTES = 1 << 22
 
 
@@ -338,8 +334,8 @@ def _trace_sums(ms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distances to the identity of a (k, 5, 5) SO(5) stack from two traces: (d, the far 2 cos, hand on).
+def _trace_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distances to the identity of a (k, 5, 5) SO(5) stack from two traces: (d, the near 2 cos, sqrt D, hand on).
 
     M turns two planes by angles with cosines c1, c2 about one fixed axis (e
     = 1), so t1 = tr M and t2 = tr M^2 give sigma = (t1 - 1) / 2 = c1 + c2,
@@ -347,8 +343,8 @@ def _trace_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     = (sigma +- sqrt D) / 2. The traces come from ``_trace_sums``, t2 = sum
     m_ii^2 + 2 sum m_ij m_ji, and the rest is worked in place in their rows
     and five more, made once the gathered entries are gone. Samples whose
-    first-order error bound exceeds ``_TRACE_BUDGET``, whose planes crowd
-    together, or that lie in the eigvalsh route's zones are handed on.
+    first-order error bound exceeds ``_TRACE_BUDGET``, or whose planes crowd
+    together, are handed on, almost all with the far angle near pi.
     """
     squares, sigma, q = _trace_sums(ms)
     work = np.empty((5, len(ms)))
@@ -370,14 +366,43 @@ def _trace_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # that r = 0 divides nothing.
     h_far, h_near = np.divide(1.0, np.sinc(np.divide(theta, np.pi, out=theta)), out=theta)
     bound = np.multiply(np.multiply(r, 2.0, out=spare), _TRACE_DSIGMA, out=spare)
-    np.multiply(np.add(h_far, h_near, out=near), bound, out=bound)
+    np.multiply(np.add(h_far, h_near, out=far), bound, out=bound)
     np.add(bound, np.multiply(np.subtract(h_far, h_near, out=h_far), _TRACE_DD, out=h_far), out=bound)
     redo = (bound > np.multiply(np.multiply(d, 4.0 * _TRACE_BUDGET, out=h_near), r, out=h_near)) | (r < _CROWDED)
-    # The bound alone hands on every sample at the near-pi edge; the _SHORT
-    # edge is widened by both routes' error, so that every sample the eigvalsh
-    # route would measure in a zone is handed on.
-    redo |= (far < _NEAR_PI - 2.0) | (d < _SHORT + 2.0 * _TRACE_BUDGET)
-    return d, far, redo
+    return d, near, r, redo
+
+
+def _det_distances(ms: np.ndarray, near: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances to the identity of a (k, 5, 5) SO(5) stack from det(M + I) and the near 2 cos: (d, hand on).
+
+    ``near`` and ``r`` (sqrt D) come from ``_trace_distances``. det(M + I) =
+    2 (2 + c_far)(2 + c_near), c = 2 cos theta, so cos^2(theta_far / 2) =
+    det(M + I) / (8 (2 + c_near)): near pi, arccos of a small number, which
+    stays well-conditioned however close to pi. Samples whose first-order
+    bound exceeds ``_TRACE_BUDGET`` (both planes near pi, crowded planes, a
+    short distance) or is inf or nan (2 + c_near at 0) are handed on.
+    """
+    det = np.linalg.det(ms + np.eye(5))
+    w = near + 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # cos and sin of half the far angle, then both angles.
+        x = np.clip(det / (8.0 * w), 0.0, 1.0)
+        s, t = np.sqrt(x), np.sqrt(1.0 - x)
+        far, theta = 2.0 * np.arccos(s), np.arccos(np.clip(0.5 * near, -1.0, 1.0))
+        d = np.sqrt(far * far + theta * theta)
+        # To first order, c_near's error dc = dsigma + dD / (2 sqrt D) moves
+        # theta_near by -dc / (2 sin theta_near) and theta_far by
+        # cot(theta_far / 2) dc / (2 + c_near), and the determinant's relative
+        # error, _DET_E (1/2 + 1/cos(theta_far / 2) + 2 / sqrt(2 + c_near)),
+        # moves theta_far by cot(theta_far / 2) times it; d moves by
+        # theta_near dtheta_near + theta_far dtheta_far over d. The two dc
+        # terms cancel for equal angles, so crowded planes, where dc is not
+        # resolved, are handed on by _CROWDED.
+        cot = s / t
+        dc = _TRACE_DSIGMA + _TRACE_DD / (2.0 * r)
+        bound = np.abs(far * cot / w - 0.5 / np.sinc(theta / np.pi)) * dc
+        bound += far * _DET_E * (cot * (0.5 + 2.0 / np.sqrt(w)) + 1.0 / t)
+        return d, ~(bound <= _TRACE_BUDGET * d) | (r < _CROWDED)
 
 
 def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -385,14 +410,15 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
     ``signs`` are (|SG|, n) det +1 rows; the trivial group is one row of ones.
     Nothing here checks membership: the stack must already be in SO(n).
-    For n = 5 each distance comes from two traces; the samples that route
-    hands on, and every sample of any other n, are measured by the
-    eigenvalues of the symmetric part, except in the zones set by
-    ``_NEAR_PI`` and ``_SHORT``, whose samples are measured again from the
-    arguments of the general eigenvalues. The trivial group measures m
-    itself. A larger orbit is measured in stacks of as many sign rows as
-    ``_ORBIT_BYTES`` holds, at least one, one call each, since a sample's
-    distance does not depend on the other samples of its call.
+    For n = 5 each distance comes from two traces, or from det(M + I) for
+    the samples that route hands on; every sample of any other n is measured
+    by the eigenvalues of the symmetric part. The samples the determinant
+    route hands on, and those in the symmetric route's zones (``_NEAR_PI``
+    and ``_SHORT``), are measured again from the arguments of the general
+    eigenvalues. The trivial group measures m itself. A larger orbit is
+    measured in stacks of as many sign rows as ``_ORBIT_BYTES`` holds, at
+    least one, one call each, since a sample's distance does not depend on
+    the other samples of its call.
     """
     if len(signs) == 1:
         return _stack_distances(m)
@@ -408,16 +434,14 @@ def _distances_to_identity(m: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def _stack_distances(ms: np.ndarray) -> np.ndarray:
     """Geodesic distances to the identity of a (k, n, n) SO(n) stack: two traces for n = 5, else eigvalsh.
 
-    The samples the trace route hands on take the eigvalsh route, except
-    those deep in its near-pi zone (``_DEEP_PI``), which join its zone
-    samples in one call of the general eigenvalues.
+    The samples the trace route hands on take the determinant route; the
+    samples that route hands on, or that lie in the eigvalsh route's zones,
+    take the arguments of the general eigenvalues.
     """
     if ms.shape[-1] == 5:
-        d, far, redo = _trace_distances(ms)
-        zone = far < _DEEP_PI
-        rest = redo & ~zone
-        if rest.any():
-            d[rest], zone[rest] = _symmetric_distances(ms[rest])
+        d, near, r, zone = _trace_distances(ms)
+        if zone.any():
+            d[zone], zone[zone] = _det_distances(ms[zone], near[zone], r[zone])
     else:
         d, zone = _symmetric_distances(ms)
     if zone.any():

@@ -74,7 +74,12 @@ class PiExpression:
         return float(self)
 
     def __float__(self) -> float:
-        return math.fsum(_term_value(s, q) for s, q in self.terms)
+        values = [_term_value(s, q) for s, q in self.terms]
+        # fsum gives +0.0 for -0.0 terms; a negative sum too small for a double
+        # rounds to -0.0.
+        if values and all(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values):
+            return -0.0
+        return math.fsum(values)
 
     def __add__(self, other) -> "PiExpression":
         other = _coerce(other)

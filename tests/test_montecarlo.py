@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oriflag.montecarlo as mc
+from oriflag import orthogonal
 from oriflag.flagspec import FlagSpec, OrderedPartition, SetPartition, isotropy_group
 from oriflag.montecarlo import (
     Estimate,
@@ -205,7 +206,7 @@ def test_bit_for_bit_determinism_on_the_matrix_path(text, monkeypatch):
 
 
 def test_sampled_rotations_are_not_checked_again(monkeypatch):
-    """The sampler's draws are in SO(n) by construction, so no Monte Carlo path takes a determinant."""
+    """The sampler's draws are in SO(n) by construction, so no Monte Carlo path checks SO(n) membership."""
     spaces = [parse_space(t) for t in ("so2", "so5", "so6", "lambda=1,1,1,1,1 P={1,2}{3,4,5}")]
     runs = [(space, two_point) for space in spaces for two_point in (False, True)]
 
@@ -215,10 +216,10 @@ def test_sampled_rotations_are_not_checked_again(monkeypatch):
 
     plain = [run(*r) for r in runs]
 
-    def no_det(m):
-        raise AssertionError("a determinant was taken")
+    def no_check(m, error):
+        raise AssertionError("a sampled matrix was checked for SO(n) membership")
 
-    monkeypatch.setattr(np.linalg, "det", no_det)
+    monkeypatch.setattr(orthogonal, "_require_special_orthogonal", no_check)
     for (space, two_point), (d, est) in zip(runs, plain):
         got_d, got_est = run(space, two_point)
         assert np.array_equal(got_d, d) and got_est == est, (space.to_text(), two_point)

@@ -333,11 +333,25 @@ def test_row_norms_within_two_ulp_of_numpy():
             assert (np.abs(_column_norms(rows.T) - ref) <= 2 * np.spacing(ref)).all(), d
 
 
+def exact_route_samples(m):
+    """Samples whose distance is measured by the general eigenvalues: at n = 5 those the determinant route hands on."""
+    if m.shape[-1] != 5:
+        return in_fallback_zone(m)
+    _, near, r, zone = _trace_distances(m)
+    zone[zone] = orthogonal._det_distances(m[zone], near[zone], r[zone])[1]
+    return zone
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_zone_samples_are_bit_identical_to_eigvals(n):
-    # zone samples are measured by the same eigvals solve as the oracle
-    m = sample_rotation_matrices(n, 4_000, RngStream(80 + n).generator())
-    zone = in_fallback_zone(m)
+    # zone samples are measured by the same eigvals solve as the oracle; at
+    # n = 5 about 1 Haar draw in 2000 is one, so rotations with both planes
+    # near pi join the draws
+    gen = RngStream(80 + n).generator()
+    m = sample_rotation_matrices(n, 4_000, gen)
+    if n == 5:
+        m = np.concatenate([m, planted_stack(gen, ([math.pi - 1e-3, math.pi - 2e-3] for _ in range(20)), n)[0]])
+    zone = exact_route_samples(m)
     assert zone.any() and not zone.all()
     assert np.array_equal(_distances_to_identity(m, np.ones((1, n)))[zone], eigvals_distances(m)[zone])
 
@@ -433,22 +447,11 @@ def test_trace_route_against_planted_angles(n):
     assert np.abs(_distances_to_identity(m, np.ones((1, n))) - exact).max() <= 1e-13
 
 
-def eigvalsh_route_distances(m):
-    """Test-only copy of the symmetric eigenvalue route, which every n took before the trace route."""
-    cos2 = np.linalg.eigvalsh(m + np.swapaxes(m, -1, -2))
-    theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
-    d = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
-    redo = (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
-    if redo.any():
-        theta = np.abs(np.angle(np.linalg.eigvals(m[redo])))
-        d[redo] = np.sqrt(0.5 * (theta * theta).sum(axis=-1))
-    return d
-
-
 def per_row_trace_distances(ms):
     """Test-only copy of the trace route on a (k, 5, 5) stack, with plain indexing and no work in place.
 
-    Returns the distances and the samples to hand on to the eigvalsh route.
+    Returns the distances, the near 2 cos, sqrt D and the samples to hand on
+    to the determinant route.
     """
     i, j = np.triu_indices(5, 1)
     diag = np.diagonal(ms, axis1=1, axis2=2)
@@ -471,22 +474,22 @@ def per_row_trace_distances(ms):
     h_far, h_near = 1.0 / np.sinc(theta / np.pi)
     bound = (h_far + h_near) * (2.0 * r * orthogonal._TRACE_DSIGMA) + (h_far - h_near) * orthogonal._TRACE_DD
     redo = (bound > 4.0 * orthogonal._TRACE_BUDGET * d * r) | (r < orthogonal._CROWDED)
-    redo |= (cos2[0] < _NEAR_PI - 2.0) | (d < _SHORT + 2.0 * orthogonal._TRACE_BUDGET)
-    return d, redo
+    return d, cos2[1], r, redo
 
 
 def per_sign_row_distances(m, signs):
-    """Test-only oracle of the bits of an n = 5 orbit: one sign row at a time, every handed-on sample by eigvalsh.
+    """Test-only oracle of the bits of an n = 5 orbit: one sign row at a time, handed-on samples by determinant.
 
     Each sign row s makes the whole stack m diag(s) and takes the trace route;
-    every sample it hands on gets the eigvalsh route's value.
+    every sample it hands on takes the determinant route, and every sample
+    that route hands on gets the eigvals distance.
     """
     best = np.full(len(m), np.inf)
     for s in signs:
         ms = m * s
-        d, redo = per_row_trace_distances(ms)
-        if redo.any():
-            d[redo] = eigvalsh_route_distances(ms[redo])
+        d, near, r, redo = per_row_trace_distances(ms)
+        d[redo], zone = orthogonal._det_distances(ms[redo], near[redo], r[redo])
+        d[np.flatnonzero(redo)[zone]] = eigvals_distances(ms[redo][zone])
         best = np.minimum(best, d)
     return best
 
@@ -534,22 +537,24 @@ def test_orbit_kernel_is_bit_identical_to_the_per_sign_row_loop(n):
 
 
 @pytest.mark.parametrize("n", [5])
-def test_handed_on_samples_keep_the_eigvalsh_route_bits(n):
+def test_handed_on_samples_take_the_det_route(n):
     gen = RngStream(30).generator()
     haar = sample_rotation_matrices(n, 4_000, gen)
     near_pi, _ = planted_stack(gen, ([math.pi - 0.03, math.pi - gen.uniform(0.0, 0.5)] for _ in range(200)), n)
     m = np.concatenate([haar, near_pi])
-    _, _, handed_on = _trace_distances(m)
+    _, near, r, handed_on = _trace_distances(m)
     assert handed_on[:len(haar)].any() and not handed_on[:len(haar)].all() and handed_on[len(haar):].all()
-    assert np.array_equal(_distances_to_identity(m, np.ones((1, n)))[handed_on],
-                          eigvalsh_route_distances(m)[handed_on])
+    d, zone = orthogonal._det_distances(m[handed_on], near[handed_on], r[handed_on])
+    assert zone.any() and not zone.all()
+    d[zone] = eigvals_distances(m[handed_on][zone])
+    assert np.array_equal(_distances_to_identity(m, np.ones((1, n)))[handed_on], d)
 
 
 @pytest.mark.parametrize("n", [5])
 def test_handed_on_orbit_minimum_is_measured_exactly(n):
-    # m diag(s) turns two planes by equal angles a, which the trace route
-    # hands on as crowded, or by small angles (d < _SHORT), and that row is
-    # the orbit minimum, at its eigvalsh-route value
+    # m diag(s) turns two planes by equal angles a, which both routes hand on
+    # as crowded, or by small angles (d < _SHORT), and that row is the orbit
+    # minimum, at its eigvals value
     signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2}{3,4,5}")).signs
     gen = RngStream(33).generator()
     angles = [(a, a) for a in (1.2, 1.3, 1.4, 1.5)] + [(0.02, 0.03), (0.04, 0.05)]
@@ -558,7 +563,7 @@ def test_handed_on_orbit_minimum_is_measured_exactly(n):
         block = np.eye(n)
         for k, t in enumerate((a, b)):
             block[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
-        assert _trace_distances(block[None])[2][0]
+        assert exact_route_samples(block[None])[0]
         for s in signs[gen.choice(len(signs), 3, replace=False)]:
             ms.append(block * s)
             exact.append(math.hypot(a, b))
@@ -573,6 +578,59 @@ def test_handed_on_orbit_minimum_is_measured_exactly(n):
     defect = np.abs(np.swapaxes(off, 1, 2) @ off - np.eye(n)).max(axis=(1, 2))
     assert defect.max() > 1e-13 and (defect <= orthogonal.ORTHOGONALITY_TOL).all()
     assert np.array_equal(_distances_to_identity(off, signs), per_sign_row_distances(off, signs))
+    # on every orbit element, each route is as far from the eigvals distance
+    # on the samples it keeps as the matrices are from SO(n)
+    orbit = (off[:, None] * signs[:, None, :]).reshape(-1, n, n)
+    d, near, r, handed_on = _trace_distances(orbit)
+    det_d, zone = orthogonal._det_distances(orbit[handed_on], near[handed_on], r[handed_on])
+    exact = eigvals_distances(orbit)
+    assert (~handed_on).any() and (~zone).any()
+    assert np.abs(d - exact)[~handed_on].max() <= orthogonal.ORTHOGONALITY_TOL
+    assert np.abs(det_d - exact[handed_on])[~zone].max() <= orthogonal.ORTHOGONALITY_TOL
+
+
+def test_so5_distances_within_1e14_of_eigvals_on_haar_draws():
+    m = sample_rotation_matrices(5, 100_000, RngStream(35).generator())
+    assert np.abs(_distances_to_identity(m, np.ones((1, 5))) - eigvals_distances(m)).max() <= 1e-14
+
+
+def test_det_route_against_planted_far_angles():
+    # a far angle pi - off with the near one anywhere in [0, 2.5]: the trace
+    # route hands these on, and the determinant route measures them however
+    # close to pi; with both planes near pi, or crowded, it hands them on in
+    # turn. The same rows turned by a sign row are other rotations.
+    gen = RngStream(36).generator()
+    far = [(math.pi - off, b) for off in (1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.02, 0.05, 0.1)
+           for b in np.linspace(0.0, 2.5, 11)]
+    both = [(math.pi - a, math.pi - b) for a in (1e-9, 1e-5, 1e-3, 0.01) for b in (1e-9, 1e-5, 1e-3, 0.01, 0.1)
+            if b >= a]
+    crowded = [(a, a + gap) for a in (1.0, 2.0, 3.0, math.pi - 0.05) for gap in (0.0, 1e-9, 1e-7, 1e-6, 1e-4)]
+    m, _ = planted_stack(gen, (row for row in far + both + crowded for _ in range(4)), 5)
+    signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2}{3,4,5}")).signs
+    m = np.concatenate([m, m * signs[gen.integers(1, len(signs), size=len(m)), None, :]])
+    _, _, _, handed_on = _trace_distances(m)
+    zone = exact_route_samples(m)
+    planted_far = slice(0, 4 * len(far))
+    assert (handed_on & ~zone)[planted_far].mean() > 0.9 and zone.any()
+    assert np.abs(_distances_to_identity(m, np.ones((1, 5))) - eigvals_distances(m)).max() <= 1e-14
+
+
+def test_5x5_stacks_never_take_the_symmetric_route(monkeypatch):
+    symmetric_distances = orthogonal._symmetric_distances
+
+    def not_five(ms):
+        if ms.shape[-1] == 5:
+            raise AssertionError(f"a stack of shape {ms.shape} reached the symmetric route")
+        return symmetric_distances(ms)
+
+    monkeypatch.setattr(orthogonal, "_symmetric_distances", not_five)
+    gen = RngStream(37).generator()
+    planted = planted_edge_cases(gen, 5)
+    a, b = sample_rotation_matrices(5, 2, gen)
+    h = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2}{3,4,5}"))
+    assert 0.0 < quotient_distance(a, b, h) <= geodesic_distance(a, b)
+    for m in (sample_rotation_matrices(5, 20_000, gen), planted):
+        assert (_distances_to_identity(m, h.signs) <= _distances_to_identity(m, np.ones((1, 5)))).all()
 
 
 def test_only_5x5_stacks_take_the_trace_route(monkeypatch):

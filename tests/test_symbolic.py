@@ -84,6 +84,21 @@ def test_deep_underflow_is_a_signed_zero_without_the_exact_power(monkeypatch):
         assert math.copysign(1.0, symbolic._term_value(s, signed)) == math.copysign(1.0, float(signed))
 
 
+def test_negative_underflow_is_negative_zero():
+    # exact rounding of -Vol SO(600) is -0.0; a sum of underflowed terms keeps
+    # their sign when all share it, and the zero expression is +0.0
+    from oriflag.flagspec import flag_volume
+    from oriflag.spaces import parse_space
+
+    volume = flag_volume(parse_space("so600"))
+    assert math.copysign(1.0, float(-volume)) == -1.0
+    assert math.copysign(1.0, float(volume)) == 1.0
+    tiny = PiExpression.pi_power(-2000, -1) + PiExpression.pi_power(-2001, -1)
+    assert math.copysign(1.0, float(tiny)) == -1.0
+    assert math.copysign(1.0, float(tiny - 2 * tiny)) == 1.0
+    assert math.copysign(1.0, float(PiExpression.zero())) == 1.0
+
+
 def exact_rounding(s, q):
     return float(q * Fraction(math.pi) ** s)
 
