@@ -8,7 +8,7 @@ systems, closed-form and quadrature expected distances, and reproducible
 Monte Carlo estimation, all wired into the ``oriflag`` command-line tool.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .analytic import (
     ClosedForm,

@@ -73,8 +73,8 @@ _BATCH = 1 << 17
 # most three are alive after (the rotations, one orbit product and its
 # symmetric part; or two draws and their product), and a two-point batch's
 # second draw runs beside the first. The samples that the trace route (n = 5)
-# hands on are copied twice more (M and M + I for the determinant, about an
-# eighth of the stack each), and the few that the general eigenvalue solve
+# hands on are copied twice more (M and M + I for the determinant, about a
+# sixth of the stack each), and the few that the general eigenvalue solve
 # measures once. _STACKS (``spaces``) stays at six: it sets the batch split,
 # and so the bits of the merged statistics.
 _BATCH_BYTES = 1 << 25

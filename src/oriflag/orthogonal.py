@@ -22,10 +22,10 @@ returns each angle, always takes that route. For n = 5, which turns exactly
 two planes about one fixed axis, the distances skip the symmetric solve: tr m
 and tr m^2 give the two planes' cosines in closed form. The samples whose
 rounding bound exceeds the symmetric route's error, or whose planes crowd
-together (about 12.5% of Haar draws, nearly all with the far angle near pi),
+together (about 16% of Haar draws, nearly all with the far angle near pi),
 take the far angle from det(m + I) = 2 (2 + c_far)(2 + c_near), which stays
 well-conditioned at pi, and the near one from the traces. Only the samples
-that route's own bound hands on (about 0.05%) take the general eigenvalues.
+that route's own bound hands on (about 0.07%) take the general eigenvalues.
 """
 
 from __future__ import annotations
@@ -50,22 +50,26 @@ _MIN_NORM = 1e-8
 # arguments of the general eigenvalues, which stay well-conditioned there.
 _NEAR_PI = 4e-4
 _SHORT = 0.1
-# The trace route's rounding, u = 2^-53. t1 sums 5 diagonal entries whose
-# partial sums are at most 2..5 in size: 14u. sigma = (t1 - 1) / 2 adds 4u
-# before halving, and forming c = (sigma +- sqrt D) / 2 rounds by u, which
-# counts as 2u on sigma: dsigma = 9u + 2u. t2 = sum m_ii^2 + 2 sum m_ij m_ji
-# (i < j) has products whose sizes add up to at most |M|_F^2 = 5, so rounding
-# the products costs 5u, the 4 + 9 additions at most 9 u 5 = 45u, and the last
-# addition 5u; q = (t2 + 3) / 4 adds 8u: dq = 63u / 4.
+# The trace route's rounding, u = 2^-53. numpy does not fix the order in which
+# np.einsum sums, so each bound holds for any summation tree: a tree of n terms
+# makes n - 1 roundings, each at most u times its partial sum, and a partial
+# sum is at most the sum of the sizes of its terms. t1 sums 5 diagonal
+# entries of size at most 1, and the partial sums of a tree of 5 terms add up
+# to at most 2 + 3 + 4 + 5: 14u. sigma = (t1 - 1) / 2 adds 4u before halving,
+# and forming c = (sigma +- sqrt D) / 2 rounds by u, which counts as 2u on
+# sigma: dsigma = 9u + 2u. t2 = sum m_ij m_ji sums 25 products whose sizes
+# add up to at most |M|_F^2 = 5, so rounding the products costs 5u and the 24
+# additions at most 24 u 5 = 120u; q = (t2 + 3) / 4 adds 8u: dq = 133u / 4
+# (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
 # D = 2q - sigma^2 then has 2 dq + 2 |sigma| 9u (|sigma| <= 2) + 4u + 4u, and
-# sqrt D rounding by u relative counts as 2 u D <= 8u on D: dD = 84u. arccos
+# sqrt D rounding by u relative counts as 2 u D <= 8u on D: dD = 119u. arccos
 # and the last sqrt add a few ulp of d, well inside the budget, which is the
 # eigvalsh route's bound n dc / (4 d) at n = 5 and d = _SHORT. Where the
 # planes' cosines are closer than _CROWDED the difference quotient in the
 # bound is not resolved (sqrt D itself carries sqrt(dD) = 1e-7), so those
 # samples are handed on too.
 _TRACE_DSIGMA = 11 * 2.0**-53
-_TRACE_DD = 84 * 2.0**-53
+_TRACE_DD = 119 * 2.0**-53
 _TRACE_BUDGET = 2.5e-14
 _CROWDED = 1e-6
 # The determinant route's rounding. LU with partial pivoting gives det(M + I
@@ -76,15 +80,11 @@ _CROWDED = 1e-6
 # by ||E|| (1/2 + 1/cos(theta_far / 2) + 1/cos(theta_near / 2)) relative; the
 # largest ratio measured on handed-on Haar and planted near-pi draws was 0.8u.
 _DET_E = 16 * 2.0**-53
-# The flat indices of the 5 x 5 entries that tr M^2 reads, in two halves: the
-# diagonal and every m_ij (i < j), then the diagonal and every m_ji, whose
-# product is m_ii^2 and m_ij m_ji.
-_PLANE_I, _PLANE_J = np.triu_indices(5, 1)
-_PLANE_ENTRIES = np.concatenate((np.arange(5) * 6, 5 * _PLANE_I + _PLANE_J, np.arange(5) * 6, 5 * _PLANE_J + _PLANE_I))
 # Bytes of the stack of one chunk of sign rows when an orbit is measured; the
-# chunk's symmetric part and eigvalsh's copy of it, or the trace route's rows
-# and the copies of its handed-on samples (n = 5), are alive beside it, so a
-# call holds about three such stacks at most. A full Monte Carlo batch is
+# chunk's symmetric part and eigvalsh's copy of it, or the trace route's eight
+# rows (two einsum traces, five work rows and d: a third of the stack) and the
+# copies of its handed-on samples (n = 5), are alive beside it, so a call
+# holds about three such stacks at most. A full Monte Carlo batch is
 # larger than this, so it takes one sign row per call. The trivial group
 # measures the stack it is given, with no copy.
 _ORBIT_BYTES = 1 << 22
@@ -313,44 +313,22 @@ def _symmetric_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, (cos2[:, 0] < _NEAR_PI - 2.0) | (d < _SHORT)
 
 
-def _trace_sums(ms: np.ndarray) -> np.ndarray:
-    """The (3, k) rows sum m_ii^2, t1 = sum m_ii and sum m_ij m_ji (i < j) of a (k, 5, 5) stack.
-
-    The entries are gathered once, in ``_PLANE_ENTRIES`` order, and each sum
-    runs in index order, elementwise, so a sample's sums do not depend on
-    the other samples of the call.
-    """
-    out = np.empty((3, len(ms)))
-    terms = ms.reshape(len(ms), 25).T[_PLANE_ENTRIES]
-    half = len(terms) // 2
-    np.multiply(terms[:half], terms[half:], out=terms[:half])
-    # Rows k and half + k are now m_kk^2 and m_kk, and rows 5 to half the products.
-    np.add(terms[0::half], terms[1::half], out=out[:2])
-    for k in range(2, 5):
-        np.add(out[:2], terms[k::half], out=out[:2])
-    np.add(terms[5], terms[6], out=out[2])
-    for k in range(7, half):
-        np.add(out[2], terms[k], out=out[2])
-    return out
-
-
 def _trace_distances(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Distances to the identity of a (k, 5, 5) SO(5) stack from two traces: (d, the near 2 cos, sqrt D, hand on).
 
     M turns two planes by angles with cosines c1, c2 about one fixed axis (e
     = 1), so t1 = tr M and t2 = tr M^2 give sigma = (t1 - 1) / 2 = c1 + c2,
     q = (t2 + 3) / 4 = c1^2 + c2^2 and D = 2q - sigma^2 = (c1 - c2)^2, and c
-    = (sigma +- sqrt D) / 2. The traces come from ``_trace_sums``, t2 = sum
-    m_ii^2 + 2 sum m_ij m_ji, and the rest is worked in place in their rows
-    and five more, made once the gathered entries are gone. Samples whose
-    first-order error bound exceeds ``_TRACE_BUDGET``, or whose planes crowd
-    together, are handed on, almost all with the far angle near pi.
+    = (sigma +- sqrt D) / 2. ``np.einsum`` takes t1 = sum m_ii and t2 = sum
+    m_ij m_ji, each sample's from its own entries, and the rest is worked in
+    place in their rows and five more. Samples whose first-order error bound
+    exceeds ``_TRACE_BUDGET``, or whose planes crowd together, are handed
+    on, almost all with the far angle near pi.
     """
-    squares, sigma, q = _trace_sums(ms)
+    sigma, q = np.einsum("kii->k", ms), np.einsum("kij,kji->k", ms, ms)
     work = np.empty((5, len(ms)))
     spare, cos2, theta = work[0], work[1:3], work[3:5]
     np.multiply(np.subtract(sigma, 1.0, out=sigma), 0.5, out=sigma)
-    np.add(squares, np.multiply(q, 2.0, out=q), out=q)
     np.multiply(np.add(q, 3.0, out=q), 0.25, out=q)
     r = np.subtract(np.multiply(q, 2.0, out=q), np.multiply(sigma, sigma, out=spare), out=q)
     np.sqrt(np.maximum(r, 0.0, out=r), out=r)

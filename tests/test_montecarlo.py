@@ -785,7 +785,8 @@ def test_qr_batches_sized_by_memory(monkeypatch):
 # A one-point n = 5 batch holds its 25 doubles of rotations through the orbit.
 # The trivial group measures them in place, so so5's peak is the draw's: 58.0
 # (seeds 0 to 4). A flag's orbit copies them per sign row, and the trace route
-# gathers 30 rows and sums them into 3: 85.0 (P={1,2}{3,4,5}, seeds 0 to 4).
+# takes two einsum traces of that copy and works in eight rows: 68.1 to 68.2
+# (P={1,2}{3,4,5}, seeds 0 to 4).
 WORKING_SET = {
     ("so3", False): 7, ("partial-flag-1", False): 7, ("partial-flag-2", False): 7,
     ("partial-flag-3", False): 7, ("full-flag", False): 7,

@@ -392,29 +392,38 @@ def test_angles_and_distance_against_planted_blocks(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_planted_angle_on_both_sides_of_the_near_pi_boundary(n):
-    # the boundary sits at pi - sqrt(_NEAR_PI) = pi - 0.02
+    # the eigvalsh route's boundary sits at pi - sqrt(_NEAR_PI) = pi - 0.02; at
+    # n = 5 the trace route hands on every row and the det route hands on some
     gen = RngStream(27).generator()
     offsets = (5e-2, 3e-2, 2.2e-2, 1.8e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
     m, exact = planted_stack(gen, ([math.pi - off] + list(gen.uniform(0.0, math.pi, n // 2 - 1))
                                    for off in offsets for _ in range(20)), n)
-    zone = in_fallback_zone(m)
+    zone = exact_route_samples(m)
     assert zone.any() and not zone.all()
     assert np.abs(_distances_to_identity(m, np.ones((1, n))) - exact).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_planted_small_angles_on_both_sides_of_the_short_boundary(n):
-    # equal angles a with d = a sqrt(n // 2) from well below _SHORT to above it
+    # equal angles a with d = a sqrt(n // 2) from well below _SHORT to above it;
+    # at n = 5 the trace and det routes hand equal angles on as crowded planes,
+    # so angles a, 2a, 3a, ... with the same d show their short boundary there
     gen = RngStream(28).generator()
     scales = (1e-7, 1e-5, 1e-3, 0.5, 0.9, 1.1, 2.0)
     m, exact = planted_stack(gen, ([scale * _SHORT / math.sqrt(n // 2)] * (n // 2)
                                    for scale in scales for _ in range(20)), n)
-    zone = in_fallback_zone(m)
-    assert zone.any() and not zone.all()
+    zone = exact_route_samples(m)
+    assert zone.all() if n == 5 else zone.any() and not zone.all()
     assert np.abs(_distances_to_identity(m, np.ones((1, n))) - exact).max() <= 1e-13
     small, exact = planted_stack(gen, (gen.uniform(0.0, 1e-3, n // 2) for _ in range(100)), n)
-    assert in_fallback_zone(small).all()
+    assert exact_route_samples(small).all()
     assert np.abs(_distances_to_identity(small, np.ones((1, n))) - exact).max() <= 1e-13
+    spread = np.arange(1.0, n // 2 + 1)
+    spread /= np.linalg.norm(spread)
+    m, exact = planted_stack(gen, (scale * _SHORT * spread for scale in scales for _ in range(20)), n)
+    zone = exact_route_samples(m)
+    assert zone.any() and not zone.all()
+    assert np.abs(_distances_to_identity(m, np.ones((1, n))) - exact).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -448,24 +457,13 @@ def test_trace_route_against_planted_angles(n):
 
 
 def per_row_trace_distances(ms):
-    """Test-only copy of the trace route on a (k, 5, 5) stack, with plain indexing and no work in place.
+    """Test-only copy of the trace route on a (k, 5, 5) stack: the same two einsum traces, no work in place.
 
     Returns the distances, the near 2 cos, sqrt D and the samples to hand on
     to the determinant route.
     """
-    i, j = np.triu_indices(5, 1)
-    diag = np.diagonal(ms, axis1=1, axis2=2)
-    pairs = ms[:, i, j] * ms[:, j, i]
-    t1 = diag[:, 0] + diag[:, 1]
-    squares = diag[:, 0] * diag[:, 0] + diag[:, 1] * diag[:, 1]
-    for k in range(2, 5):
-        t1 += diag[:, k]
-        squares += diag[:, k] * diag[:, k]
-    cross = pairs[:, 0] + pairs[:, 1]
-    for k in range(2, len(i)):
-        cross += pairs[:, k]
-    sigma = 0.5 * (t1 - 1.0)
-    q = 0.25 * ((squares + 2.0 * cross) + 3.0)
+    sigma = 0.5 * (np.einsum("kii->k", ms) - 1.0)
+    q = 0.25 * (np.einsum("kij,kji->k", ms, ms) + 3.0)
     r = np.sqrt(np.maximum(2.0 * q - sigma * sigma, 0.0))
     cos2 = np.stack((sigma - r, sigma + r))
     theta = np.arccos(np.clip(0.5 * cos2, -1.0, 1.0))
@@ -534,6 +532,31 @@ def test_orbit_kernel_is_bit_identical_to_the_per_sign_row_loop(n):
         m = np.concatenate([sample_rotation_matrices(n, 600, gen), planted, turned])
         assert np.array_equal(_distances_to_identity(m, signs), per_sign_row_distances(m, signs)), text
     assert len(checked) == 52
+
+
+def trace_route_rows(ms):
+    """The einsum traces t1 and t2 of a (k, 5, 5) stack and the four outputs of ``_trace_distances``, as (6, k) floats."""
+    return np.array([np.einsum("kii->k", ms), np.einsum("kij,kji->k", ms, ms), *_trace_distances(ms)], dtype=float)
+
+
+def test_trace_route_of_a_sample_does_not_depend_on_its_stack():
+    # The orbit chunks of _ORBIT_BYTES and the trivial group, which measures
+    # the stack it is given, both rely on this: a sample's traces and trace
+    # route come out the same alone, in a subset, in the full stack and in
+    # an m diag(s) orbit stack of every sign row at once.
+    signs = isotropy_group(parse_flagspec("lambda=1,1,1,1,1 P={1,2}{3,4,5}")).signs
+    gen = RngStream(38).generator()
+    for m in (sample_rotation_matrices(5, 400, gen), planted_edge_cases(gen, 5)):
+        whole = trace_route_rows(m)
+        alone = np.array([trace_route_rows(sample[None])[:, 0] for sample in m]).T
+        assert np.array_equal(alone, whole)
+        subset = np.sort(gen.choice(len(m), len(m) // 3, replace=False))
+        assert np.array_equal(trace_route_rows(m[subset]), whole[:, subset])
+        orbit = trace_route_rows((m * signs[:, None, None, :]).reshape(-1, 5, 5)).reshape(6, len(signs), len(m))
+        for s, rows in zip(signs, orbit.transpose(1, 0, 2)):
+            assert np.array_equal(rows, trace_route_rows(m * s))
+            each = np.array([trace_route_rows((m[i] * s)[None])[:, 0] for i in subset[:10]]).T
+            assert np.array_equal(rows[:, subset[:10]], each)
 
 
 @pytest.mark.parametrize("n", [5])

@@ -28,9 +28,14 @@ def test_import_does_not_load_scipy():
 
 
 def test_package_and_pyproject_versions_agree():
+    # the version is written once, as oriflag.__version__, and pyproject.toml reads it from there
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
-    assert declared == oriflag.__version__
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^dynamic = \["version"\]$', project, re.MULTILINE)
+    assert not re.search(r'^version = ', project, re.MULTILINE)
+    dynamic = pyproject.split("[tool.setuptools.dynamic]", 1)[1]
+    module, name = re.search(r'^version = \{attr = "([\w.]+)\.(\w+)"\}$', dynamic, re.MULTILINE).groups()
+    assert getattr(importlib.import_module(module), name) == oriflag.__version__
 
 
 def test_console_script_entry_point_prints_the_version(capsys, monkeypatch):

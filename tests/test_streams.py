@@ -18,7 +18,7 @@ from oriflag.cli import main
 from oriflag.montecarlo import _cover_coords, _sphere_heights
 from oriflag.orthogonal import RngStream, sample_rotation_matrices
 
-LEDGER_VERSION = "0.13.0"
+LEDGER_VERSION = "0.14.0"
 LEDGER = {
     "standard_normal RngStream(0, 0)": [
         "-0x1.19d8ab59737bap-1",
