@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oriflag import __version__, cli, montecarlo
+from oriflag import __version__, analytic, cli, montecarlo
 from oriflag.analytic import FULL_FLAG_MIN_TOL, PARTIAL_FLAG_MIN_TOL
 from oriflag.cli import main
 from oriflag.flagspec import flag_volume
@@ -198,6 +198,43 @@ def test_unreachable_numeric_volume_tolerance_is_a_usage_error(capsys, space):
     code, out, err = run(capsys, "volume", "--space", space, "--numeric", "--tol", "1e-13")
     assert code == 2 and out == ""
     assert "subintervals" in err
+
+
+class PointBudgetSpent(Exception):
+    """The integrand was asked for more points than a test allows."""
+
+
+def count_partial_flag_volume_points(monkeypatch, budget):
+    """Count the points at which ``volume --space partial-flag-1 --numeric`` evaluates its
+    integrand, and raise :class:`PointBudgetSpent` (out of ``main``) once they reach ``budget``."""
+    multiple, integrand, ranges = analytic._VOLUME_INTEGRALS["partial-flag"]
+    points = []
+
+    def counted(*args):
+        points.append(len(args[-1]))
+        if sum(points) >= budget:
+            raise PointBudgetSpent(budget)
+        return integrand(*args)
+
+    monkeypatch.setitem(analytic._VOLUME_INTEGRALS, "partial-flag", (multiple, counted, ranges))
+    return points
+
+
+@pytest.mark.parametrize("tol", ["2e-12", "1e-12"])
+def test_partial_flag_volume_below_its_roundoff_floor_fails_within_20000_points(capsys, monkeypatch, tol):
+    # the outer level runs at tol / 10, below 50 eps times its integral 2 pi^2 (2.19e-13);
+    # bisecting it to the subinterval budget took 34 543 125 points at 2e-12
+    points = count_partial_flag_volume_points(monkeypatch, 20_000)
+    code, out, err = run(capsys, "volume", "--space", "partial-flag-1", "--numeric", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "roundoff floor" in err and "subintervals" in err
+    assert sum(points) < 20_000
+
+
+def test_partial_flag_volume_just_above_its_roundoff_floor_is_reached(capsys, monkeypatch):
+    points = count_partial_flag_volume_points(monkeypatch, 20_000)
+    report = run_json(capsys, "volume", "--space", "partial-flag-1", "--numeric", "--tol", "3e-12")
+    assert report["result"]["evaluations"] == sum(points) == 16_875
 
 
 def test_quadrature_on_partial_flag_uses_double_integral(capsys):

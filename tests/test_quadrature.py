@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oriflag import quadrature
+import quadrature_oracle
+from oriflag import analytic, quadrature
 from oriflag.analytic import expected_distance_full_flag, expected_distance_partial_flag_integral, numeric_volume
+from oriflag.flagspec import flag_volume
 from oriflag.quadrature import QuadratureError, adaptive_gauss_kronrod, nested_integral
 from oriflag.spaces import parse_space
 
@@ -144,3 +146,76 @@ def test_nested_bound_is_the_outer_bound_plus_length_times_the_largest_inner_bou
     assert res.value == outer.value
     assert res.abs_error_bound == outer.abs_error_bound + 2.0 * max(inner_bounds)
     assert abs(res.value - 32.0 / 15.0) <= res.abs_error_bound
+
+
+def test_tolerance_below_the_first_panels_roundoff_floor_fails_at_once():
+    # 50 eps times the integral of |sin| over [0, pi] is 2.2e-14: no split reaches 1e-14
+    calls = []
+    with pytest.raises(QuadratureError, match="roundoff floor"):
+        adaptive_gauss_kronrod(lambda x: calls.append(x) or np.sin(x), 0.0, math.pi, 1e-14)
+    assert len(calls) == 1
+
+
+def test_bisection_reuses_the_first_panel():
+    # the same budget failure as before, one panel and then two per bisection
+    calls = []
+    with pytest.raises(QuadratureError, match="more than 8 subintervals"):
+        adaptive_gauss_kronrod(
+            lambda x: calls.append(x) or 1.0 / np.sqrt(np.abs(x)), 0.0, 1.0, 1e-10, max_intervals=8
+        )
+    assert len(calls) == 1 + 2 * 7
+
+
+# The five volume integrals and the two expectation integrals, by name.
+_INTEGRALS = {
+    **{space: (lambda tol, space=space: numeric_volume(parse_space(space), tol))
+       for space in ("s2", "rp2", "so3", "partial-flag-1", "full-flag")},
+    "partial-flag integral": expected_distance_partial_flag_integral,
+    "full-flag integral": expected_distance_full_flag,
+}
+
+
+def _reference_rule(monkeypatch, name, tol):
+    """``name`` at ``tol`` through the rule of ``quadrature_oracle``."""
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "adaptive_gauss_kronrod", quadrature_oracle.adaptive_gauss_kronrod)
+        m.setattr(analytic, "nested_integral", quadrature_oracle.nested_integral)
+        return _INTEGRALS[name](tol)
+
+
+# Refusals where the reference rule bisects the outermost level to its budget before it
+# fails too (6.9 million points for so3, 34.5 million for partial-flag-1): each runs
+# that level at tol / 10 below 50 eps times its integral, the volume over its multiple.
+_SLOW_REFERENCE_FAILURES = {
+    ("so3", 3e-12): 1.0,
+    ("so3", 2e-12): 1.0,
+    ("partial-flag-1", 2e-12): 2.0,
+    ("partial-flag-1", 1e-12): 2.0,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-10, 3e-12, 2e-12, 1e-12, 1e-13])
+@pytest.mark.parametrize("name", list(_INTEGRALS))
+def test_the_reference_rule_gives_the_same_result_and_reaches_nothing_refused(monkeypatch, name, tol):
+    try:
+        res = _INTEGRALS[name](tol)
+    except ValueError:
+        # below an expectation's documented floor: refused before either rule runs
+        with pytest.raises(ValueError):
+            _reference_rule(monkeypatch, name, tol)
+    except QuadratureError:
+        if (name, tol) in _SLOW_REFERENCE_FAILURES:
+            # every panel's bound is at least 50 eps times its estimate of the integral of
+            # the (positive) outer integrand, and over any split those add up to its integral
+            outer_integral = float(flag_volume(parse_space(name))) / _SLOW_REFERENCE_FAILURES[name, tol]
+            assert tol / 10.0 < 0.99 * 50.0 * quadrature._EPS * outer_integral
+        else:
+            with pytest.raises(QuadratureError, match="subintervals"):
+                _reference_rule(monkeypatch, name, tol)
+    else:
+        # the same values and evaluation counts; the bound takes its absolute sums in
+        # one product, so it may move in the last bits
+        ref = _reference_rule(monkeypatch, name, tol)
+        assert res.value.hex() == ref.value.hex()
+        assert res.evaluations == ref.evaluations
+        assert abs(res.abs_error_bound - ref.abs_error_bound) <= 4 * math.ulp(ref.abs_error_bound)
