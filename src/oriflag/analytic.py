@@ -121,7 +121,7 @@ def expected_distance_full_flag(tol: float) -> QuadratureResult:
 
 def _join_integrand(theta1: float, alphas: np.ndarray) -> np.ndarray:
     cos_a = np.cos(alphas)
-    return np.arccos(np.clip(cos_a * math.cos(theta1), -1.0, 1.0)) * cos_a * np.sin(alphas)
+    return np.arccos((cos_a * math.cos(theta1)).clip(-1.0, 1.0)) * cos_a * np.sin(alphas)
 
 
 def expected_distance_partial_flag_integral(tol: float) -> QuadratureResult:

@@ -13,11 +13,13 @@ quadrature mode on a space that has no quadrature, a quadrature --tol that
 cannot be reached, and a flag the chosen form does not read), 3 space
 unsupported for the requested computation, 141 stdout closed before the output
 ended (a reader such as ``head`` exited), with no traceback.
+``main(argv)`` can be called repeatedly in one process and builds its parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -289,7 +291,9 @@ def _add_space_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--P", dest="blocks", help="set partition blocks, e.g. {1}{2,3} (default: one block)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on first use and shared by every later call: never modify it."""
     parser = argparse.ArgumentParser(
         prog="oriflag",
         description="Volumes and expected distances on partially oriented flag manifolds.",
@@ -351,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -680,3 +680,71 @@ def test_readme_command_lines_parse():
         argv = shlex.split(line, comments=True)
         assert argv[0] == "oriflag", line
         parser.parse_args(argv[1:])
+
+
+# ------------------------------------------------------ many calls, one process
+
+def _fresh(*argv):
+    """(exit code, stdout, stderr) of ``python -m oriflag.cli ARGV`` in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "oriflag.cli", *argv], env=_env_importing_src(),
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _without_wall_time(out):
+    """``out`` with a JSON report's ``wall_time_s`` dropped; other output as it is."""
+    try:
+        report = json.loads(out)
+    except ValueError:
+        return out
+    report.pop("wall_time_s")
+    return report
+
+
+def test_repeated_main_calls_print_what_fresh_processes_print(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    usage_error = ("volume", "--no-such-flag")
+    calls = [
+        usage_error,
+        ("--version",),
+        ("--help",),
+        ("volume", "--lambda", "1,1,1", "--P", "{1,2,3}", "--numeric"),
+        ("expected", "--space", "so3", "--mode", "analytic"),
+        ("sample", "--space", "full-flag", "--n", "3", "--seed", "4", "--lift"),
+        usage_error,
+    ]
+    codes = []
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        fresh_code, fresh_out, fresh_err = _fresh(*argv)
+        assert (code, _without_wall_time(out), err) == (
+            fresh_code, _without_wall_time(fresh_out), fresh_err), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 0, 0, 2]
+
+
+def test_env_seed_is_read_per_call_not_kept_in_the_parser(capsys, monkeypatch):
+    argv = ("sample", "--space", "so3", "--n", "3")
+    rows = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("ORIFLAG_SEED", seed)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == _fresh(*argv), seed
+        rows.append(out)
+    assert rows[0] != rows[1]
+
+
+def test_parser_is_built_once_and_left_as_it_was(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    calls = [("--help",), ("analytic", "--space", "so3"), ("quadrature", "--space", "partial-flag-1"),
+             ("expected", "--space", "so3", "--format", "csv")]
+    before = [run(capsys, *argv) for argv in calls]
+    # the two tests that inspect and parse with the shared parser directly
+    test_expected_aliases_define_only_flags_their_mode_reads()
+    test_readme_command_lines_parse()
+    assert cli.build_parser() is parser
+    after = [run(capsys, *argv) for argv in calls]
+    for argv, (code, out, err), (code2, out2, err2) in zip(calls, before, after):
+        assert (code, _without_wall_time(out), err) == (code2, _without_wall_time(out2), err2), argv
+    assert before[-1][0] == 2
