@@ -119,9 +119,9 @@ def expected_distance_full_flag(tol: float) -> QuadratureResult:
     return _scaled(raw, scale, 1.5 * math.pi)
 
 
-def _join_integrand(theta1: float, alphas: np.ndarray) -> np.ndarray:
+def _join_integrand(theta1: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     cos_a = np.cos(alphas)
-    return np.arccos((cos_a * math.cos(theta1)).clip(-1.0, 1.0)) * cos_a * np.sin(alphas)
+    return np.arccos((cos_a * np.cos(theta1)).clip(-1.0, 1.0)) * cos_a * np.sin(alphas)
 
 
 def expected_distance_partial_flag_integral(tol: float) -> QuadratureResult:
@@ -148,12 +148,12 @@ def _quadrature(space: FlagSpec, tol: float) -> QuadratureResult:
     return _route(_QUADRATURES, space, "no quadrature for {}")(tol)
 
 
-def _polar_area(_theta: float, phis: np.ndarray) -> np.ndarray:
+def _polar_area(_theta: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.sin(phis)
 
 
-def _so3_measure(_phi3: float, phi2: float, phi1: np.ndarray) -> np.ndarray:
-    return 8.0 * np.sin(phi1) ** 2 * math.sin(phi2)
+def _so3_measure(_phi3: np.ndarray, phi2: np.ndarray, phi1: np.ndarray) -> np.ndarray:
+    return 8.0 * np.sin(phi1) ** 2 * np.sin(phi2)
 
 
 def _arctan_sec(phi: float) -> float:

@@ -8,7 +8,10 @@ tolerance. Integrands receive a numpy
 array of abscissae and must return the corresponding array of values; wrap a
 scalar-only function with ``numpy.vectorize`` if needed.
 
-A nested integral runs the rule at every level. Its bound is the outer bound
+A nested integral runs the rule at every level, a level's integrals side by
+side with one integrand call per round, each giving the bits it gives alone.
+Its integrand takes the outer values as (m, 1) arrays that broadcast against
+the (m, 15) innermost block; its ranges take floats. Its bound is the outer bound
 plus the outer interval's length times the largest inner bound met at the
 outer nodes: the Kronrod weights are positive and sum to that length, so the
 inner errors move the outer sum by at most that much. Like every bound here it
@@ -17,6 +20,7 @@ is an estimate built from the GK15 panel estimates, not a rigorous enclosure.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -77,72 +81,100 @@ class QuadratureResult:
         return self.value
 
 
+def _figures(half: list, sums) -> list:
+    """(integral, error bound, roundoff floor) of panels from their half-widths and four sums; the floor,
+    50 eps times the panel's estimate of the integral of |f|, is the least the bound can be."""
+    figures = []
+    for h, (resk, resg, resabs, resasc) in zip(half, sums):
+        err = abs((resk - resg) * h)
+        scale = resasc * abs(h)
+        if scale != 0.0 and err != 0.0:
+            err = scale * min(1.0, (200.0 * err / scale) ** 1.5)
+        floor = 50.0 * _EPS * resabs * abs(h)
+        figures.append((resk * h, max(err, floor), floor))
+    return figures
+
+
 def _gk15(f, a: float, b: float) -> tuple[float, float, float]:
-    """One Gauss-Kronrod 15 panel over [a, b]: (integral, error bound, roundoff floor).
-
-    The floor, 50 eps times the panel's estimate of the integral of |f|, is the
-    least the bound can be.
-    """
+    """The :func:`_figures` of one Gauss-Kronrod 15 panel over [a, b], ``f`` called on its 15 abscissae."""
     half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    y = np.asarray(f(center + half * _NODES), dtype=float)
+    y = np.asarray(f(0.5 * (a + b) + half * _NODES), dtype=float)
     resk = float(_WEIGHTS @ y)
-    resg = float(_GAUSS_WEIGHTS @ y[_GAUSS_IDX])
-    resabs, resasc = np.abs((y, y - 0.5 * resk)).dot(_WEIGHTS).tolist()
-    value = resk * half
-    err = abs((resk - resg) * half)
-    scale = resasc * abs(half)
-    if scale != 0.0 and err != 0.0:
-        err = scale * min(1.0, (200.0 * err / scale) ** 1.5)
-    floor = 50.0 * _EPS * resabs * abs(half)
-    return value, max(err, floor), floor
+    sums = (resk, float(_GAUSS_WEIGHTS @ y[_GAUSS_IDX]), *np.abs((y, y - 0.5 * resk)).dot(_WEIGHTS).tolist())
+    return _figures([half], [sums])[0]
 
 
-def _adaptive(f, a: float, b: float, tol: float, max_intervals: int = 1024) -> tuple[float, float, int]:
-    """:func:`adaptive_gauss_kronrod` as a plain (value, bound, evaluations) tuple."""
+def _gk15_rows(f, a: list, b: list, rows: list) -> tuple[list, tuple | None]:
+    """:func:`_gk15` over [a[j], b[j]] with one call ``f(xs, rows)`` on the (k, 15) block, and its failure.
+
+    Each row takes a lone panel's dot products (stacked 1 x 15 ones; one gemv sums in another order).
+    """
+    half = 0.5 * (np.array(b) - a)
+    y, failure = f((0.5 * (np.array(a) + b))[:, None] + half[:, None] * _NODES, rows)
+    y = np.asarray(y, dtype=float)[:, None, :]
+    resk = y @ _WEIGHTS
+    resg = np.ascontiguousarray(y[..., _GAUSS_IDX]) @ _GAUSS_WEIGHTS
+    dev = np.abs(np.concatenate((y, y - 0.5 * resk[..., None]), axis=1)) @ _WEIGHTS
+    return _figures(half.tolist(), np.concatenate((resk, resg, dev), axis=1).tolist()), failure
+
+
+def _integrate(panels, lo, hi, tol: float, max_intervals: int = 1024) -> tuple[list, Exception | None]:
+    """The integrals over [lo[i], hi[i]] side by side, each bisected as if alone.
+
+    A round makes one call ``panels(a, b, rows)``: the :func:`_figures` of panels [a[j], b[j]] of
+    integrals ``rows[j]`` and None, or those before some integral's panels and (that integral, its
+    exception). Returns the (value, bound, evaluations) of the integrals before the first to fail, and
+    its exception or None: later ones are dropped and earlier ones run on, as one after another would.
+    """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if a == b:
-        return 0.0, 0.0, 0
-    value, err, floor = _gk15(f, a, b)
-    if err <= tol:
-        return value, err, 15
-    if floor > tol:
-        raise QuadratureError(
-            f"tol={tol:g} is below the roundoff floor {floor:g} of [{a:g}, {b:g}], "
-            "which no split into subintervals can get under"
-        )
-    evaluations = 15
-    total_err = err
-    heap = [(-err, a, b, value, err)]
-    while True:
-        if len(heap) >= max_intervals:
-            raise QuadratureError(
-                f"needed more than {max_intervals} subintervals to reach tol={tol:g} "
-                f"(current bound {total_err:g})"
-            )
-        _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise QuadratureError(f"interval [{lo}, {hi}] cannot be bisected further")
-        v1, e1, _ = _gk15(f, lo, mid)
-        v2, e2, _ = _gk15(f, mid, hi)
-        evaluations += 30
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        total_err = math.fsum(item[4] for item in heap)
-        if total_err <= tol:
-            return math.fsum(item[3] for item in heap), total_err, evaluations
+    results, heaps = [(0.0, 0.0, 0)] * len(lo), {}
+    rows = [i for i in range(len(lo)) if lo[i] != hi[i]]
+    a, b = [lo[i] for i in rows], [hi[i] for i in rows]
+    figures, failure = panels(a, b, rows) if rows else ([], None)
+    cut, error = failure or (len(lo), None)
+    for i, x0, x1, (value, err, floor) in zip(rows, a, b, figures):
+        if i >= cut:
+            break
+        if err <= tol:
+            results[i] = (value, err, 15)
+        elif floor > tol:
+            cut, error = i, QuadratureError(f"tol={tol:g} is below the roundoff floor {floor:g} of [{x0:g}, {x1:g}], "
+                                            "which no split into subintervals can get under")
+            break
+        else:
+            heaps[i] = [(-err, x0, x1, value, err)]
+    while heaps:
+        rows, a, b = [], [], []
+        for i, heap in heaps.items():
+            if len(heap) >= max_intervals:
+                cut, error = i, QuadratureError(f"needed more than {max_intervals} subintervals to reach tol={tol:g} "
+                                                f"(current bound {math.fsum(item[4] for item in heap):g})")
+                break
+            _, x0, x1, _, _ = heapq.heappop(heap)
+            mid = 0.5 * (x0 + x1)
+            if mid <= x0 or mid >= x1:
+                cut, error = i, QuadratureError(f"interval [{x0}, {x1}] cannot be bisected further")
+                break
+            rows += (i, i)
+            a += (x0, mid)
+            b += (mid, x1)
+        figures, failure = panels(a, b, rows) if rows else ([], None)
+        if failure:
+            cut, error = failure
+        for i, x0, x1, (value, err, _) in zip(rows, a, b, figures):
+            if i < cut:
+                heapq.heappush(heaps[i], (-err, x0, x1, value, err))
+        for i in rows[::2]:
+            if i < cut and (total_err := math.fsum(item[4] for item in heaps[i])) <= tol:
+                heap = heaps.pop(i)
+                results[i] = (math.fsum(item[3] for item in heap), total_err, 30 * len(heap) - 15)
+        if error is not None:
+            heaps = {i: heap for i, heap in heaps.items() if i < cut}
+    return results[:cut], error
 
 
-def adaptive_gauss_kronrod(
-    f,
-    a: float,
-    b: float,
-    tol: float,
-    *,
-    max_intervals: int = 1024,
-) -> QuadratureResult:
+def adaptive_gauss_kronrod(f, a: float, b: float, tol: float, *, max_intervals: int = 1024) -> QuadratureResult:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     One 15-point panel over [a, b] comes first. If its bound meets ``tol``,
@@ -152,42 +184,53 @@ def adaptive_gauss_kronrod(
     the same amount, so no bisection can reach ``tol``. Otherwise the interval
     with the largest error estimate is bisected until the total estimated error
     is below ``tol``, and :class:`QuadratureError` is raised if that takes more
-    than ``max_intervals`` subintervals.
+    than ``max_intervals`` subintervals. ``f`` takes each panel's 15 abscissae.
     """
-    return QuadratureResult(*_adaptive(f, a, b, tol, max_intervals))
+    done, error = _integrate(lambda a, b, _: ([_gk15(f, x0, x1) for x0, x1 in zip(a, b)], None), [a], [b], tol, max_intervals)
+    if error is not None:
+        raise error
+    return QuadratureResult(*done[0])
 
 
 def nested_integral(f, ranges, tol: float) -> QuadratureResult:
     """Iterated integral of ``f`` with an adaptive rule at each level.
 
     ``ranges[0]`` is the outer (lo, hi); each later entry maps the outer
-    variables to its own (lo, hi). ``f(x1, ..., xs)`` takes the outer values as
-    scalars and the innermost as an array, and returns an array. Every level
-    runs :func:`adaptive_gauss_kronrod`'s rule at tol / 10, so an inner
-    integral that meets its tolerance on one panel costs 15 points, and a level
-    whose roundoff floor is above tol / 10 fails at once. Levels hand plain
-    (value, bound, evaluations) tuples up; one :class:`QuadratureResult` is
-    built at the top. ``evaluations`` counts the points at which ``f`` is
-    evaluated; the bound is described in the module docstring.
+    variables, as floats, to its own (lo, hi). A level runs all its integrals
+    side by side, so ``f(x1, ..., xs)`` takes the outer values as (m, 1)
+    arrays and the innermost as an (m, 15) block they broadcast against, and
+    returns the block's values. Every level runs
+    :func:`adaptive_gauss_kronrod`'s rule at tol / 10, each integral bisected
+    as if alone: an inner integral that meets its tolerance on one panel costs
+    15 points, a level whose roundoff floor is above tol / 10 fails at once,
+    and a failing level raises the error that integrating node by node meets first.
+    ``evaluations`` counts the points at which ``f`` is evaluated; the bound
+    is described in the module docstring.
     """
     level_tol = tol / 10.0
     innermost = len(ranges) - 1
 
-    def integrate(outer: tuple) -> tuple[float, float, int]:
+    def integrate(outer: list) -> tuple[list, Exception | None]:
+        # the level's integrals at the points given by the (m, 1) columns of outer
         level = len(outer)
-        lo, hi = ranges[level](*outer) if level else ranges[0]
+        lo, hi = zip(*map(ranges[level], *(col[:, 0].tolist() for col in outer))) if level else zip(ranges[0])
         if level == innermost:
-            return _adaptive(lambda xs: f(*outer, xs), lo, hi, level_tol)
-        met = []
+            return _integrate(functools.partial(_gk15_rows, lambda xs, rows: (f(*(col[rows] for col in outer), xs), None)),
+                              lo, hi, level_tol)
+        met = [[] for _ in lo]
 
-        def integrand(xs: np.ndarray) -> np.ndarray:
-            inner = [integrate((*outer, x)) for x in xs]
-            met.extend(inner)
-            return np.array([value for value, _, _ in inner])
+        def integrand(xs: np.ndarray, rows: list) -> tuple:
+            done, error = integrate([col[np.repeat(rows, 15)] for col in outer] + [xs.reshape(-1, 1)])
+            for i, j in zip(rows, range(0, len(done), 15)):
+                met[i] += done[j:j + 15]
+            values = [value for value, _, _ in done] + [0.0] * (xs.size - len(done))
+            return np.reshape(values, xs.shape), error and (rows[len(done) // 15], error)
 
-        value, bound, _ = _adaptive(integrand, lo, hi, level_tol)
-        worst = max((inner_bound for _, inner_bound, _ in met), default=0.0)
-        evaluations = sum(count for _, _, count in met)
-        return value, bound + abs(hi - lo) * worst, evaluations
+        done, error = _integrate(functools.partial(_gk15_rows, integrand), lo, hi, level_tol)
+        return [(value, bound + abs(b - a) * max((r[1] for r in met[i]), default=0.0), sum(r[2] for r in met[i]))
+                for i, ((value, bound, _), a, b) in enumerate(zip(done, lo, hi))], error
 
-    return QuadratureResult(*integrate(()))
+    done, error = integrate([])
+    if error is not None:
+        raise error
+    return QuadratureResult(*done[0])

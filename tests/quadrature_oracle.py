@@ -6,6 +6,10 @@ the subinterval budget is spent. The package's rule must give the same values
 and evaluation counts wherever this one reaches its tolerance, and bounds within
 a few ulp (it takes its two absolute sums in one product). The node and weight
 tables are the package's own; ``test_rule_is_exact_through_degree_22`` pins them.
+
+:func:`nested_integral` integrates one outer node at a time, over this rule or
+over the package's; over the package's it is the package's nested integral
+before a level ran its integrals side by side, whose bits the package must give.
 """
 
 from __future__ import annotations
@@ -75,8 +79,13 @@ def adaptive_gauss_kronrod(f, a: float, b: float, tol: float, *, max_intervals: 
     return QuadratureResult(math.fsum(item[3] for item in heap), total_err, evaluations)
 
 
-def nested_integral(f, ranges, tol: float) -> QuadratureResult:
-    """Iterated integral of ``f`` with :func:`adaptive_gauss_kronrod` at every level, each at tol / 10."""
+def nested_integral(f, ranges, tol: float, rule=adaptive_gauss_kronrod) -> QuadratureResult:
+    """Iterated integral of ``f`` with ``rule`` at every level, each at tol / 10, one outer node at a time.
+
+    ``f`` takes the outer values as scalars. With the package's
+    ``adaptive_gauss_kronrod`` as ``rule`` this is the package's nested
+    integral as it stood before a level ran its integrals side by side.
+    """
     level_tol = tol / 10.0
     innermost = len(ranges) - 1
 
@@ -84,7 +93,7 @@ def nested_integral(f, ranges, tol: float) -> QuadratureResult:
         level = len(outer)
         lo, hi = ranges[level](*outer) if level else ranges[0]
         if level == innermost:
-            return adaptive_gauss_kronrod(lambda xs: f(*outer, xs), lo, hi, level_tol)
+            return rule(lambda xs: f(*outer, xs), lo, hi, level_tol)
         met = []
 
         def integrand(xs: np.ndarray) -> np.ndarray:
@@ -92,7 +101,7 @@ def nested_integral(f, ranges, tol: float) -> QuadratureResult:
             met.extend(inner)
             return np.array([r.value for r in inner])
 
-        res = adaptive_gauss_kronrod(integrand, lo, hi, level_tol)
+        res = rule(integrand, lo, hi, level_tol)
         worst = max((r.abs_error_bound for r in met), default=0.0)
         evaluations = sum(r.evaluations for r in met)
         return QuadratureResult(res.value, res.abs_error_bound + abs(hi - lo) * worst, evaluations)

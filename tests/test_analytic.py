@@ -164,7 +164,7 @@ def test_full_flag_matches_join_coordinate_triple_integral():
     # variable upper bound arctan(cos t1 / cos t2)
     def integrand(_t2, t1, alphas):
         ca = np.cos(alphas)
-        return np.arccos(np.clip(ca * math.cos(t1), -1.0, 1.0)) * ca * np.sin(alphas)
+        return np.arccos(np.clip(ca * np.cos(t1), -1.0, 1.0)) * ca * np.sin(alphas)
 
     triple = nested_integral(
         integrand,

@@ -211,7 +211,7 @@ def count_partial_flag_volume_points(monkeypatch, budget):
     points = []
 
     def counted(*args):
-        points.append(len(args[-1]))
+        points.append(np.size(args[-1]))
         if sum(points) >= budget:
             raise PointBudgetSpent(budget)
         return integrand(*args)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -80,15 +81,19 @@ def test_invalid_tolerance():
     lambda tol: numeric_volume(parse_space("so3"), tol),
 ], ids=["adaptive", "full-flag", "partial-flag", "numeric-volume"])
 def test_nan_tolerance_is_refused_before_any_evaluation(integrate, monkeypatch):
-    # every integrand is evaluated through the rule, so counting the calls of
-    # each integrand it is handed counts them all
+    # every integrand is evaluated through the rule, a panel or a block of panels at a time,
+    # so counting the calls of each integrand it is handed counts them all
     calls = []
-    rule = quadrature._gk15
+    rule, rows_rule = quadrature._gk15, quadrature._gk15_rows
 
     def counting_rule(f, a, b):
         return rule(lambda x: calls.append(x) or f(x), a, b)
 
+    def counting_rows_rule(f, a, b, rows):
+        return rows_rule(lambda xs, rows: calls.append(xs) or f(xs, rows), a, b, rows)
+
     monkeypatch.setattr(quadrature, "_gk15", counting_rule)
+    monkeypatch.setattr(quadrature, "_gk15_rows", counting_rows_rule)
     assert integrate(1e-6).value > 0.0 and calls
     calls.clear()
     with pytest.raises(ValueError):
@@ -219,3 +224,87 @@ def test_the_reference_rule_gives_the_same_result_and_reaches_nothing_refused(mo
         assert res.value.hex() == ref.value.hex()
         assert res.evaluations == ref.evaluations
         assert abs(res.abs_error_bound - ref.abs_error_bound) <= 4 * math.ulp(ref.abs_error_bound)
+
+
+def _outcome(integrate, *args, **kwargs):
+    """float.hex of the value and bound, and the evaluations, of ``integrate(...)``; or the type and
+    message of the exception it raises."""
+    try:
+        res = integrate(*args, **kwargs)
+    except (ValueError, QuadratureError) as exc:
+        return type(exc), str(exc)
+    return res.value.hex(), res.abs_error_bound.hex(), res.evaluations
+
+
+# (integrand, a, b) at tol 1e-10 with at most 32 subintervals: empty; settled on its first panel;
+# bisected 2, 20 and 17 times; refused at its roundoff floor 2.2e-10; out of subintervals
+_MIX = [
+    (np.sin, 1.0, 1.0),
+    (lambda x: x**2, 0.0, 1.0),
+    (lambda x: np.exp(-x * x) * np.cos(3 * x), 0.0, 2.0),
+    (np.sqrt, 0.0, 1.0),
+    (lambda x: np.abs(x - 0.3), 0.0, 1.0),
+    (lambda x: 1e4 * np.sin(x), 0.0, math.pi),
+    (lambda x: 1.0 / np.sqrt(np.abs(x)), 0.0, 1.0),
+]
+_ORDERS = [list(range(5))] + [
+    order for k in range(len(_MIX)) for order in (
+        [(i + k) % len(_MIX) for i in range(len(_MIX))],
+        [(k - i) % len(_MIX) for i in range(len(_MIX))],
+    )
+]
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=lambda order: "".join(map(str, order)))
+def test_integrals_run_side_by_side_give_what_each_gives_alone(order):
+    mix = [_MIX[i] for i in order]
+    lone = [_outcome(adaptive_gauss_kronrod, g, a, b, 1e-10, max_intervals=32) for g, a, b in mix]
+
+    def rows_of_their_integrands(xs, rows):
+        return np.array([mix[i][0](x) for i, x in zip(rows, xs)]), None
+
+    done, error = quadrature._integrate(functools.partial(quadrature._gk15_rows, rows_of_their_integrands),
+                                        [a for _, a, _ in mix], [b for _, _, b in mix], 1e-10, 32)
+    failed = [k for k, outcome in enumerate(lone) if isinstance(outcome[0], type)]
+    # the integrals before the first to fail in this order, then the exception that one raises alone
+    # (the floor refusal comes in the first round, the subinterval budget in the 31st)
+    assert [(v.hex(), bound.hex(), n) for v, bound, n in done] == lone[:failed[0] if failed else None]
+    if failed:
+        assert (type(error), str(error)) == lone[failed[0]]
+    else:
+        assert error is None
+
+
+# The package's nested integral run one outer node at a time, over its own rule.
+_node_by_node = functools.partial(quadrature_oracle.nested_integral, rule=adaptive_gauss_kronrod)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-10, 1e-11, 3e-12, 2.2e-12, 2e-12, 1e-12, 1e-13])
+@pytest.mark.parametrize("name", list(_INTEGRALS))
+def test_levels_side_by_side_give_the_bits_of_node_by_node_recursion(monkeypatch, name, tol):
+    outcome = _outcome(_INTEGRALS[name], tol)
+    monkeypatch.setattr(analytic, "nested_integral", _node_by_node)
+    assert outcome == _outcome(_INTEGRALS[name], tol)
+
+
+# Integrals whose inner integrals bisect to depths that vary with the outer variables.
+_VARYING_DEPTHS = {
+    # a kink at y = x
+    "kink": (lambda x, ys: np.abs(ys - x), ((0.0, 1.0), lambda _x: (0.0, 1.0))),
+    # past x = 0.5 or so the inner roundoff floor is above tol / 10: the first such node's refusal
+    "kink-refused": (lambda x, ys: np.abs(ys - x) * np.exp(30.0 * x), ((0.0, 1.0), lambda _x: (0.0, 1.0))),
+    "kink-3-levels": (lambda x, y, zs: np.abs(zs - x) * np.exp(y),
+                      ((0.0, 1.0), lambda x: (0.0, x), lambda _x, _y: (0.0, 1.0))),
+    "kink-3-levels-refused": (lambda x, y, zs: np.abs(zs - y) * np.exp(20.0 * x * y),
+                              ((0.0, 1.0), lambda x: (0.0, x), lambda _x, _y: (0.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("name, tol", [
+    ("kink", 1e-5), ("kink", 1e-7), ("kink-refused", 1e-6), ("kink-3-levels", 1e-5), ("kink-3-levels-refused", 1e-5),
+])
+def test_levels_side_by_side_give_the_bits_of_node_by_node_recursion_at_varying_depths(name, tol):
+    f, ranges = _VARYING_DEPTHS[name]
+    outcome = _outcome(nested_integral, f, ranges, tol)
+    assert (outcome[0] is QuadratureError) == name.endswith("refused")
+    assert outcome == _outcome(_node_by_node, f, ranges, tol)

@@ -359,7 +359,7 @@ def test_hyperspherical_volume_element_integrates_to_sphere_volume():
     # integral of sin^2(phi1) sin(phi2) over the full box is the 3-sphere volume 2 pi^2
     from oriflag.quadrature import nested_integral
     vol = nested_integral(
-        lambda _p3, p2, p1: np.sin(p1) ** 2 * math.sin(p2),
+        lambda _p3, p2, p1: np.sin(p1) ** 2 * np.sin(p2),
         ((0.0, 2 * math.pi), lambda _p3: (0.0, math.pi), lambda _p3, _p2: (0.0, math.pi)),
         1e-9,
     ).value
