@@ -25,10 +25,6 @@ from .spaces import UnsupportedSpaceError, classify, space_label
 from .symbolic import PiExpression
 
 FULL_FLAG_TAG = "full-flag-quadrature"
-# Smallest tolerances the full- and partial-flag quadratures accept: below
-# them double precision cannot meet the bound.
-FULL_FLAG_MIN_TOL = 1e-13
-PARTIAL_FLAG_MIN_TOL = 1e-12
 
 # Closed-form expected distance by kernel family; the full flag (None) has none.
 _EXPECTATIONS = {
@@ -109,11 +105,9 @@ def expected_distance_full_flag(tol: float) -> QuadratureResult:
 
     Evaluates 3 pi/2 + (96 / pi^2) times the integral of
     :func:`full_flag_integrand` over [0, pi/4], with the returned error bound
-    at most ``tol``. Tolerances below 1e-13 are not attainable in double
-    precision and are rejected.
+    at most ``tol``. A tolerance below the roundoff floor of the quadrature,
+    about 3.8e-14, raises :class:`QuadratureError`.
     """
-    if not tol >= FULL_FLAG_MIN_TOL:
-        raise ValueError(f"tolerance must be >= {FULL_FLAG_MIN_TOL:g}, got {tol:g}")
     scale = 96.0 / math.pi**2
     raw = adaptive_gauss_kronrod(full_flag_integrand, 0.0, 0.25 * math.pi, tol / scale)
     return _scaled(raw, scale, 1.5 * math.pi)
@@ -130,13 +124,11 @@ def expected_distance_partial_flag_integral(tol: float) -> QuadratureResult:
     (16/pi) times the integral of arccos(cos a cos t1) cos a sin a over
     a in [0, pi/2], t1 in [0, pi/4]; equals 1 + pi/4.
     """
-    if not tol >= PARTIAL_FLAG_MIN_TOL:
-        raise ValueError(f"tolerance must be >= {PARTIAL_FLAG_MIN_TOL:g}, got {tol:g}")
     ranges = ((0.0, 0.25 * math.pi), lambda _theta1: (0.0, 0.5 * math.pi))
     return _scaled(nested_integral(_join_integrand, ranges, tol * math.pi / 16.0), 16.0 / math.pi)
 
 
-# family -> the quadrature of its expected distance; each routine checks its own tol floor.
+# family -> the quadrature of its expected distance.
 _QUADRATURES = {
     "full-flag": expected_distance_full_flag,
     "partial-flag": expected_distance_partial_flag_integral,
@@ -201,9 +193,7 @@ def numeric_volume(space: FlagSpec, tol: float = 1e-7) -> QuadratureResult:
 
 __all__ = [
     "ClosedForm",
-    "FULL_FLAG_MIN_TOL",
     "FULL_FLAG_TAG",
-    "PARTIAL_FLAG_MIN_TOL",
     "QuadratureError",
     "QuadratureResult",
     "analytic_expected_distance",

@@ -121,7 +121,7 @@ def _expected_one(space: FlagSpec, args) -> dict:
         classify(space)  # an unsupported space exits 3, not 2 for want of a quadrature
         try:
             quad = _quadrature(space, args.tol)
-        except ValueError as exc:  # no quadrature for this family, or --tol below its floor
+        except UnsupportedSpaceError as exc:  # no quadrature for this family
             raise UsageError(f"quadrature mode: {exc}") from exc
         return {
             "mode": "quadrature",
@@ -362,7 +362,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FlagSpecParseError, UsageError, QuadratureError) as exc:
-        # In the CLI a quadrature only fails when the user's --tol cannot be reached.
+        # In the CLI a quadrature only fails when the user's --tol cannot be reached; its error
+        # names the tolerance of the level it refused, so the message names the one given first.
+        if isinstance(exc, QuadratureError) and getattr(args, "tol", None) is not None:
+            exc = f"--tol {args.tol!r} cannot be reached: {exc}"
         print(f"oriflag: error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedSpaceError as exc:

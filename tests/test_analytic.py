@@ -14,7 +14,7 @@ from oriflag.analytic import (
 )
 from oriflag.flagspec import flag_volume
 from oriflag.montecarlo import estimate_expected_distance
-from oriflag.quadrature import nested_integral
+from oriflag.quadrature import QuadratureError, nested_integral
 from oriflag.spaces import SPACE_ALIASES, UnsupportedSpaceError, parse_space
 from oriflag.symbolic import PiExpression
 
@@ -104,7 +104,7 @@ def test_full_flag_expectation_to_twenty_digit_reference():
 
 
 def test_full_flag_tolerance_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(QuadratureError, match="roundoff floor"):
         expected_distance_full_flag(1e-14)
 
 
@@ -147,7 +147,7 @@ def test_full_flag_agrees_with_monte_carlo():
 def test_partial_flag_integral_equals_one_plus_quarter_pi():
     val = expected_distance_partial_flag_integral(1e-10).value
     assert abs(val - (1.0 + math.pi / 4.0)) <= 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(QuadratureError, match="roundoff floor"):
         expected_distance_partial_flag_integral(1e-13)
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from oriflag import __version__, analytic, cli, montecarlo
-from oriflag.analytic import FULL_FLAG_MIN_TOL, PARTIAL_FLAG_MIN_TOL
 from oriflag.cli import main
 from oriflag.flagspec import flag_volume
 from oriflag.quatcover import UnitQuaternion, quaternion_to_rotation
@@ -185,19 +184,21 @@ def test_bad_tolerance_is_a_usage_error(capsys, tol):
 def test_tolerance_below_full_flag_floor_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"{FULL_FLAG_MIN_TOL:g}" in err
+    assert "roundoff floor" in err and f"--tol {argv[-1]} cannot be reached" in err
 
 
 def test_full_flag_floor_tolerance_is_accepted(capsys):
-    report = run_json(capsys, "quadrature", "--tol", repr(FULL_FLAG_MIN_TOL))
-    assert report["result"]["abs_error_bound"] <= FULL_FLAG_MIN_TOL
+    # the floor is about 3.8e-14; the first panel meets 5e-14
+    report = run_json(capsys, "quadrature", "--tol", "5e-14")
+    assert report["result"]["evaluations"] == 15
+    assert report["result"]["abs_error_bound"] <= 5e-14
 
 
 @pytest.mark.parametrize("space", ["s2", "rp2", "so3", "partial-flag-1", "full-flag"])
 def test_unreachable_numeric_volume_tolerance_is_a_usage_error(capsys, space):
     code, out, err = run(capsys, "volume", "--space", space, "--numeric", "--tol", "1e-13")
     assert code == 2 and out == ""
-    assert "subintervals" in err
+    assert "subintervals" in err and "--tol 1e-13 cannot be reached" in err
 
 
 class PointBudgetSpent(Exception):
@@ -228,6 +229,8 @@ def test_partial_flag_volume_below_its_roundoff_floor_fails_within_20000_points(
     code, out, err = run(capsys, "volume", "--space", "partial-flag-1", "--numeric", "--tol", tol)
     assert code == 2 and out == ""
     assert "roundoff floor" in err and "subintervals" in err
+    # the refusal names the --tol given and the tolerance of the level refused
+    assert f"--tol {tol} cannot be reached: tol={float(tol) / 10:g} is below" in err
     assert sum(points) < 20_000
 
 
@@ -249,13 +252,14 @@ def test_quadrature_on_partial_flag_uses_double_integral(capsys):
 def test_tolerance_below_partial_flag_floor_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"{PARTIAL_FLAG_MIN_TOL:g}" in err
+    assert "roundoff floor" in err and f"--tol {argv[-1]} cannot be reached" in err
 
 
 def test_partial_flag_floor_tolerance_is_reported_as_given(capsys):
-    report = run_json(capsys, "quadrature", "--space", "partial-flag-1",
-                      "--tol", repr(PARTIAL_FLAG_MIN_TOL))
-    assert report["result"]["tol"] == PARTIAL_FLAG_MIN_TOL
+    # the floor is about 3.0e-13
+    report = run_json(capsys, "quadrature", "--space", "partial-flag-1", "--tol", "5e-13")
+    assert report["result"]["abs_error_bound"] <= 5e-13
+    assert report["result"]["tol"] == 5e-13
 
 
 def test_quadrature_mode_rejected_for_closed_form_spaces(capsys):

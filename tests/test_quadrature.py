@@ -204,10 +204,6 @@ _SLOW_REFERENCE_FAILURES = {
 def test_the_reference_rule_gives_the_same_result_and_reaches_nothing_refused(monkeypatch, name, tol):
     try:
         res = _INTEGRALS[name](tol)
-    except ValueError:
-        # below an expectation's documented floor: refused before either rule runs
-        with pytest.raises(ValueError):
-            _reference_rule(monkeypatch, name, tol)
     except QuadratureError:
         if (name, tol) in _SLOW_REFERENCE_FAILURES:
             # every panel's bound is at least 50 eps times its estimate of the integral of
@@ -224,6 +220,39 @@ def test_the_reference_rule_gives_the_same_result_and_reaches_nothing_refused(mo
         assert res.value.hex() == ref.value.hex()
         assert res.evaluations == ref.evaluations
         assert abs(res.abs_error_bound - ref.abs_error_bound) <= 4 * math.ulp(ref.abs_error_bound)
+
+
+# The two expectation integrals: (the integrand's name in analytic, the exact value, the
+# smallest tolerance it must reach, 1.25 times or more its measured roundoff floor).
+_EXPECTATION_INTEGRALS = {
+    "full-flag integral": ("full_flag_integrand", 1.3117250347224445929, 5e-14),
+    "partial-flag integral": ("_join_integrand", 1.0 + math.pi / 4.0, 5e-13),
+}
+
+
+@pytest.mark.parametrize("tol", np.geomspace(1e-15, 1.2e-12, 40).tolist(), ids="{:.3g}".format)
+@pytest.mark.parametrize("name", list(_EXPECTATION_INTEGRALS))
+def test_expectations_reach_a_tolerance_near_their_roundoff_floor_or_refuse_it_within_5000_points(
+        monkeypatch, name, tol):
+    # bisecting toward the 1024-subinterval budget takes tens of thousands of points; reaching a
+    # tolerance or refusing it takes at most 2 235
+    integrand_name, exact, reached_from = _EXPECTATION_INTEGRALS[name]
+    integrand, points = getattr(analytic, integrand_name), []
+
+    def counted(*args):
+        points.append(np.size(args[-1]))
+        assert sum(points) < 5_000
+        return integrand(*args)
+
+    monkeypatch.setattr(analytic, integrand_name, counted)
+    try:
+        res = _INTEGRALS[name](tol)
+    except QuadratureError:
+        assert tol < reached_from
+    else:
+        assert res.abs_error_bound <= tol
+        assert abs(res.value - exact) <= res.abs_error_bound
+        assert res.evaluations == sum(points)
 
 
 def _outcome(integrate, *args, **kwargs):
