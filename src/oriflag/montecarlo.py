@@ -16,31 +16,35 @@ comes from two traces at n = 5 and otherwise, or where the traces cannot
 vouch for it, from the eigenvalues of its symmetric part. On quotients by a
 finite isotropy group the distance is the minimum over the orbit of the
 sample, and each lifted sign picks a coordinate of the unit quaternion. A
-one-point trial on a spin cover draws its quaternion from a pair of uniform
-points of the unit disk (Marsaglia; see ``_DISK_OVERSAMPLE``), the second
-only when a lift reads coordinate 2 or 3; a two-point trial draws
-normalized Gaussians. The spin-cover and sphere kernels write their steps
-into the batch's own arrays, and a batch's statistics overwrite its
-distances, so a one-point batch holds, traced, 5.0 doubles per sample on
-so3 and partial-flag-1 (a block of disk candidates, two rows and their s
-at 4/3 of a double each, and the distances), 6.0 on the other SO(3)/SG
-spaces (and the row of sqrt(1 - s1)), one on the sphere, and 6 to 25 on
-SO(4)/SG, growing with |SG|. A two-point trial instead works in one float64
-buffer per thread, kept across batches and calls so that repeated estimates
-do not fault its pages in again; only the returned distances are fresh. It
-holds at most one two-point batch, the largest the thread has run: 4
-doubles per sample on the sphere, 8 + c on SO(3)/SG and k + max(2k, 8 + c)
-on SO(4)/SG, for the c coordinates of a quaternion that the k lifts read. It
-is freed with its thread, a pool thread's when the pool exits. A two-point
-batch that makes the buffer peaks at 5 (sphere) to 13.5 (full flag) and
-11.5 to 25.5 (SO(4)/SG) doubles per sample; one that reuses it adds 1 on
-the sphere and 1.5 elsewhere. Estimates carry a standard error from a
-streaming (count, mean, M2) aggregation. N is split into fixed chunks, one
-batch each: chunk k holds draws [kC, (k + 1)C) on substream k and the
-chunks merge in k order, so a fixed (seed, N) reproduces the estimate bit
-for bit within one package version, whatever the number of threads that
-run the chunks. Substream k of a seed is numpy's SFC64 generator seeded by
-``SeedSequence(seed, spawn_key=(k,))`` (``orthogonal.RngStream``).
+spin-cover trial draws each quaternion from a pair of uniform points of the
+unit disk (Marsaglia; see ``_DISK_OVERSAMPLE``): a one-point trial draws
+the second disk only when a lift reads coordinate 2 or 3, and a two-point
+trial draws its two points as one draw of twice the batch. The spin-cover
+and sphere kernels write their steps into the batch's own arrays, and a
+batch's statistics overwrite its distances, so a one-point batch holds,
+traced, 5.0 doubles per sample on so3 and partial-flag-1 (a block of disk
+candidates, two rows and their s at 4/3 of a double each, and the
+distances), 6.0 on the other SO(3)/SG spaces (and the row of sqrt(1 - s1)),
+one on the sphere, and 6 to 25 on SO(4)/SG, growing with |SG|. A two-point
+trial instead works in one float64 buffer per thread, kept across batches
+and calls so that repeated estimates do not fault its pages in again; only
+the returned distances are fresh. It holds at most one two-point batch, the
+largest the thread has run: 4 doubles per sample on the sphere, 8 + c on
+SO(3)/SG and k + max(2k, 8 + c) on SO(4)/SG, for the c coordinates of a
+quaternion that the k lifts read. It is freed with its thread, a pool
+thread's when the pool exits. A two-point batch of 2^14 that makes the
+buffer peaks at 5 (sphere), 21.9 (so3) to 24.9 (full flag) and 22.9 to 36.9
+(SO(4)/SG) doubles per sample; one that reuses it adds 1 on the sphere and
+12.9 on the covers: the distances, the two rows of sqrt(1 - s1) and a block
+of disk candidates, which is at most ``_DISK_BLOCK``, so that at 2^17 a
+cover batch adds 4.95 (13.95 to 28.95 with the buffer). Estimates carry a
+standard error from a streaming (count, mean, M2) aggregation. N is split
+into fixed chunks, one batch each: chunk k holds draws [kC, (k + 1)C) on
+substream k and the chunks merge in k order, so a fixed (seed, N)
+reproduces the estimate bit for bit within one package version, whatever
+the number of threads that run the chunks. Substream k of a seed is numpy's
+SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(k,))``
+(``orthogonal.RngStream``).
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from .orthogonal import (
     RngStream,
     _as_generator,
     _distances_to_identity,
-    _unit_columns,
     _unit_vectors,
     sample_rotation_matrices,
 )
@@ -82,8 +85,8 @@ _BATCH_BYTES = 1 << 25
 # so repeated estimates do not fault its pages in again, and made larger only
 # when a batch needs more. A pool thread's buffer goes with the thread.
 _two_point = threading.local()
-# One-point spin-cover trials draw q by Marsaglia's method (Choosing a point
-# from the surface of a sphere, Ann. Math. Statist. 43, 1972): for (x_0, x_1)
+# Spin-cover trials draw q by Marsaglia's method (Choosing a point from the
+# surface of a sphere, Ann. Math. Statist. 43, 1972): for (x_0, x_1)
 # and (x_2, x_3) uniform in the open unit disk, with squared radii s1 and s2,
 # q = (x_0, x_1, x_2 t, x_3 t) with t = sqrt((1 - s1) / s2) is uniform on
 # S^3. Disk points are drawn by rejection from [-1, 1)^2: pi/4 of a block's
@@ -94,7 +97,8 @@ _two_point = threading.local()
 # (about 1 MB) stay in cache and are reused from the heap: at 2^17 points a
 # disk in one block ran slower and faulted more pages. The first disk is
 # drawn first, so one stream gives the SO(3)/SG spaces the same x_0 and x_1,
-# and the second only when a lift reads coordinate 2 or 3.
+# and a one-point draw takes the second only when a lift reads coordinate 2
+# or 3.
 # Precision: x_0 and x_1 are exact, and x_c t is formed as (x_c / sqrt(s2))
 # sqrt(1 - s1). The rounding of s1 (at most u = 2^-53) reaches it through
 # 1 - s1: an absolute error of about u / sqrt(1 - s1), largest where x_c t
@@ -135,18 +139,16 @@ def _scratch(rows: int, count: int) -> np.ndarray:
 
 
 def _relative_points(gen: np.random.Generator, coords: np.ndarray, rows: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """Coordinates ``coords`` of conj(q_b) q_a, for unit draws q_a then q_b, in the last len(coords) rows of ``rows``.
+    """Coordinates ``coords`` of conj(q_b) q_a, for Marsaglia quaternions q_a and q_b, in the last len(coords) rows of ``rows``.
 
-    ``rows`` is (8 + len(coords), count). Each draw fills the Gaussian block
-    in rows[4:8]: q_a is divided into rows[:4] as it leaves the block, q_b
-    in place. The norms take the first product row, and the squares and
-    the product's terms take the (count,) row ``term``.
+    ``rows`` is (8 + len(coords), count). q_a and q_b are one draw of 2
+    count quaternions into rows[:8], seen as (4, 2 count) rows: q_a is the
+    first half of each, q_b the second. The product's terms take the
+    (count,) row ``term``.
     """
-    a, raw, parts = rows[:4], rows[4:8].reshape(-1, 4), rows[8:]
-    b = raw.T
-    for q in (a, b):
-        _unit_columns(gen, raw, q, parts[0], term)
-    return _conj_mul_coords(b, a, coords, parts, term)
+    count = rows.shape[1]
+    q = _cover_coords(gen, (0, 1, 2, 3), rows[:8].reshape(4, 2 * count))
+    return _conj_mul_coords(q[:, count:], q[:, :count], coords, rows[8:], term)
 
 
 def _disk_blocks(gen: np.random.Generator, count: int, read: tuple, signed: bool):
@@ -211,7 +213,7 @@ def _second_disk(gen: np.random.Generator, count: int, read: tuple, w: np.ndarra
                 np.divide(a, np.sqrt(s, out=s), out=a)
             np.multiply(w[seg], np.take(a, kept, out=s[:len(kept)], mode="clip"), out=w[seg])
             continue
-        root = np.sqrt(s[kept])
+        root = np.sqrt(s[kept], out=s[:len(kept)])
         for row, x in zip(out, rows):
             part = np.take(x, kept, out=row[seg], mode="clip")
             np.multiply(np.divide(part, root, out=part), w[seg], out=part)
@@ -232,10 +234,11 @@ def _cover_cosines(gen: np.random.Generator, count: int, coords: tuple) -> np.nd
     return cos
 
 
-def _cover_coords(gen: np.random.Generator, count: int, coords: tuple) -> np.ndarray:
-    """Coordinates ``coords`` (ascending from 0) of ``count`` Marsaglia quaternions, as fresh (len(coords), count) rows."""
+def _cover_coords(gen: np.random.Generator, coords: tuple, q: np.ndarray) -> np.ndarray:
+    """Coordinates ``coords`` (ascending from 0) of Marsaglia quaternions, one per column of the (len(coords), count) rows ``q``."""
+    count = q.shape[1]
     near, far = tuple(c for c in coords if c < 2), tuple(c - 2 for c in coords if c > 1)
-    q, w = np.empty((len(coords), count)), np.empty(count) if far else None
+    w = np.empty(count) if far else None
     _first_disk(gen, count, near, True, q[:len(near)], w)
     if far:
         _second_disk(gen, count, far, w, q[len(near):])
@@ -309,8 +312,8 @@ def _lift_angles(columns: tuple, gen: np.random.Generator, count: int) -> list:
     """
     coords = tuple(columns[0][0])
     if coords[-1] < 2:
-        return [_arccos(rows @ _cover_coords(gen, count, coords)) for _, rows in columns]
-    q = _cover_coords(gen, 2 * count, coords)
+        return [_arccos(rows @ _cover_coords(gen, coords, np.empty((len(coords), count)))) for _, rows in columns]
+    q = _cover_coords(gen, coords, np.empty((len(coords), 2 * count)))
     return [_arccos(rows @ q[:, k * count:(k + 1) * count]) for k, (_, rows) in enumerate(columns)]
 
 

@@ -5,13 +5,11 @@ vectors, sign-fixed to determinant +1 (Stewart 1980; Mezzadri 2007), built
 in an (n, n, count) buffer with the sample index innermost and returned as
 one (count, n, n) copy. A uniform unit vector is a Gaussian vector over its
 norm (Muller 1959); the squares are summed in coordinate order, which for
-vectors shorter than 8 is numpy's own, and callers that read only a
-coordinate or two of each vector take the raw Gaussians with their norms and
-divide just those. The
-geodesic distance between rotations A and B is ``sqrt(0.5 * sum |log mu_k|^2)``
-over the eigenvalues ``mu_k`` of ``B^T A``, the root-sum-square of its
-rotation angles. The symmetric part of a rotation has eigenvalues
-cos(theta_k), so one batched symmetric eigenvalue solve gives the distance:
+vectors shorter than 8 is numpy's own. The geodesic distance between
+rotations A and B is ``sqrt(0.5 * sum |log mu_k|^2)`` over the eigenvalues
+``mu_k`` of ``B^T A``, the root-sum-square of its rotation angles. The
+symmetric part of a rotation has eigenvalues cos(theta_k), so one batched
+symmetric eigenvalue solve gives the distance:
 ``d^2 = 0.5 * sum arccos(c_k / 2)^2`` over the eigenvalues ``c_k`` of
 ``m + m^T``. Where arccos is ill-conditioned, an angle near pi or a distance
 near 0, the angles are ``|arg mu_k|`` of the general eigenvalues instead. A
@@ -180,54 +178,33 @@ def random_special_orthogonal(n: int, rng) -> Rotation:
 
 def _unit_vectors(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """``count`` uniform points on the unit sphere in R^dim, one per row, divided in place."""
-    v = np.empty((count, dim))
-    _unit_columns(gen, v, v.T)
+    v = gen.standard_normal((count, dim))
+    np.divide(*_gaussian_columns(gen, v.T), out=v.T)
     return v
 
 
-def _unit_columns(
-    gen: np.random.Generator, raw: np.ndarray, out: np.ndarray, norms: np.ndarray | None = None,
-    spare: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fill the (count, dim) block ``raw`` with Gaussians and write each row over its norm to a column of ``out``.
-
-    ``out`` is (dim, count): ``raw.T`` itself, dividing in place, or a
-    contiguous array, dividing as it transposes. ``norms`` and ``spare``
-    are passed to ``_column_norms``. Draws and values are those of
-    ``_unit_vectors``.
-    """
-    gen.standard_normal(out=raw)
-    v, n = _gaussian_columns(gen, raw.T, norms, spare)
-    return np.divide(v, n, out=out)
-
-
-def _gaussian_columns(
-    gen: np.random.Generator, v: np.ndarray, out: np.ndarray | None = None, spare: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_columns(gen: np.random.Generator, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian columns of a (dim, count) ``v`` and their norms, redrawing (in place) those under ``_MIN_NORM``.
 
     ``v`` may be the transpose of (count, dim) rows; a redrawn vector takes
-    ``dim`` consecutive draws either way. ``out`` and ``spare`` are passed to
-    ``_column_norms``.
+    ``dim`` consecutive draws either way.
     """
-    norms = _column_norms(v, out, spare)
+    norms = _column_norms(v)
     while (bad := norms < _MIN_NORM).any():
         v[:, bad] = gen.standard_normal((int(bad.sum()), len(v))).T
         norms[bad] = _column_norms(v[:, bad])
     return v, norms
 
 
-def _column_norms(v: np.ndarray, out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
+def _column_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms of the columns of a (d, count) array, squares summed row by row.
 
     Summed in coordinate order, numpy's own order for vectors shorter than 8,
     so this matches ``np.linalg.norm`` of those bit for bit, without its
-    temporary (d, count) array of squares. The sums and then the norms are
-    written to the (count,) row ``out`` and each square to the row ``spare``,
-    made here when not given.
+    temporary (d, count) array of squares.
     """
-    sq = np.multiply(v[0], v[0], out=out)
-    square = np.empty_like(sq) if spare is None else spare
+    sq = v[0] * v[0]
+    square = np.empty_like(sq)
     for row in v[1:]:
         sq += np.multiply(row, row, out=square)
     return np.sqrt(sq, out=sq)
